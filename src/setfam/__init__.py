@@ -11,6 +11,7 @@ from .errors import (
     EmptySetError,
     FamilyFormatError,
     GenerationError,
+    ReportFormatError,
     SetFamError,
 )
 from .family import (
@@ -61,6 +62,7 @@ __all__ = [
     "GrowthProfile",
     "PiercingSolution",
     "PropertyReport",
+    "ReportFormatError",
     "SetFamError",
     "SetFamily",
     "ShatterResult",

@@ -5,7 +5,8 @@ verify. Results go to standard output as text; ``--out`` additionally writes
 a JSON report (schema version "v1") that embeds the input family, so
 ``verify`` can replay the cheap checks on any report without the original
 file. Exit codes: 0 success, 1 negative analysis verdict under ``--strict``
-(and any failed ``verify``), 2 input errors, 3 budget exceeded.
+(and any failed ``verify`` check), 2 input errors and malformed reports,
+3 budget exceeded.
 
 Reports are byte-stable for fixed inputs and flags except for the
 ``wall_time_s`` field.
@@ -14,8 +15,8 @@ Reports are byte-stable for fixed inputs and flags except for the
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -24,21 +25,9 @@ from pathlib import Path
 from typing import Any
 
 from . import generators, piercing, pq, shatter, witness
-from .errors import BudgetExceededError, SetFamError
-from .family import (
-    SetFamily,
-    boolean_atoms,
-    family_from_dict,
-    family_to_dict,
-    mask_from_points,
-    parse_family,
-    point_signature,
-    points_from_mask,
-    serialize_family,
-)
-
-SCHEMA_VERSION = "v1"
-DEFAULT_BUDGET = 10**7
+from .errors import DEFAULT_BUDGET, BudgetExceededError, SetFamError
+from .family import SetFamily, boolean_atoms, family_to_dict, parse_family, points_from_mask, serialize_family
+from .report import SCHEMA_VERSION, verify_report
 
 
 def _int_list(text: str) -> list[int]:
@@ -131,22 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommand payloads: each returns (payload, text_lines, negative_verdict)
 
 
-def _load_family(args: argparse.Namespace) -> tuple[SetFamily, str]:
-    data = Path(args.input).read_bytes()
-    digest = "sha256:" + hashlib.sha256(data).hexdigest()
-    return parse_family(data.decode("utf-8")), digest
-
-
 def _fmt(points: Any) -> str:
     return "[" + ", ".join(str(p) for p in points) + "]"
 
 
-def _cmd_atoms(args) -> tuple[dict, list[str], bool]:
-    family, digest = _load_family(args)
+def _cmd_atoms(args, family: SetFamily) -> tuple[dict, list[str], bool]:
     subfamily = args.sets if args.sets is not None else list(range(family.num_sets))
     decomposition = boolean_atoms(family, subfamily, include_zero_cell=not args.drop_zero_cell)
     payload = {
-        "family": family_to_dict(family),
         "subfamily": list(decomposition.subfamily),
         "include_zero_cell": not args.drop_zero_cell,
         "atom_count": len(decomposition),
@@ -154,120 +135,58 @@ def _cmd_atoms(args) -> tuple[dict, list[str], bool]:
             {"signature": sig, "points": list(decomposition.cell_points(sig))}
             for sig in decomposition.signatures()
         ],
-        "_digest": digest,
     }
     lines = [f"subfamily: {_fmt(decomposition.subfamily)}", f"atoms: {len(decomposition)}"]
     lines += [f"  {sig} -> {_fmt(decomposition.cell_points(sig))}" for sig in decomposition.signatures()]
     return payload, lines, False
 
 
-def _shatter_entry(r: shatter.ShatterResult) -> dict:
-    return {"n": r.n, "value": r.value, "witness": list(r.witness), "mode": r.mode}
-
-
-def _cmd_shatter(args) -> tuple[dict, list[str], bool]:
-    family, digest = _load_family(args)
+def _cmd_shatter(args, family: SetFamily) -> tuple[dict, list[str], bool]:
     mode = shatter.MODE_EXACT if args.mode == "exact" else shatter.MODE_GREEDY
     if args.profile:
         profile = shatter.growth_profile(family, args.n, mode, args.budget)
-        payload = {
-            "family": family_to_dict(family),
-            "profile": [_shatter_entry(r) for r in profile.results],
-            "exponent": profile.exponent,
-            "_digest": digest,
-        }
+        payload = {"profile": [dataclasses.asdict(r) for r in profile.results], "exponent": profile.exponent}
         lines = [f"n={r.n} value={r.value} witness={_fmt(r.witness)}" for r in profile.results]
         lines.append(f"fitted exponent: {profile.exponent:.4f}")
         return payload, lines, False
     result = shatter.dual_shatter(family, args.n, mode, args.budget)
-    payload = {"family": family_to_dict(family), **_shatter_entry(result), "_digest": digest}
     lines = [f"n={result.n} mode={result.mode} value={result.value} witness={_fmt(result.witness)}"]
-    return payload, lines, False
+    return dataclasses.asdict(result), lines, False
 
 
-def _cmd_pq(args) -> tuple[dict, list[str], bool]:
-    family, digest = _load_family(args)
+def _cmd_pq(args, family: SetFamily) -> tuple[dict, list[str], bool]:
     report = pq.has_pq(family, args.p, args.q, args.budget)
-    payload = {
-        "family": family_to_dict(family),
-        "p": report.p,
-        "q": report.q,
-        "holds": report.holds,
-        "violation": None if report.violation is None else list(report.violation),
-        "disjoint_witness": None if report.disjoint_witness is None else list(report.disjoint_witness),
-        "_digest": digest,
-    }
     lines = [f"({args.p},{args.q})-property: {'holds' if report.holds else 'fails'}"]
     if report.violation is not None:
         lines.append(f"violation: {_fmt(report.violation)}")
     if report.disjoint_witness is not None:
         lines.append(f"disjoint witness: {_fmt(report.disjoint_witness)}")
-    return payload, lines, not report.holds
+    return dataclasses.asdict(report), lines, not report.holds
 
 
-def _cmd_pierce(args) -> tuple[dict, list[str], bool]:
-    family, digest = _load_family(args)
+def _cmd_pierce(args, family: SetFamily) -> tuple[dict, list[str], bool]:
     if args.mode == "exact":
         solution = piercing.transversal_exact(family, args.budget)
     else:
         solution = piercing.transversal_greedy(family)
-    payload = {
-        "family": family_to_dict(family),
-        "mode": args.mode,
-        "tau": solution.tau,
-        "piercing_points": list(solution.piercing_points),
-        "assignment": list(solution.assignment),
-        "optimal": solution.optimal,
-        "lower_bound": solution.lower_bound,
-        "_digest": digest,
-    }
     lines = [
         f"tau={solution.tau} optimal={solution.optimal}",
         f"piercing points: {_fmt(solution.piercing_points)}",
         f"assignment: {_fmt(solution.assignment)}",
     ]
-    return payload, lines, False
+    return {"mode": args.mode, **dataclasses.asdict(solution)}, lines, False
 
 
-def _cmd_disjoint(args) -> tuple[dict, list[str], bool]:
-    family, digest = _load_family(args)
+def _cmd_disjoint(args, family: SetFamily) -> tuple[dict, list[str], bool]:
     if args.sequence:
         seq = pq.disjoint_sequence_greedy(family, args.avoid)
-        payload = {
-            "family": family_to_dict(family),
-            "sequence": list(seq),
-            "avoid": list(args.avoid),
-            "_digest": digest,
-        }
-        return payload, [f"sequence: {_fmt(seq)}"], False
+        return {"sequence": list(seq), "avoid": list(args.avoid)}, [f"sequence: {_fmt(seq)}"], False
     nu, witness_sets = pq.max_disjoint(family, args.cap)
-    payload = {
-        "family": family_to_dict(family),
-        "nu": nu,
-        "cap": args.cap,
-        "witness": list(witness_sets),
-        "_digest": digest,
-    }
+    payload = {"nu": nu, "cap": args.cap, "witness": list(witness_sets)}
     return payload, [f"nu={nu}", f"witness: {_fmt(witness_sets)}"], False
 
 
-def _verification_dict(report: witness.VerificationReport) -> dict:
-    return {
-        "length": report.length,
-        "step_separation_ok": report.step_separation_ok,
-        "within_step_distinct_ok": report.within_step_distinct_ok,
-        "all_traces_distinct_ok": report.all_traces_distinct_ok,
-        "distinct_trace_count": report.distinct_trace_count,
-        "required_trace_count": report.required_trace_count,
-        "quadratic_bound_ok": report.quadratic_bound_ok,
-        "target_counts_ok": report.target_counts_ok,
-        "failures": list(report.failures),
-        "ok": report.ok,
-    }
-
-
-def _cmd_witness(args) -> tuple[dict, list[str], bool]:
-    family, digest = _load_family(args)
+def _cmd_witness(args, family: SetFamily) -> tuple[dict, list[str], bool]:
     if args.target_from_file:
         if family.external_target is None:
             raise ValueError("family file carries no external_target")
@@ -279,53 +198,38 @@ def _cmd_witness(args) -> tuple[dict, list[str], bool]:
     outcome = witness.build_quadratic_witness(
         family, target, args.n, exhaustive=args.exhaustive, budget=args.budget
     )
-    payload: dict[str, Any] = {
-        "family": family_to_dict(family),
+    stuck = isinstance(outcome, witness.StuckCertificate)
+    chain = outcome.chain if stuck else outcome
+    verification = witness.verify_witness(family, target, chain) if chain.length else None
+    payload = {
         "target": list(target),
         "n_target": args.n,
-        "_digest": digest,
+        "status": "stuck" if stuck else "chain",
+        "chain": witness.chain_to_dict(chain),
+        "stuck": None if not stuck else {
+            "reached_length": outcome.reached_length,
+            "reason": outcome.reason,
+            "candidate_trace": {stage: list(sets) for stage, sets in outcome.candidate_trace},
+        },
+        "verification": None if verification is None else {
+            **dataclasses.asdict(verification), "ok": verification.ok
+        },
     }
-    if isinstance(outcome, witness.WitnessChain):
-        verification = witness.verify_witness(family, target, outcome)
-        payload.update(
-            status="chain",
-            chain=witness.chain_to_dict(outcome),
-            stuck=None,
-            verification=_verification_dict(verification),
-        )
-        lines = [
-            f"status=chain length={outcome.length}",
-            f"sets: {_fmt(outcome.set_indices())}",
-            f"live-atom counts: {_fmt(outcome.target_atom_counts)}",
-            f"distinct probe traces: {verification.distinct_trace_count}"
-            f" (required {verification.required_trace_count})",
-            f"verification: {'PASS' if verification.ok else 'FAIL'}",
-        ]
-        negative = not verification.ok
-    else:
-        chain = outcome.chain
-        verification = (
-            witness.verify_witness(family, target, chain) if chain.length else None
-        )
-        payload.update(
-            status="stuck",
-            chain=witness.chain_to_dict(chain),
-            stuck={
-                "reached_length": outcome.reached_length,
-                "reason": outcome.reason,
-                "candidate_trace": {stage: list(sets) for stage, sets in outcome.candidate_trace},
-            },
-            verification=None if verification is None else _verification_dict(verification),
-        )
-        lines = [
-            f"status=stuck reached={outcome.reached_length} of {args.n}",
-            f"reason: {outcome.reason}",
-        ]
-        negative = True
-    return payload, lines, negative
+    if stuck:
+        return payload, [f"status=stuck reached={outcome.reached_length} of {args.n}",
+                         f"reason: {outcome.reason}"], True
+    lines = [
+        f"status=chain length={chain.length}",
+        f"sets: {_fmt(chain.set_indices())}",
+        f"live-atom counts: {_fmt(chain.target_atom_counts)}",
+        f"distinct probe traces: {verification.distinct_trace_count}"
+        f" (required {verification.required_trace_count})",
+        f"verification: {'PASS' if verification.ok else 'FAIL'}",
+    ]
+    return payload, lines, not verification.ok
 
 
-def _cmd_generate(args) -> tuple[dict, list[str], bool]:
+def _cmd_generate(args, _family) -> tuple[dict, list[str], bool]:
     def need(name: str) -> Any:
         value = getattr(args, name)
         if value is None:
@@ -344,187 +248,25 @@ def _cmd_generate(args) -> tuple[dict, list[str], bool]:
     else:
         family, _ = generators.gen_witness_rich(need("depth"), args.seed)
     text = serialize_family(family)
-    digest = "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
     lines = [f"kind={args.kind} seed={args.seed} sets={family.num_sets} universe={family.universe_size}"]
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         lines.append(f"written: {args.out}")
     else:
         lines.append(text.rstrip("\n"))
-    payload = {
-        "kind": args.kind,
-        "seed": args.seed,
-        "sets": family.num_sets,
-        "universe": family.universe_size,
-        "path": args.out,
-        "_digest": digest,
-    }
-    return payload, lines, False
+    return {}, lines, False  # --out here names the family file; no report is written
 
 
-# --------------------------------------------------------------------------
-# verify: replay the cheap checks embedded in a report
-
-
-def _check(kind: str, ok: bool, detail: str) -> dict:
-    return {"kind": kind, "ok": ok, "detail": detail}
-
-
-def _verify_pierce(family: SetFamily, payload: dict) -> list[dict]:
-    checks = []
-    points = payload["piercing_points"]
-    assignment = payload["assignment"]
-    consistent, failing = piercing.verify_partition(family, assignment)
-    checks.append(_check("pierce.partition-consistent", consistent,
-                         "all classes consistent" if consistent else f"class {failing} empty"))
-    sized = payload["tau"] == len(points)
-    covered = all(
-        0 <= cls < len(points) and family.members[i] >> points[cls] & 1
-        for i, cls in enumerate(assignment)
-    )
-    checks.append(_check("pierce.classes-pierced", sized and covered,
-                         "every set contains its class point" if covered else "a set misses its class point"))
-    return checks
-
-
-def _verify_witness_payload(family: SetFamily, payload: dict) -> list[dict]:
-    checks = []
-    target = payload["target"]
-    chain = witness.chain_from_dict(payload["chain"])
-    if payload["status"] == "chain":
-        report = witness.verify_witness(family, target, chain)
-        recorded_ok = bool(payload["verification"]["ok"])
-        checks.append(_check("witness.chain-valid", report.ok,
-                             "; ".join(report.failures) if report.failures else "all checks pass"))
-        checks.append(_check("witness.verdict-agrees", report.ok == recorded_ok,
-                             f"recomputed ok={report.ok}, recorded ok={recorded_ok}"))
-    else:
-        remaining = witness.candidate_sets(family, target, chain)
-        checks.append(_check("witness.stuck-state-final", remaining == (),
-                             "no candidates extend the final state" if remaining == ()
-                             else f"candidates {list(remaining)} still extend the chain"))
-        if chain.length:
-            report = witness.verify_witness(family, target, chain)
-            checks.append(_check("witness.partial-chain-valid", report.ok,
-                                 "; ".join(report.failures) if report.failures else "all checks pass"))
-    return checks
-
-
-def _verify_pq(family: SetFamily, payload: dict) -> list[dict]:
-    checks = []
-    q = payload["q"]
-    violation = payload["violation"]
-    if violation is not None:
-        if q == 2:
-            ok = all(
-                family.members[i] & family.members[j] == 0
-                for i, j in itertools.combinations(violation, 2)
-            ) and len(violation) == payload["p"]
-            detail = "violation re-verifies as pairwise disjoint" if ok else "violation is not pairwise disjoint"
-        else:
-            ok = len(violation) == payload["p"] and not any(
-                _common(family, sub) for sub in itertools.combinations(violation, q)
-            )
-            detail = "violation re-verifies: no q share a point" if ok else "violation has q sets sharing a point"
-        checks.append(_check("pq.violation-reverifies", ok, detail))
-    witness_sets = payload["disjoint_witness"]
-    if witness_sets is not None:
-        ok = all(
-            family.members[i] & family.members[j] == 0
-            for i, j in itertools.combinations(witness_sets, 2)
-        )
-        checks.append(_check("pq.disjoint-witness-reverifies", ok,
-                             "witness is pairwise disjoint" if ok else "witness sets intersect"))
-    if not checks:
-        checks.append(_check("pq.no-witness-to-check", True, "verdict carries no witness"))
-    return checks
-
-
-def _common(family: SetFamily, indices) -> bool:
-    inter = family.universe_mask
-    for i in indices:
-        inter &= family.members[i]
-        if not inter:
-            return False
-    return bool(inter)
-
-
-def _verify_shatter(family: SetFamily, payload: dict) -> list[dict]:
-    entries = payload["profile"] if "profile" in payload else [payload]
-    ok = True
-    detail = "witness atom counts match reported values"
-    for entry in entries:
-        atoms = boolean_atoms(family, entry["witness"], include_zero_cell=True)
-        if len(atoms) != entry["value"]:
-            ok = False
-            detail = f"witness for n={entry['n']} yields {len(atoms)} atoms, reported {entry['value']}"
-            break
-    return [_check("shatter.witness-reverifies", ok, detail)]
-
-
-def _verify_disjoint(family: SetFamily, payload: dict) -> list[dict]:
-    chosen = payload.get("sequence", payload.get("witness", []))
-    ok = all(
-        family.members[i] & family.members[j] == 0 for i, j in itertools.combinations(chosen, 2)
-    )
-    if ok and "sequence" in payload:
-        avoid = mask_from_points(payload["avoid"], family.universe_size)
-        ok = all(family.members[i] & avoid == 0 for i in chosen)
-    return [_check("disjoint.witness-reverifies", ok,
-                   "chosen sets pairwise disjoint" if ok else "chosen sets intersect")]
-
-
-def _verify_atoms(family: SetFamily, payload: dict) -> list[dict]:
-    union = 0
-    ok = True
-    detail = "cells are disjoint and signatures match"
-    for atom in payload["atoms"]:
-        mask = 0
-        for p in atom["points"]:
-            mask |= 1 << p
-        if mask & union:
-            ok, detail = False, "cells overlap"
-            break
-        union |= mask
-        for p in atom["points"]:
-            if point_signature(family, payload["subfamily"], p) != atom["signature"]:
-                ok, detail = False, f"point {p} does not match signature {atom['signature']}"
-                break
-        if not ok:
-            break
-    if ok and payload["include_zero_cell"] and union != family.universe_mask:
-        ok, detail = False, "cells do not cover the universe"
-    return [_check("atoms.decomposition-reverifies", ok, detail)]
-
-
-_VERIFIERS = {
-    "pierce": _verify_pierce,
-    "witness": _verify_witness_payload,
-    "pq": _verify_pq,
-    "shatter": _verify_shatter,
-    "disjoint": _verify_disjoint,
-    "atoms": _verify_atoms,
-}
-
-
-def _cmd_verify(args) -> tuple[dict, list[str], bool]:
-    report = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    if report.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported report schema {report.get('schema_version')!r}")
-    checks: list[dict] = []
-    for kind in sorted(report.get("results", {})):
-        payload = report["results"][kind]
-        handler = _VERIFIERS.get(kind)
-        if handler is None:
-            checks.append(_check(f"{kind}.unknown", False, "no checker for this result kind"))
-            continue
-        family = family_from_dict(payload["family"])
-        checks.extend(handler(family, payload))
+def _cmd_verify(args, _family) -> tuple[dict, list[str], bool]:
+    try:
+        report = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError("report nests too deeply to parse") from None
+    checks = [check._asdict() for check in verify_report(report)]
     all_ok = all(c["ok"] for c in checks) and bool(checks)
     lines = [f"{c['kind']}: {'OK' if c['ok'] else 'FAIL'} ({c['detail']})" for c in checks]
     lines.append(f"verdict: {'PASS' if all_ok else 'FAIL'}")
-    payload = {"source": args.report, "checks": checks, "all_ok": all_ok, "_digest": None}
-    return payload, lines, not all_ok
+    return {"source": args.report, "checks": checks, "all_ok": all_ok}, lines, not all_ok
 
 
 _COMMANDS = {
@@ -547,16 +289,22 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     start = time.perf_counter()
+    family = digest = None
     try:
-        payload, lines, negative = _COMMANDS[args.command](args)
+        if hasattr(args, "input"):  # every command that analyses a family file
+            data = Path(args.input).read_bytes()
+            digest = "sha256:" + hashlib.sha256(data).hexdigest()
+            family = parse_family(data.decode("utf-8"))
+        payload, lines, negative = _COMMANDS[args.command](args, family)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (SetFamError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (SetFamError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if family is not None:
+        payload["family"] = family_to_dict(family)
     wall = time.perf_counter() - start
-    digest = payload.pop("_digest", None)
     for line in lines:
         print(line)
     out = getattr(args, "out", None)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+# Node budget of every exact search unless the caller passes its own.
+DEFAULT_BUDGET = 10**7
+
 
 class SetFamError(Exception):
     """Base class for all package-specific errors."""
@@ -34,6 +37,10 @@ class FamilyFormatError(SetFamError):
         prefix = ", ".join(loc)
         base = super().__str__()
         return f"{prefix}: {base}" if prefix else base
+
+
+class ReportFormatError(FamilyFormatError):
+    """A report, or a chain in one, is malformed; ``where`` is the JSON path of the fault."""
 
 
 class BudgetExceededError(SetFamError):

@@ -23,12 +23,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import FamilyFormatError
+from .errors import FamilyFormatError, ReportFormatError
 
 # One '0'/'1' character per set of a chosen subfamily, in subfamily order.
 Signature = str
+
+
+class Check(NamedTuple):
+    """One replayed report check: its kind, its verdict and what it found."""
+
+    kind: str
+    ok: bool
+    detail: str
 
 
 def mask_from_points(points: Iterable[int], universe_size: int) -> int:
@@ -208,11 +216,76 @@ def boolean_atoms(
     return AtomDecomposition(idxs, dict(sorted(cells)))
 
 
+def check_atoms(
+    family: SetFamily,
+    subfamily: Sequence[int],
+    atoms: Iterable[tuple[Signature, Sequence[int]]],
+    include_zero_cell: bool,
+) -> Check:
+    """Re-check listed atoms: cells pairwise disjoint, every point carrying its
+    cell's signature, and with the zero cell kept, the universe covered."""
+    kind = "atoms.decomposition-reverifies"
+    union = 0
+    for signature, points in atoms:
+        mask = mask_from_points(points, family.universe_size)
+        if mask & union:
+            return Check(kind, False, "cells overlap")
+        union |= mask
+        for p in points:
+            if point_signature(family, subfamily, p) != signature:
+                return Check(kind, False, f"point {p} does not match signature {signature}")
+    if include_zero_cell and union != family.universe_mask:
+        return Check(kind, False, "cells do not cover the universe")
+    return Check(kind, True, "cells are disjoint and signatures match")
+
+
 def atoms_meeting(family: SetFamily, subfamily: Iterable[int], target: Iterable[int]) -> int:
     """Number of atoms (zero cell included) that intersect the target points."""
     t = mask_from_points(target, family.universe_size)
     decomposition = boolean_atoms(family, subfamily, include_zero_cell=True)
     return sum(1 for mask in decomposition.cells.values() if mask & t)
+
+
+# --------------------------------------------------------------------------
+# shape of structured input
+
+# Shape tokens for ``check_shape``: an integer naming a set or a point.
+SET_INDEX = "set"
+POINT = "point"
+_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean", dict: "an object", list: "a list"}
+
+
+def check_shape(value: Any, shape: Any, where: str, family: SetFamily | None = None) -> None:
+    """Raise ReportFormatError at the first place ``value`` departs from ``shape``.
+
+    A shape is a JSON type (``int``, ``str``, ``bool``, or ``dict`` for any
+    object), ``SET_INDEX`` or ``POINT`` (an integer, in range for ``family``
+    when one is given), ``[shape]`` for a list, ``(None, shape)`` for null or
+    ``shape``, or a dict of required keys and their shapes. ``where`` is
+    the path of ``value``.
+    """
+    if isinstance(shape, tuple):
+        if value is None:
+            return
+        shape = shape[1]
+    if isinstance(shape, dict):
+        check_shape(value, dict, where)
+        for key, sub in shape.items():
+            if key not in value:
+                raise ReportFormatError(f"missing key {key!r}", where=where)
+            check_shape(value[key], sub, f"{where}.{key}" if where else key, family)
+    elif isinstance(shape, list):
+        check_shape(value, list, where)
+        for i, item in enumerate(value):
+            check_shape(item, shape[0], f"{where}[{i}]", family)
+    elif shape in (SET_INDEX, POINT):
+        check_shape(value, int, where)
+        if family is not None:
+            size = family.num_sets if shape == SET_INDEX else family.universe_size
+            if not 0 <= value < size:
+                raise ReportFormatError(f"{shape} {value} out of range for {size} {shape}s", where=where)
+    elif not isinstance(value, shape) or isinstance(value, bool) != (shape is bool):
+        raise ReportFormatError(f"expected {_TYPE_NAMES[shape]}", where=where)
 
 
 # --------------------------------------------------------------------------
@@ -336,10 +409,7 @@ def family_from_dict(obj: Any) -> SetFamily:
         if name in seen:
             raise FamilyFormatError(f"duplicate set name {name!r}", where=where)
         seen.add(name)
-        try:
-            mask = _expect_point_list(entry.get("points", []), f"{where} ({name!r}).points", universe)
-        except FamilyFormatError:
-            raise
+        mask = _expect_point_list(entry.get("points", []), f"{where} ({name!r}).points", universe)
         names.append(name)
         members.append(mask)
     target = None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GenerationError
-from .family import SetFamily, canonical_json
+from .family import SetFamily, boolean_atoms, canonical_json
 from .rng import SplitMix64
 
 
@@ -121,13 +121,6 @@ def _below_mask(slope: Fraction, intercept: Fraction, side: int) -> int:
     return mask
 
 
-def _distinct_signatures(masks: list[int], num_points: int) -> int:
-    seen = set()
-    for p in range(num_points):
-        seen.add(sum((mask >> p & 1) << i for i, mask in enumerate(masks)))
-    return len(seen)
-
-
 def gen_halfplane_grid(
     count: int, grid_side: int, seed: int, attempts: int = _DEFAULT_ATTEMPTS
 ) -> SetFamily:
@@ -147,25 +140,21 @@ def gen_halfplane_grid(
         raise ValueError("grid_side must be at least 3")
     rng = SplitMix64(seed)
     want = 1 + count + count * (count - 1) // 2
-    num_points = grid_side * grid_side
+    spec = GeneratorSpec("halfplane_grid", (("count", count), ("grid_side", grid_side)), seed)
     for _ in range(attempts):
         lines = _sample_lines(rng, count, grid_side)
         if any(_hits_grid_point(a, b, grid_side) for a, b in lines):
             continue
         if count > 1 and not _crossings_inside(lines, grid_side):
             continue
-        masks = [_below_mask(a, b, grid_side) for a, b in lines]
-        if _distinct_signatures(masks, num_points) != want:
-            continue
-        spec = GeneratorSpec(
-            "halfplane_grid", (("count", count), ("grid_side", grid_side)), seed
-        )
-        return SetFamily(
-            num_points,
+        family = SetFamily(
+            grid_side * grid_side,
             tuple(f"H{i}" for i in range(count)),
-            tuple(masks),
+            tuple(_below_mask(a, b, grid_side) for a, b in lines),
             provenance=spec.provenance(),
         )
+        if len(boolean_atoms(family, range(count))) == want:
+            return family
     raise GenerationError(
         f"resampling budget exhausted after {attempts} attempts; use a finer grid"
     )

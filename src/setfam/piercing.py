@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import BudgetExceededError, EmptySetError
-from .family import SetFamily
+from .errors import DEFAULT_BUDGET, EmptySetError
+from .family import Check, SetFamily
 from .pq import max_disjoint
-
-DEFAULT_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -210,3 +208,21 @@ def verify_partition(
         if intersections[label] == 0:
             return False, label
     return True, None
+
+
+def check_solution(
+    family: SetFamily, tau: int, points: Sequence[int], assignment: Sequence[int]
+) -> list[Check]:
+    """Re-check a reported partition: classes consistent, set ``i`` containing
+    ``points[assignment[i]]``, and ``tau`` counting the points."""
+    consistent, failing = verify_partition(family, assignment)
+    covered = all(
+        0 <= cls < len(points) and family.members[i] >> points[cls] & 1
+        for i, cls in enumerate(assignment)
+    )
+    return [
+        Check("pierce.partition-consistent", consistent,
+              "all classes consistent" if consistent else f"class {failing} empty"),
+        Check("pierce.classes-pierced", tau == len(points) and covered,
+              "every set contains its class point" if covered else "a set misses its class point"),
+    ]

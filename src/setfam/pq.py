@@ -12,12 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError
-from .family import SetFamily, mask_from_points
-
-DEFAULT_BUDGET = 10**7
+from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .family import Check, SetFamily, mask_from_points
 
 
 @dataclass(frozen=True)
@@ -124,21 +122,53 @@ def has_pq(family: SetFamily, p: int, q: int, budget: int = DEFAULT_BUDGET) -> P
         raise BudgetExceededError(
             f"(p,q) check over C({m},{p})*C({p},{q}) intersections exceeds the budget of {budget}"
         )
-    members = family.members
     for combo in itertools.combinations(range(m), p):
-        found = False
-        for sub in itertools.combinations(combo, q):
-            inter = family.universe_mask
-            for i in sub:
-                inter &= members[i]
-                if not inter:
-                    break
-            if inter:
-                found = True
-                break
-        if not found:
+        if not any(share_point(family, sub) for sub in itertools.combinations(combo, q)):
             return PropertyReport(p, q, False, combo, None)
     return PropertyReport(p, q, True, None, None)
+
+
+def share_point(family: SetFamily, indices: Iterable[int]) -> bool:
+    """Whether the listed sets have a point in common."""
+    inter = family.universe_mask
+    for i in indices:
+        inter &= family.members[i]
+        if not inter:
+            return False
+    return bool(inter)
+
+
+def pairwise_disjoint(family: SetFamily, indices: Iterable[int], avoid: Iterable[int] = ()) -> bool:
+    """Whether the listed sets are pairwise disjoint and miss every point of ``avoid``."""
+    seen = mask_from_points(avoid, family.universe_size)
+    for i in indices:
+        if family.members[i] & seen:
+            return False
+        seen |= family.members[i]
+    return True
+
+
+def check_verdict(
+    family: SetFamily, p: int, q: int, violation: Sequence[int] | None, disjoint_witness: Sequence[int] | None
+) -> list[Check]:
+    """Re-check a (p,q) verdict's witnesses: a violation lists p sets of which no q
+    share a point (q = 2: p pairwise-disjoint sets); a packing witness is pairwise disjoint."""
+    checks = []
+    if violation is not None:
+        if q == 2:
+            ok = len(violation) == p and pairwise_disjoint(family, violation)
+            detail = "violation re-verifies as pairwise disjoint" if ok else "violation is not pairwise disjoint"
+        else:
+            ok = len(violation) == p and not any(
+                share_point(family, sub) for sub in itertools.combinations(violation, q)
+            )
+            detail = "violation re-verifies: no q share a point" if ok else "violation has q sets sharing a point"
+        checks.append(Check("pq.violation-reverifies", ok, detail))
+    if disjoint_witness is not None:
+        ok = pairwise_disjoint(family, disjoint_witness)
+        checks.append(Check("pq.disjoint-witness-reverifies", ok,
+                            "witness is pairwise disjoint" if ok else "witness sets intersect"))
+    return checks or [Check("pq.no-witness-to-check", True, "verdict carries no witness")]
 
 
 def disjoint_sequence_greedy(family: SetFamily, avoid: Iterable[int] = ()) -> tuple[int, ...]:
@@ -155,3 +185,10 @@ def disjoint_sequence_greedy(family: SetFamily, avoid: Iterable[int] = ()) -> tu
             out.append(t)
             blocked |= family.members[t]
     return tuple(out)
+
+
+def check_disjoint(family: SetFamily, chosen: Sequence[int], avoid: Iterable[int] = ()) -> Check:
+    """Re-check a packing witness or a greedy sequence: pairwise disjoint, missing ``avoid``."""
+    ok = pairwise_disjoint(family, chosen, avoid)
+    return Check("disjoint.witness-reverifies", ok,
+                 "chosen sets pairwise disjoint" if ok else "chosen sets intersect")

@@ -1,0 +1,113 @@
+"""Report files: the schema version, the shape check and ``verify`` replay.
+
+``verify_report`` checks the shape of a whole report before it runs any
+check: every key a check reads must be present with its JSON type, and every
+set or point index must be in range for the family embedded in its result.
+The first fault raises ReportFormatError naming its path. The checks live
+beside the solvers whose answers they re-check; a well-formed report whose
+claim is false yields a failed Check, not an error.
+"""
+
+from __future__ import annotations
+
+from typing import Any
+
+from . import piercing, pq, shatter, witness
+from .errors import FamilyFormatError, ReportFormatError
+from .family import POINT, SET_INDEX, Check, SetFamily, check_atoms, check_shape, family_from_dict
+
+SCHEMA_VERSION = "v1"
+
+_SHATTER = {"n": int, "value": int, "witness": [SET_INDEX]}
+
+
+def _check_witness(family: SetFamily, r: dict) -> list[Check]:
+    """A chain must re-verify and match its recorded verdict; a stuck chain must be final and valid."""
+    target, chain = r["target"], witness.chain_from_dict(r["chain"])
+    if r["status"] == "chain":
+        report, recorded_ok = witness.verify_witness(family, target, chain), r["verification"]["ok"]
+        return [
+            Check("witness.chain-valid", report.ok, "; ".join(report.failures) or "all checks pass"),
+            Check("witness.verdict-agrees", report.ok == recorded_ok,
+                  f"recomputed ok={report.ok}, recorded ok={recorded_ok}"),
+        ]
+    remaining = witness.candidate_sets(family, target, chain)
+    checks = [Check("witness.stuck-state-final", not remaining,
+                    f"candidates {list(remaining)} still extend the chain" if remaining
+                    else "no candidates extend the final state")]
+    if chain.length:
+        report = witness.verify_witness(family, target, chain)
+        checks.append(Check("witness.partial-chain-valid", report.ok,
+                            "; ".join(report.failures) or "all checks pass"))
+    return checks
+
+
+# Result kind -> (the shape of what its checks read beside "family", or a
+# function of the payload that picks that shape; the checks themselves).
+_KINDS: dict[str, tuple[Any, Any]] = {
+    "atoms": (
+        {"subfamily": [SET_INDEX], "include_zero_cell": bool, "atoms": [{"signature": str, "points": [POINT]}]},
+        lambda family, r: [
+            check_atoms(family, r["subfamily"], [(a["signature"], a["points"]) for a in r["atoms"]],
+                        r["include_zero_cell"])
+        ],
+    ),
+    "disjoint": (
+        lambda r: {"sequence": [SET_INDEX], "avoid": [POINT]} if "sequence" in r else {"witness": [SET_INDEX]},
+        lambda family, r: [
+            pq.check_disjoint(family, r["sequence"], r["avoid"]) if "sequence" in r
+            else pq.check_disjoint(family, r["witness"])
+        ],
+    ),
+    "pierce": (
+        {"tau": int, "piercing_points": [POINT], "assignment": [int]},
+        lambda family, r: piercing.check_solution(family, r["tau"], r["piercing_points"], r["assignment"]),
+    ),
+    "pq": (
+        {"p": int, "q": int, "violation": (None, [SET_INDEX]), "disjoint_witness": (None, [SET_INDEX])},
+        lambda family, r: pq.check_verdict(family, r["p"], r["q"], r["violation"], r["disjoint_witness"]),
+    ),
+    "shatter": (
+        lambda r: {"profile": [_SHATTER]} if "profile" in r else _SHATTER,
+        lambda family, r: [
+            shatter.check_values(family, [(e["n"], e["value"], e["witness"]) for e in r.get("profile", [r])])
+        ],
+    ),
+    "witness": (
+        lambda r: {"target": [POINT], "status": str, "chain": witness.CHAIN_SHAPE,
+                   **({"verification": {"ok": bool}} if r.get("status") == "chain" else {})},
+        _check_witness,
+    ),
+}
+
+
+def _result_family(kind: str, payload: Any) -> SetFamily:
+    """Check the shape of one result and return the family it embeds."""
+    where = f"results.{kind}"
+    check_shape(payload, {"family": dict}, where)
+    try:
+        family = family_from_dict(payload["family"])
+    except FamilyFormatError as exc:
+        raise ReportFormatError(str(exc), where=f"{where}.family") from None
+    shape = _KINDS[kind][0]
+    check_shape(payload, shape(payload) if callable(shape) else shape, where, family)
+    return family
+
+
+def verify_report(report: Any) -> list[Check]:
+    """Check the shape of a parsed report, then replay each result's checks in sorted kind order.
+
+    A kind with no checks yields one failed Check; a malformed report raises ReportFormatError."""
+    check_shape(report, {"schema_version": str, "results": dict}, "")
+    if report["schema_version"] != SCHEMA_VERSION:
+        raise ReportFormatError(f"unsupported report schema {report['schema_version']!r}",
+                                where="schema_version")
+    results = report["results"]
+    families = {kind: _result_family(kind, results[kind]) for kind in sorted(results) if kind in _KINDS}
+    checks: list[Check] = []
+    for kind in sorted(results):
+        if kind in _KINDS:
+            checks += _KINDS[kind][1](families[kind], results[kind])
+        else:
+            checks.append(Check(f"{kind}.unknown", False, "no checker for this result kind"))
+    return checks

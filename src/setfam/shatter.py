@@ -11,11 +11,10 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .errors import BudgetExceededError
-from .family import SetFamily
-
-DEFAULT_BUDGET = 10**7
+from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .family import Check, SetFamily, boolean_atoms
 
 MODE_EXACT = "exact"
 MODE_GREEDY = "greedy-lower-bound"
@@ -144,3 +143,13 @@ def growth_profile(
         ys = [math.log(r.value) for r in tail]
         exponent = statistics.linear_regression(xs, ys).slope
     return GrowthProfile(results, exponent)
+
+
+def check_values(family: SetFamily, entries: Iterable[tuple[int, int, Sequence[int]]]) -> Check:
+    """Re-check reported ``(n, value, witness)`` entries by recounting each witness's atoms."""
+    for n, value, witness in entries:
+        count = len(boolean_atoms(family, witness, include_zero_cell=True))
+        if count != value:
+            return Check("shatter.witness-reverifies", False,
+                         f"witness for n={n} yields {count} atoms, reported {value}")
+    return Check("shatter.witness-reverifies", True, "witness atom counts match reported values")

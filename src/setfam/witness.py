@@ -26,12 +26,11 @@ membership arithmetic rather than the builder's atom bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
-from .errors import BudgetExceededError
-from .family import SetFamily, Signature, boolean_atoms, mask_from_points, points_from_mask
-
-DEFAULT_BUDGET = 10**7
+from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .family import POINT, SET_INDEX, SetFamily, Signature, boolean_atoms, check_shape
+from .family import mask_from_points, points_from_mask
 
 REASON_NO_SPLIT = "no splitting set"
 REASON_NO_BASE_HIT = "no set meeting every live atom in base points"
@@ -384,10 +383,17 @@ def chain_to_dict(chain: WitnessChain) -> dict[str, Any]:
     }
 
 
-def chain_from_dict(obj: Mapping[str, Any]) -> WitnessChain:
-    steps = tuple(
-        ChainStep(int(s["set_index"]), tuple(int(p) for p in s["probes"])) for s in obj["steps"]
-    )
-    history = tuple(tuple(str(sig) for sig in sigs) for sigs in obj["atom_history"])
-    counts = tuple(int(c) for c in obj["target_atom_counts"])
-    return WitnessChain(steps, history, counts)
+# The report-file form of a chain, for ``check_shape``.
+CHAIN_SHAPE = {
+    "steps": [{"set_index": SET_INDEX, "probes": [POINT]}],
+    "atom_history": [[str]],
+    "target_atom_counts": [int],
+}
+
+
+def chain_from_dict(obj: Any) -> WitnessChain:
+    """Rebuild a chain from ``chain_to_dict`` output; ReportFormatError if malformed."""
+    check_shape(obj, CHAIN_SHAPE, "chain")
+    steps = tuple(ChainStep(s["set_index"], tuple(s["probes"])) for s in obj["steps"])
+    history = tuple(tuple(sigs) for sigs in obj["atom_history"])
+    return WitnessChain(steps, history, tuple(obj["target_atom_counts"]))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -79,6 +80,21 @@ class TestHalfplaneGrid:
 
     def test_deterministic(self):
         assert gen_halfplane_grid(3, 24, seed=5) == gen_halfplane_grid(3, 24, seed=5)
+
+    def test_twelve_lines_keep_their_bytes(self):
+        # Which draws are accepted decides the bytes. These digests were
+        # recorded when acceptance counted distinct per-point signatures
+        # rather than atoms, so they pin that the two counts agree.
+        digests = [
+            "cc55f3c6582ddc04c3d4b7659c1a9e8ff7766882013dfa53a711cf2c9ee73ef3",
+            "cc63e8be8b16ee64fb2e2421ae4e6efff92d32a0d92d343985cb637382e53a22",
+            "b075e90a320f6b9ffc4745cebaf2dbd1d0bdc37024922523b099dce6c766776b",
+            "4e92f24ee17c225a34de2bf02438595371b6cdc256fc64299395c3453e58394e",
+        ]
+        for seed, digest in enumerate(digests):
+            fam = gen_halfplane_grid(12, 64, seed)
+            assert hashlib.sha256(serialize_family(fam).encode()).hexdigest() == digest
+            assert len(boolean_atoms(fam, range(12))) == 1 + 12 + math.comb(12, 2)
 
 
 class TestWitnessRich:

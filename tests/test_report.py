@@ -1,0 +1,219 @@
+"""``setfam verify`` on malformed reports: exit 1 or 2, never a traceback.
+
+A report of the wrong shape exits 2 with a message that names the offending
+JSON path; a well-formed report whose claim is false exits 1 through a
+failed check. Keys that no check reads are ignored.
+"""
+
+import copy
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from setfam import ReportFormatError, chain_from_dict
+from setfam.cli import main
+
+STAR = {
+    "universe": 4,
+    "sets": [{"name": "A", "points": [0, 1]}, {"name": "B", "points": [0, 2]},
+             {"name": "C", "points": [0, 3]}],
+}
+ONE = {"universe": 10, "extension": [8, 9], "sets": [{"name": "S1", "points": [0, 8]}]}
+
+# Report name -> the command that writes it.
+COMMANDS = {
+    "atoms": ["atoms", "--in", "star.fam"],
+    "atoms-sets": ["atoms", "--in", "star.fam", "--sets", "2,0", "--drop-zero-cell"],
+    "shatter": ["shatter", "--in", "star.fam", "--n", "2"],
+    "profile": ["shatter", "--in", "star.fam", "--n", "3", "--profile"],
+    "pq": ["pq", "--in", "star.fam", "--p", "3", "--q", "2"],
+    "pq-violation": ["pq", "--in", "disjoint3.fam", "--p", "3", "--q", "2"],
+    "pq-q3": ["pq", "--in", "disjoint3.fam", "--p", "3", "--q", "3"],
+    "pierce": ["pierce", "--in", "disjoint3.fam"],
+    "disjoint": ["disjoint", "--in", "disjoint3.fam"],
+    "sequence": ["disjoint", "--in", "disjoint3.fam", "--sequence", "--avoid", "0"],
+    "chain": ["witness", "--in", "rich.fam", "--B-from-file", "--n", "3"],
+    "stuck": ["witness", "--in", "one.fam", "--target", "8,9", "--n", "2"],
+}
+
+# Keys no check reads, by result kind; "verification" is read on chain reports only.
+IGNORED = {
+    "atoms": {"atom_count"},
+    "shatter": {"mode", "exponent"},
+    "pq": {"holds"},
+    "pierce": {"mode", "optimal", "lower_bound"},
+    "disjoint": {"nu", "cap"},
+    "witness": {"n_target", "stuck"},
+}
+TOP_IGNORED = {"command", "input_digest", "wall_time_s"}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("reports")
+    (root / "star.fam").write_text(json.dumps(STAR))
+    (root / "one.fam").write_text(json.dumps(ONE))
+    (root / "disjoint3.fam").write_text("3 3\n100\n010\n001\n")
+    return root
+
+
+@pytest.fixture(scope="module")
+def reports(workdir):
+    """Report name -> parsed report, all written by the command line."""
+    assert run(["generate", "--kind", "witness_rich", "--depth", "3", "--seed", "5",
+                "--out", str(workdir / "rich.fam")])[0] == 0
+    out = {}
+    for name, argv in COMMANDS.items():
+        path = workdir / f"{name}.json"
+        argv = [str(workdir / a) if a.endswith(".fam") else a for a in argv]
+        assert run([*argv, "--out", str(path)])[0] == 0
+        out[name] = json.loads(path.read_text())
+    return out
+
+
+def run(argv):
+    """Exit code, stdout and stderr of one in-process ``setfam`` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def verify(workdir, report):
+    path = workdir / "mutated.json"
+    path.write_text(json.dumps(report))
+    return run(["verify", "--report", str(path)])
+
+
+@pytest.mark.parametrize(
+    "name, mutate, message",
+    [
+        ("chain", lambda r: r["witness"]["chain"].__setitem__("steps", "0,1,2"),
+         "results.witness.chain.steps: expected a list"),
+        ("chain", lambda r: r["witness"].__setitem__("verification", None),
+         "results.witness.verification: expected an object"),
+        ("profile", lambda r: r["shatter"]["profile"][0].__setitem__("witness", None),
+         "results.shatter.profile[0].witness: expected a list"),
+        ("atoms", lambda r: r["atoms"].__setitem__("atoms", [1, 2]),
+         "results.atoms.atoms[0]: expected an object"),
+        ("pq-violation", lambda r: r["pq"].__setitem__("violation", [0, 999]),
+         "results.pq.violation[1]: set 999 out of range for 3 sets"),
+        ("pq", lambda r: r["pq"].__setitem__("disjoint_witness", [0, 999]),
+         "results.pq.disjoint_witness[1]: set 999 out of range for 3 sets"),
+        ("pq", lambda r: r["pq"].pop("family"), "results.pq: missing key 'family'"),
+        ("pierce", lambda r: r["pierce"]["family"]["sets"][0].__setitem__("points", [7]),
+         "results.pierce.family: sets[0] ('S0').points[0]: point 7 out of range for universe 3"),
+        ("sequence", lambda r: r["disjoint"].__setitem__("avoid", [-1]),
+         "results.disjoint.avoid[0]: point -1 out of range for 3 points"),
+    ],
+)
+def test_malformed_report_exits_two_with_its_path(workdir, reports, name, mutate, message):
+    report = copy.deepcopy(reports[name])
+    mutate(report["results"])
+    code, out, err = verify(workdir, report)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "report, message",
+    [
+        ([], "expected an object"),
+        ({"schema_version": "v0", "results": {}}, "schema_version: unsupported report schema 'v0'"),
+        ({"schema_version": "v1"}, "missing key 'results'"),
+        ({"schema_version": "v1", "results": {"pq": []}}, "results.pq: expected an object"),
+    ],
+)
+def test_malformed_top_level(workdir, report, message):
+    assert verify(workdir, report) == (2, "", f"error: {message}\n")
+
+
+def test_deeply_nested_report(workdir):
+    (workdir / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    assert run(["verify", "--report", str(workdir / "deep.json")]) == (
+        2, "", "error: report nests too deeply to parse\n")
+
+
+def test_chain_from_dict_validates_its_input():
+    with pytest.raises(ReportFormatError, match=r"chain\.steps\[0\]: missing key 'probes'"):
+        chain_from_dict({"steps": [{"set_index": 0}], "atom_history": [], "target_atom_counts": []})
+
+
+def _paths(value, path=(), in_family=False):
+    """Every (path, value) below ``value``, not descending into embedded families."""
+    yield path, value
+    if in_family:
+        return
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, sub in items:
+        yield from _paths(sub, (*path, key), key == "family")
+
+
+def _text(path):
+    out = ""
+    for key in path:
+        out += f"[{key}]" if isinstance(key, int) else f".{key}" if out else key
+    return out
+
+
+def _ignored(report, path):
+    """Whether ``verify`` never reads the value at ``path`` of ``report``."""
+    keys = [k for k in path if isinstance(k, str)]
+    if len(keys) < 3:
+        return keys[0] in TOP_IGNORED
+    kind = keys[1]
+    if keys[2] == "verification":
+        return report["results"][kind]["status"] != "chain" or keys[3:] not in ([], ["ok"])
+    return any(k in IGNORED[kind] for k in keys[2:])
+
+
+@pytest.fixture(scope="module")
+def baselines(workdir, reports):
+    """Report name -> the outcome of verifying it unchanged."""
+    return {name: verify(workdir, report) for name, report in reports.items()}
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_mutated_reports_never_trace_back(workdir, reports, baselines, data):
+    name = data.draw(st.sampled_from(sorted(reports)), label="report")
+    report = copy.deepcopy(reports[name])
+    baseline = baselines[name]
+    assert baseline[0] == 0
+    paths = [p for p, _ in _paths(report) if p]
+    path = data.draw(st.sampled_from(paths), label="path")
+    *head, key = path
+    parent = report
+    for k in head:
+        parent = parent[k]
+    value = parent[key]
+    ignored = _ignored(report, path)
+    ops = ["swap"]
+    if isinstance(key, str):
+        ops.append("drop")
+    if isinstance(value, int) and not isinstance(value, bool) and (isinstance(key, int) or key == "set_index"):
+        ops.append("out-of-range")
+    op = data.draw(st.sampled_from(ops), label="mutation")
+    if op == "drop":
+        del parent[key]
+    elif op == "swap":
+        parent[key] = 7 if isinstance(value, str) else "x"
+    else:
+        parent[key] = data.draw(st.sampled_from([-1, 10**6]), label="index")
+
+    code, out, err = verify(workdir, report)
+    if ignored:
+        assert (code, out, err) == baseline
+        return
+    assert code in (1, 2), (code, out, err)
+    if code == 2:
+        assert out == ""
+        where = _text(head) if op == "drop" else _text(path)
+        assert err.startswith(f"error: {where}: " if where else "error: "), err
+        if op == "drop":
+            assert "missing key" in err
+    else:
+        assert out.rstrip().endswith("verdict: FAIL")
