@@ -2,8 +2,12 @@
 
 Points are dense indices ``0 .. universe_size-1``, partitioned into *base*
 points and *extension* points. Sets are stored as bit masks (one Python int
-per set), so the signature/atom primitives below reduce to a handful of
-integer bit operations.
+per set). The one atom primitive is ``columns``: it splits the universe by
+one chosen set at a time and carries each cell's membership column as an
+int. ``boolean_atoms`` formats those columns as signatures, and
+``atoms_meeting``, piercing candidates and the halfplane generator count or
+read them directly. ``point_signature`` and ``check_atoms`` stay off the
+kernel so that they can check it.
 
 Two text formats are supported:
 
@@ -186,6 +190,27 @@ class AtomDecomposition:
         return points_from_mask(self.cells[signature])
 
 
+def columns(family: SetFamily, subfamily: Iterable[int]) -> list[tuple[int, int]]:
+    """The nonempty cells of the universe split by the subfamily, as
+    ``(column, points_mask)`` pairs; bit k of a column means membership in
+    ``subfamily[k]``. Indices are not checked."""
+    cells = [(0, family.universe_mask)] if family.universe_mask else []
+    for k, i in enumerate(subfamily):
+        mem, bit = family.members[i], 1 << k
+        split = []
+        for col, mask in cells:
+            hi = mask & mem
+            if hi:
+                split.append((col | bit, hi))
+                lo = mask ^ hi
+                if lo:
+                    split.append((col, lo))
+            else:
+                split.append((col, mask))
+        cells = split
+    return cells
+
+
 def boolean_atoms(
     family: SetFamily, subfamily: Iterable[int], include_zero_cell: bool = True
 ) -> AtomDecomposition:
@@ -197,23 +222,15 @@ def boolean_atoms(
     it, which is the other convention found in the literature.
     """
     idxs = _check_subfamily(family, subfamily)
-    cells: list[tuple[Signature, int]] = []
-    if family.universe_mask:
-        cells.append(("", family.universe_mask))
-    for i in idxs:
-        mem = family.members[i]
-        split: list[tuple[Signature, int]] = []
-        for sig, mask in cells:
-            hi = mask & mem
-            if hi:
-                split.append((sig + "1", hi))
-            lo = mask & ~mem
-            if lo:
-                split.append((sig + "0", lo))
-        cells = split
-    if not include_zero_cell:
-        cells = [(sig, mask) for sig, mask in cells if "1" in sig]
-    return AtomDecomposition(idxs, dict(sorted(cells)))
+    # bin() of col with a leading 1 at bit n spells the n column bits high to
+    # low after "0b1"; reversed, character k is membership in idxs[k].
+    top = 1 << len(idxs)
+    cells = sorted(
+        (bin(col | top)[3:][::-1], mask)
+        for col, mask in columns(family, idxs)
+        if col or include_zero_cell
+    )
+    return AtomDecomposition(idxs, dict(cells))
 
 
 def check_atoms(
@@ -242,8 +259,7 @@ def check_atoms(
 def atoms_meeting(family: SetFamily, subfamily: Iterable[int], target: Iterable[int]) -> int:
     """Number of atoms (zero cell included) that intersect the target points."""
     t = mask_from_points(target, family.universe_size)
-    decomposition = boolean_atoms(family, subfamily, include_zero_cell=True)
-    return sum(1 for mask in decomposition.cells.values() if mask & t)
+    return sum(1 for _, mask in columns(family, _check_subfamily(family, subfamily)) if mask & t)
 
 
 # --------------------------------------------------------------------------
@@ -347,6 +363,8 @@ def _parse_structured(text: str) -> SetFamily:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FamilyFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise FamilyFormatError("family file nests too deeply to parse") from None
     return family_from_dict(obj)
 
 

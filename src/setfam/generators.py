@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GenerationError
-from .family import SetFamily, boolean_atoms, canonical_json
+from .family import SetFamily, canonical_json, columns
 from .rng import SplitMix64
 
 
@@ -153,7 +153,7 @@ def gen_halfplane_grid(
             tuple(_below_mask(a, b, grid_side) for a, b in lines),
             provenance=spec.provenance(),
         )
-        if len(boolean_atoms(family, range(count))) == want:
+        if len(columns(family, range(count))) == want:
             return family
     raise GenerationError(
         f"resampling budget exhausted after {attempts} attempts; use a finer grid"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DEFAULT_BUDGET, EmptySetError
-from .family import Check, SetFamily
+from .family import Check, SetFamily, columns
 from .pq import max_disjoint
 
 
@@ -48,15 +48,11 @@ def _require_pierceable(family: SetFamily) -> None:
 def _candidate_points(family: SetFamily) -> list[tuple[int, int]]:
     # Points with identical set-membership columns are interchangeable; keep
     # the lowest index of each distinct nonzero column.
-    columns: dict[int, int] = {}
-    for pt in range(family.universe_size):
-        col = 0
-        for i, mem in enumerate(family.members):
-            if mem >> pt & 1:
-                col |= 1 << i
-        if col and col not in columns:
-            columns[col] = pt
-    return sorted(((pt, col) for col, pt in columns.items()))
+    return sorted(
+        ((mask & -mask).bit_length() - 1, col)
+        for col, mask in columns(family, range(family.num_sets))
+        if col
+    )
 
 
 def _canonical(

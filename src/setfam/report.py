@@ -107,7 +107,10 @@ def verify_report(report: Any) -> list[Check]:
     checks: list[Check] = []
     for kind in sorted(results):
         if kind in _KINDS:
-            checks += _KINDS[kind][1](families[kind], results[kind])
+            try:
+                checks += _KINDS[kind][1](families[kind], results[kind])
+            except ValueError as exc:  # a fault the shape check cannot see, found by a check
+                raise ReportFormatError(str(exc), where=f"results.{kind}") from None
         else:
             checks.append(Check(f"{kind}.unknown", False, "no checker for this result kind"))
     return checks

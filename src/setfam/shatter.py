@@ -86,23 +86,16 @@ def _exact(family: SetFamily, n: int, budget: int) -> ShatterResult:
 
 
 def _greedy(family: SetFamily, n: int) -> ShatterResult:
-    members = family.members
     chosen: list[int] = []
-    used: set[int] = set()
     cells = [family.universe_mask] if family.universe_mask else []
     for _ in range(n):
-        best_t = -1
-        best_splits = -1
-        for t in range(family.num_sets):
-            if t in used:
-                continue
-            mem = members[t]
-            splits = sum(1 for c in cells if c & mem and c & ~mem)
-            if splits > best_splits:
-                best_t, best_splits = t, splits
-        used.add(best_t)
-        chosen.append(best_t)
-        cells = _split(cells, members[best_t])
+        # The set whose split gives the most cells; max keeps the first of
+        # equal keys, so ties go to the lowest index.
+        best, cells = max(
+            ((t, _split(cells, family.members[t])) for t in range(family.num_sets) if t not in chosen),
+            key=lambda pick: len(pick[1]),
+        )
+        chosen.append(best)
     return ShatterResult(n, len(cells), tuple(chosen), MODE_GREEDY)
 
 

@@ -147,15 +147,19 @@ def _validate_chain(family: SetFamily, chain: WitnessChain) -> None:
                 raise ValueError(f"probe {p} is not a base point")
 
 
-def _live_atoms(family: SetFamily, prefix: tuple[int, ...], target_mask: int) -> list[tuple[Signature, int]]:
+# The live atoms of a chain: (signature, points) of each atom of its sets that
+# meets the target, in ascending signature order.
+_Atoms = list[tuple[Signature, int]]
+
+
+def _live_atoms(family: SetFamily, prefix: tuple[int, ...], target_mask: int) -> _Atoms:
     decomposition = boolean_atoms(family, prefix, include_zero_cell=True)
     return [(sig, mask) for sig, mask in decomposition.cells.items() if mask & target_mask]
 
 
 def _candidate_stages(
-    family: SetFamily, target_mask: int, chain: WitnessChain
-) -> tuple[list[int], list[int], list[int], list[tuple[Signature, int]]]:
-    atoms = _live_atoms(family, chain.set_indices(), target_mask)
+    family: SetFamily, target_mask: int, chain: WitnessChain, atoms: _Atoms
+) -> tuple[list[int], list[int], list[int]]:
     probe_mask = mask_from_points(chain.probe_points(), family.universe_size)
     base = family.base_mask
     splitters: list[int] = []
@@ -172,7 +176,7 @@ def _candidate_stages(
         if mem & probe_mask:
             continue
         full.append(t)
-    return splitters, base_hitters, full, atoms
+    return splitters, base_hitters, full
 
 
 def candidate_sets(
@@ -185,17 +189,21 @@ def candidate_sets(
     """
     mask = _target_mask(family, target, require_nonempty=False)
     _validate_chain(family, chain)
-    return tuple(_candidate_stages(family, mask, chain)[2])
+    atoms = _live_atoms(family, chain.set_indices(), mask)
+    return tuple(_candidate_stages(family, mask, chain, atoms)[2])
 
 
-def _extend(family: SetFamily, target_mask: int, chain: WitnessChain, set_index: int) -> WitnessChain:
-    atoms_before = _live_atoms(family, chain.set_indices(), target_mask)
+def _extend(
+    family: SetFamily, target_mask: int, chain: WitnessChain, set_index: int, atoms: _Atoms
+) -> tuple[WitnessChain, _Atoms]:
+    """Append ``set_index`` to a chain with live atoms ``atoms``; return the new
+    chain and its live atoms."""
     step_number = chain.length + 1
     mem = family.members[set_index]
     base = family.base_mask
     probes = []
     for j in range(step_number):
-        pool = atoms_before[j][1] & mem & base
+        pool = atoms[j][1] & mem & base
         assert pool, "candidate filtering guarantees a base point in every live atom"
         probes.append((pool & -pool).bit_length() - 1)
     prefix = chain.set_indices() + (set_index,)
@@ -204,7 +212,7 @@ def _extend(family: SetFamily, target_mask: int, chain: WitnessChain, set_index:
         chain.steps + (ChainStep(set_index, tuple(probes)),),
         chain.atom_history + (tuple(sig for sig, _ in after),),
         chain.target_atom_counts + (len(after),),
-    )
+    ), after
 
 
 def _stuck(
@@ -244,41 +252,41 @@ def build_quadratic_witness(
         raise ValueError("n_target must be at least 1")
     if exhaustive:
         return _build_exhaustive(family, target_mask, n_target, budget)
-    chain = WitnessChain()
+    chain, atoms = WitnessChain(), _live_atoms(family, (), target_mask)
     while chain.length < n_target:
-        splitters, base_hitters, full, _ = _candidate_stages(family, target_mask, chain)
+        splitters, base_hitters, full = _candidate_stages(family, target_mask, chain, atoms)
         if not full:
             return _stuck(splitters, base_hitters, full, chain)
-        chain = _extend(family, target_mask, chain, full[0])
+        chain, atoms = _extend(family, target_mask, chain, full[0], atoms)
     return chain
 
 
 def _build_exhaustive(
     family: SetFamily, target_mask: int, n_target: int, budget: int
 ) -> WitnessChain | StuckCertificate:
-    deepest = WitnessChain()
+    deepest = WitnessChain(), _live_atoms(family, (), target_mask)
     nodes = 0
 
-    def dfs(chain: WitnessChain) -> WitnessChain | None:
+    def dfs(chain: WitnessChain, atoms: _Atoms) -> WitnessChain | None:
         nonlocal deepest, nodes
         nodes += 1
         if nodes > budget:
             raise BudgetExceededError(f"witness search exceeded the budget of {budget} nodes")
-        if chain.length > deepest.length:
-            deepest = chain
+        if chain.length > deepest[0].length:
+            deepest = chain, atoms
         if chain.length == n_target:
             return chain
-        for t in _candidate_stages(family, target_mask, chain)[2]:
-            hit = dfs(_extend(family, target_mask, chain, t))
+        for t in _candidate_stages(family, target_mask, chain, atoms)[2]:
+            hit = dfs(*_extend(family, target_mask, chain, t, atoms))
             if hit is not None:
                 return hit
         return None
 
-    hit = dfs(WitnessChain())
+    hit = dfs(*deepest)
     if hit is not None:
         return hit
-    splitters, base_hitters, full, _ = _candidate_stages(family, target_mask, deepest)
-    return _stuck(splitters, base_hitters, full, deepest)
+    splitters, base_hitters, full = _candidate_stages(family, target_mask, *deepest)
+    return _stuck(splitters, base_hitters, full, deepest[0])
 
 
 def verify_witness(family: SetFamily, target: Iterable[int], chain: WitnessChain) -> VerificationReport:

@@ -105,9 +105,25 @@ def random_family(
     return SetFamily(n, tuple(f"S{i}" for i in range(m)), tuple(members))
 
 
+def candidate_points_oracle(family: SetFamily) -> list[tuple[int, int]]:
+    """(point, column) for the lowest point of each distinct nonzero
+    membership column, by a per-point loop over every set."""
+    first: dict[int, int] = {}
+    for pt in range(family.universe_size):
+        col = 0
+        for i, mem in enumerate(family.members):
+            if mem >> pt & 1:
+                col |= 1 << i
+        if col and col not in first:
+            first[col] = pt
+    return sorted((pt, col) for col, pt in first.items())
+
+
 @st.composite
-def families(draw, max_sets: int = 6, max_points: int = 10, nonempty: bool = False):
-    n = draw(st.integers(1, max_points))
+def families(
+    draw, max_sets: int = 6, max_points: int = 10, nonempty: bool = False, min_points: int = 1
+):
+    n = draw(st.integers(min_points, max_points))
     m = draw(st.integers(1, max_sets))
     low = 1 if nonempty else 0
     members = tuple(draw(st.integers(low, (1 << n) - 1)) for _ in range(m))

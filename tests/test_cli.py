@@ -256,6 +256,12 @@ class TestErrorPaths:
         assert code == 2
         assert "line 2" in err
 
+    def test_deeply_nested_family_file(self, capsys, tmp_path):
+        path = tmp_path / "deep.fam"
+        path.write_text('{"universe": 1, "sets": ' + "[" * 100_000)
+        assert run(capsys, "atoms", "--in", str(path)) == (
+            2, "", "error: family file nests too deeply to parse\n")
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

@@ -1,10 +1,10 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import families
+from helpers import candidate_points_oracle, families
 from setfam import (
     FamilyFormatError,
     SetFamily,
@@ -15,6 +15,8 @@ from setfam import (
     points_from_mask,
     serialize_family,
 )
+from setfam.family import columns
+from setfam.piercing import _candidate_points
 
 
 def two_sets():
@@ -225,6 +227,26 @@ class TestBooleanAtoms:
         for sig, mask in decomposition.cells.items():
             for p in points_from_mask(mask):
                 assert point_signature(fam, sub, p) == sig
+
+
+class TestColumns:
+    @given(families(min_points=0), st.lists(st.integers(0, 5), unique=True, max_size=6))
+    @example(SetFamily(0, ("A",), (0,)), [0])
+    @example(two_sets(), [])
+    @example(SetFamily(4, ("A", "B", "E"), (0b0011, 0b0011, 0)), [2, 0, 1])
+    def test_cells_carry_each_points_column(self, fam, order):
+        sub = [i for i in order if i < fam.num_sets]
+        cells = columns(fam, sub)
+        union = 0
+        for col, mask in cells:
+            assert mask != 0
+            assert union & mask == 0
+            union |= mask
+            for p in points_from_mask(mask):
+                assert col == sum(1 << k for k, i in enumerate(sub) if fam.members[i] >> p & 1)
+        assert union == fam.universe_mask
+        assert len({col for col, _ in cells}) == len(cells)
+        assert _candidate_points(fam) == candidate_points_oracle(fam)
 
 
 class TestAtomsMeeting:

@@ -109,6 +109,22 @@ def verify(workdir, report):
          "results.pierce.family: sets[0] ('S0').points[0]: point 7 out of range for universe 3"),
         ("sequence", lambda r: r["disjoint"].__setitem__("avoid", [-1]),
          "results.disjoint.avoid[0]: point -1 out of range for 3 points"),
+        # Faults of the right shape that a check finds name the result. The
+        # chain report's target is the extension, points 7..14; its first probe is 0.
+        ("pierce", lambda r: r["pierce"]["assignment"].pop(),
+         "results.pierce: partial assignment: 2 labels for 3 sets"),
+        ("shatter", lambda r: r["shatter"].__setitem__("witness", [0, 0]),
+         "results.shatter: set index 0 repeated in subfamily"),
+        ("atoms-sets", lambda r: r["atoms"].__setitem__("subfamily", [2, 2]),
+         "results.atoms: set index 2 repeated in subfamily"),
+        ("chain", lambda r: r["witness"]["chain"]["steps"][1]["probes"].pop(),
+         "results.witness: step 2 must carry 2 probes, found 1"),
+        ("chain", lambda r: r["witness"]["chain"]["steps"][0].__setitem__("probes", [7]),
+         "results.witness: probe 7 is not a base point"),
+        ("chain", lambda r: r["witness"]["target"].__setitem__(0, 0),
+         "results.witness: target point 0 is a base point; the target must lie in the extension"),
+        ("pq-violation", lambda r: r["pq"].__setitem__("q", -1),
+         "results.pq: r must be non-negative"),
     ],
 )
 def test_malformed_report_exits_two_with_its_path(workdir, reports, name, mutate, message):

@@ -82,6 +82,12 @@ class TestDualShatterGreedy:
         fam = SetFamily.from_points(4, [("A", [0, 1]), ("B", [0, 1]), ("C", [2])])
         assert dual_shatter(fam, 2, mode="greedy").witness == (0, 2)
 
+    def test_greedy_tie_on_split_count_goes_to_lower_index(self):
+        # After A, both B and C split both cells into four; B has the lower index.
+        fam = SetFamily.from_points(6, [("A", [0, 1, 2]), ("B", [0, 3]), ("C", [1, 4, 5])])
+        result = dual_shatter(fam, 2, mode="greedy")
+        assert (result.witness, result.value) == ((0, 1), 4)
+
 
 class TestGrowthProfile:
     def test_interval_family_near_linear(self):
