@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -292,6 +291,10 @@ def main(argv: list[str] | None = None) -> int:
     family = digest = None
     try:
         if hasattr(args, "input"):  # every command that analyses a family file
+            # Imported here: hashlib loads OpenSSL, about 3.5 MiB resident,
+            # which generate, verify and library users of this module never need.
+            import hashlib
+
             data = Path(args.input).read_bytes()
             digest = "sha256:" + hashlib.sha256(data).hexdigest()
             family = parse_family(data.decode("utf-8"))

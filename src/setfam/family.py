@@ -240,8 +240,10 @@ def check_atoms(
     include_zero_cell: bool,
 ) -> Check:
     """Re-check listed atoms: cells pairwise disjoint, every point carrying its
-    cell's signature, and with the zero cell kept, the universe covered."""
+    cell's signature, and the cells covering the universe, or with the zero
+    cell dropped, exactly the union of the subfamily's sets."""
     kind = "atoms.decomposition-reverifies"
+    idxs = _check_subfamily(family, subfamily)
     union = 0
     for signature, points in atoms:
         mask = mask_from_points(points, family.universe_size)
@@ -249,10 +251,16 @@ def check_atoms(
             return Check(kind, False, "cells overlap")
         union |= mask
         for p in points:
-            if point_signature(family, subfamily, p) != signature:
+            if point_signature(family, idxs, p) != signature:
                 return Check(kind, False, f"point {p} does not match signature {signature}")
     if include_zero_cell and union != family.universe_mask:
         return Check(kind, False, "cells do not cover the universe")
+    if not include_zero_cell:
+        sets_union = 0
+        for i in idxs:
+            sets_union |= family.members[i]
+        if union != sets_union:
+            return Check(kind, False, "cells do not cover exactly the union of the subfamily's sets")
     return Check(kind, True, "cells are disjoint and signatures match")
 
 

@@ -35,10 +35,6 @@ class PiercingSolution:
     lower_bound: int | None = None
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 def _require_pierceable(family: SetFamily) -> None:
     for name, mem in zip(family.names, family.members):
         if mem == 0:
@@ -108,10 +104,16 @@ def transversal_greedy(family: SetFamily) -> PiercingSolution:
 def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> PiercingSolution:
     """Minimum piercing, proved optimal unless the node budget runs out.
 
-    The packing number supplies the initial lower bound; when the greedy
-    upper bound already matches it the search is skipped. Otherwise a branch
-    and bound over candidate points runs to completion (optimal) or to the
-    budget (best cover found so far, flagged non-optimal).
+    The packing number supplies the lower bound; when the greedy upper bound
+    already matches it the search is skipped. Otherwise a branch and bound
+    over candidate points runs until its cover has as many points as the
+    packing number, or to completion (optimal), or to the budget (best cover
+    found so far, flagged non-optimal).
+
+    The search branches on the uncovered set with the fewest covering points
+    and tries those points in index order, skipping a point whose newly
+    covered sets an earlier sibling also covers: the earlier sibling's
+    subtree has already reached a cover no larger than any through it.
     """
     _require_pierceable(family)
     m = family.num_sets
@@ -122,10 +124,18 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
     if greedy.tau == nu:
         return _canonical(family, greedy.piercing_points, True, nu)
 
-    candidates = _candidate_points(family)
+    # The candidate points covering each set, in candidate order, and the
+    # sets by how few there are (ties to the lower index).
+    options: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for pt, col in _candidate_points(family):
+        r = col
+        while r:
+            options[(r & -r).bit_length() - 1].append((pt, col))
+            r &= r - 1
+    branch_order = sorted(range(m), key=lambda i: len(options[i]))
     members = family.members
     all_mask = (1 << m) - 1
-    best_points = list(greedy.piercing_points)
+    best_points: Sequence[int] = greedy.piercing_points
     best_size = greedy.tau
     nodes = 0
 
@@ -143,39 +153,33 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
                 acc |= members[i]
         return count
 
-    def dfs(chosen: list[int], covered: int) -> None:
-        nonlocal best_points, best_size, nodes
+    # Each node is its covered sets and chosen points; children are pushed in
+    # reverse, so each subtree is finished before its next sibling starts.
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    while stack:
+        covered, chosen = stack.pop()
         nodes += 1
         if nodes > budget:
-            raise _BudgetHit
+            return _canonical(family, best_points, False, nu)
         if covered == all_mask:
             if len(chosen) < best_size:
-                best_size, best_points = len(chosen), list(chosen)
-            return
+                best_size, best_points = len(chosen), chosen
+                if best_size == nu:
+                    break
+            continue
         uncovered = all_mask & ~covered
         if len(chosen) + remaining_lb(uncovered) >= best_size:
-            return
-        # Branch on the uncovered set with the fewest covering points.
-        pick = -1
-        pick_options: list[tuple[int, int]] | None = None
-        r = uncovered
-        while r:
-            i = (r & -r).bit_length() - 1
-            r &= r - 1
-            options = [(pt, col) for pt, col in candidates if col >> i & 1]
-            if pick_options is None or len(options) < len(pick_options):
-                pick, pick_options = i, options
-        assert pick_options
-        for pt, col in pick_options:
-            chosen.append(pt)
-            dfs(chosen, covered | col)
-            chosen.pop()
-
-    try:
-        dfs([], 0)
-        return _canonical(family, best_points, True, best_size)
-    except _BudgetHit:
-        return _canonical(family, best_points, False, nu)
+            continue
+        pick = next(i for i in branch_order if uncovered >> i & 1)
+        gains: list[int] = []
+        children = []
+        for pt, col in options[pick]:
+            gain = col & uncovered
+            if all(gain & ~g for g in gains):
+                gains.append(gain)
+                children.append((covered | col, chosen + (pt,)))
+        stack += reversed(children)
+    return _canonical(family, best_points, True, best_size)
 
 
 def verify_partition(

@@ -34,10 +34,6 @@ class PropertyReport:
     disjoint_witness: tuple[int, ...] | None = None
 
 
-class _CapHit(Exception):
-    pass
-
-
 def _conflicts(family: SetFamily) -> list[int]:
     members = family.members
     m = len(members)
@@ -67,6 +63,15 @@ def _clique_cover_bound(cand: int, conf: list[int]) -> int:
     return bound
 
 
+def _is_clique(vertices: int, conf: list[int]) -> bool:
+    while vertices:
+        u = (vertices & -vertices).bit_length() - 1
+        vertices &= vertices - 1
+        if vertices & ~conf[u]:
+            return False
+    return True
+
+
 def max_disjoint(family: SetFamily, cap: int | None = None) -> tuple[int, tuple[int, ...]]:
     """Exact maximum pairwise-disjoint subfamily (packing number and witness).
 
@@ -74,6 +79,11 @@ def max_disjoint(family: SetFamily, cap: int | None = None) -> tuple[int, tuple[
     order, so the witness is the lexicographically first optimum. With
     ``cap`` set the search stops as soon as ``cap`` disjoint sets are found
     and returns ``min(packing number, cap)`` with a witness of that size.
+
+    The exclude branch of the lowest candidate is skipped when its candidate
+    neighbours pairwise conflict: some maximum packing of the candidates then
+    contains it, so the include branch has already reached the best size and
+    the exclude branch could not strictly beat it.
     """
     m = family.num_sets
     if m == 0 or (cap is not None and cap <= 0):
@@ -82,30 +92,27 @@ def max_disjoint(family: SetFamily, cap: int | None = None) -> tuple[int, tuple[
     best_size = 0
     best: tuple[int, ...] = ()
     chosen: list[int] = []
-
-    def dfs(cand: int) -> None:
-        nonlocal best_size, best
+    # Each node is its candidate sets and the number of sets chosen above it;
+    # the include child is pushed last, so it and its subtree come first.
+    stack = [((1 << m) - 1, 0)]
+    while stack:
+        cand, depth = stack.pop()
+        del chosen[depth:]
         if not cand:
-            if len(chosen) > best_size:
-                best_size, best = len(chosen), tuple(chosen)
-            return
+            if depth > best_size:
+                best_size, best = depth, tuple(chosen)
+            continue
         room = min(cand.bit_count(), _clique_cover_bound(cand, conf))
-        if len(chosen) + room <= best_size:
-            return
+        if depth + room <= best_size:
+            continue
         v = (cand & -cand).bit_length() - 1
-        bit = 1 << v
+        rest = cand & ~(1 << v)
+        if not _is_clique(conf[v] & rest, conf):
+            stack.append((rest, depth))
         chosen.append(v)
-        if cap is not None and len(chosen) >= cap:
-            best_size, best = len(chosen), tuple(chosen)
-            raise _CapHit
-        dfs(cand & ~bit & ~conf[v])
-        chosen.pop()
-        dfs(cand & ~bit)
-
-    try:
-        dfs((1 << m) - 1)
-    except _CapHit:
-        pass
+        if cap is not None and depth + 1 >= cap:
+            return depth + 1, tuple(chosen)
+        stack.append((rest & ~conf[v], depth + 1))
     return best_size, best
 
 

@@ -27,18 +27,37 @@ def brute_pi_star(family: SetFamily, n: int) -> int:
     return best
 
 
+def brute_first_packing(family: SetFamily, size: int) -> tuple[int, ...] | None:
+    """The lexicographically smallest sorted tuple of ``size`` pairwise-disjoint
+    sets, or None; combinations come in lexicographic order, so it is the
+    first found."""
+    for combo in itertools.combinations(range(family.num_sets), size):
+        if all(
+            family.members[i] & family.members[j] == 0
+            for i, j in itertools.combinations(combo, 2)
+        ):
+            return combo
+    return None
+
+
 def brute_max_disjoint(family: SetFamily) -> int:
     """Max pairwise-disjoint subfamily size by exhaustive subset search."""
-    m = family.num_sets
-    best = 0
-    for size in range(m, 0, -1):
-        for combo in itertools.combinations(range(m), size):
-            if all(
-                family.members[i] & family.members[j] == 0
-                for i, j in itertools.combinations(combo, 2)
-            ):
-                return size
-    return best
+    sizes = range(family.num_sets, 0, -1)
+    return next((size for size in sizes if brute_first_packing(family, size)), 0)
+
+
+def interval_packing(family: SetFamily) -> int:
+    """Packing number of a family of intervals (contiguous point ranges):
+    scan by right end, keeping each interval that starts after the last kept
+    one ends."""
+    spans = sorted(
+        (mem.bit_length() - 1, (mem & -mem).bit_length() - 1) for mem in family.members
+    )
+    count, last_end = 0, -1
+    for end, start in spans:
+        if start > last_end:
+            count, last_end = count + 1, end
+    return count
 
 
 def brute_min_piercing(family: SetFamily) -> int:

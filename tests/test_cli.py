@@ -174,6 +174,23 @@ class TestAtomsShatterDisjoint:
         code, out, _ = run(capsys, "verify", "--report", str(report))
         assert code == 0 and "verdict: PASS" in out
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [list.pop, lambda atoms: atoms.append({"signature": "00", "points": [2]})],
+        ids=["last-atom-missing", "zero-cell-listed"],
+    )
+    def test_wrong_atoms_fail_verify_without_zero_cell(self, capsys, star_file, tmp_path, tamper):
+        report = tmp_path / "atoms.report"
+        code, _, _ = run(capsys, "atoms", "--in", star_file, "--sets", "2,0",
+                         "--drop-zero-cell", "--out", str(report))
+        assert code == 0
+        payload = json.loads(report.read_text())
+        tamper(payload["results"]["atoms"]["atoms"])
+        report.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", "--report", str(report))
+        assert code == 1
+        assert "verdict: FAIL" in out
+
     def test_shatter_value(self, capsys, disjoint3_file):
         code, out, _ = run(capsys, "shatter", "--in", disjoint3_file, "--n", "2")
         assert code == 0
@@ -205,6 +222,15 @@ class TestAtomsShatterDisjoint:
                            "--sequence", "--avoid", "0")
         assert code == 0
         assert "sequence: [1, 2]" in out
+
+    def test_disjoint_on_many_singletons(self, capsys, tmp_path):
+        # One decided set per search level: deeper than the recursion limit.
+        path = tmp_path / "singletons.fam"
+        sets = [{"name": f"S{i}", "points": [i]} for i in range(1100)]
+        path.write_text(json.dumps({"universe": 1100, "sets": sets}))
+        code, out, _ = run(capsys, "disjoint", "--in", str(path))
+        assert code == 0
+        assert "nu=1100" in out
 
     def test_disjoint_report_verifies(self, capsys, disjoint3_file, tmp_path):
         report = tmp_path / "disjoint.report"

@@ -7,10 +7,12 @@ from helpers import (
     brute_min_consistent_partition,
     brute_min_piercing,
     families,
+    interval_packing,
 )
 from setfam import (
     EmptySetError,
     SetFamily,
+    gen_intervals,
     max_disjoint,
     transversal_exact,
     transversal_greedy,
@@ -103,6 +105,24 @@ class TestExact:
         bigger = SetFamily(fam.universe_size, fam.names + ("EXTRA",), fam.members + (extra,))
         assert transversal_exact(bigger).tau >= transversal_exact(fam).tau
         assert max_disjoint(bigger)[0] >= max_disjoint(fam)[0]
+
+
+class TestIntervalsAtScale:
+    @pytest.mark.parametrize("m, seed", [(200, s) for s in range(5)] + [(400, 0)])
+    def test_gallai_tau_equals_nu(self, m, seed):
+        # Intervals have the Helly property in dimension one, so the piercing
+        # number equals the packing number (Gallai).
+        fam = gen_intervals(m, 5 * m, seed)
+        solution = transversal_exact(fam)
+        assert solution.optimal
+        assert solution.tau == max_disjoint(fam)[0] == interval_packing(fam)
+        assert_solution_valid(fam, solution)
+
+    @pytest.mark.parametrize("seed", [0, 9, 10, 13, 38])
+    def test_search_stops_at_packing_number(self, seed):
+        # On these seeds greedy needs more points than nu; the search ends as
+        # soon as its cover has nu points, within a few hundred nodes.
+        assert transversal_exact(gen_intervals(100, 500, seed), budget=1000).optimal
 
 
 class TestGreedy:

@@ -1,10 +1,10 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_max_disjoint, families
+from helpers import brute_first_packing, brute_max_disjoint, families
 from setfam import (
     BudgetExceededError,
     SetFamily,
@@ -68,6 +68,16 @@ class TestMaxDisjoint:
         assert size == brute_max_disjoint(fam)
         assert len(witness) == size
         assert pairwise_disjoint(fam, witness)
+
+    @settings(max_examples=300)
+    @given(families(max_sets=8, max_points=8), st.integers(1, 9))
+    def test_witness_is_lexicographically_first(self, fam, cap):
+        # Among all maximum packings the smallest sorted tuple, and with a cap
+        # the smallest packing of min(cap, nu) sets.
+        nu = brute_max_disjoint(fam)
+        assert max_disjoint(fam) == (nu, brute_first_packing(fam, nu))
+        size = min(cap, nu)
+        assert max_disjoint(fam, cap=cap) == (size, brute_first_packing(fam, size))
 
 
 class TestHasPq:
