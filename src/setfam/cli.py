@@ -290,6 +290,8 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     family = digest = None
     try:
+        if getattr(args, "budget", 0) < 0:
+            raise ValueError("--budget must be nonnegative")
         if hasattr(args, "input"):  # every command that analyses a family file
             # Imported here: hashlib loads OpenSSL, about 3.5 MiB resident,
             # which generate, verify and library users of this module never need.

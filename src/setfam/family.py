@@ -3,8 +3,9 @@
 Points are dense indices ``0 .. universe_size-1``, partitioned into *base*
 points and *extension* points. Sets are stored as bit masks (one Python int
 per set). The one atom primitive is ``columns``: it splits the universe by
-one chosen set at a time and carries each cell's membership column as an
-int. ``boolean_atoms`` formats those columns as signatures, and
+one chosen set at a time, or reads the points' columns off the set rows
+once splitting would cost more, and carries each cell's membership column
+as an int. ``boolean_atoms`` formats those columns as signatures, and
 ``atoms_meeting``, piercing candidates and the halfplane generator count or
 read them directly. ``point_signature`` and ``check_atoms`` stay off the
 kernel so that they can check it.
@@ -192,10 +193,24 @@ class AtomDecomposition:
 
 def columns(family: SetFamily, subfamily: Iterable[int]) -> list[tuple[int, int]]:
     """The nonempty cells of the universe split by the subfamily, as
-    ``(column, points_mask)`` pairs; bit k of a column means membership in
-    ``subfamily[k]``. Indices are not checked."""
-    cells = [(0, family.universe_mask)] if family.universe_mask else []
-    for k, i in enumerate(subfamily):
+    ``(column, points_mask)`` pairs in no fixed order; bit k of a column means
+    membership in ``subfamily[k]``. Indices are not checked.
+
+    Splitting by one more set visits every cell once, so once the cells times
+    the sets left exceed the points, reading each point's column off the set
+    rows costs less: each set is formatted once as a row of bits, the rows are
+    zipped into one binary numeral per point (last set first, so the numeral
+    is the column), and the points are grouped by numeral."""
+    idxs = tuple(subfamily)
+    n = family.universe_size
+    cells = [(0, family.universe_mask)] if n else []
+    for k, i in enumerate(idxs):
+        if len(cells) * (len(idxs) - k) > n:
+            rows = [format(family.members[j], f"0{n}b")[::-1] for j in reversed(idxs)]
+            groups: dict[str, int] = {}
+            for p, numeral in enumerate(map("".join, zip(*rows))):
+                groups[numeral] = groups.get(numeral, 0) | 1 << p
+            return [(int(numeral, 2), mask) for numeral, mask in groups.items()]
         mem, bit = family.members[i], 1 << k
         split = []
         for col, mask in cells:

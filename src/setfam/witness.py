@@ -162,10 +162,14 @@ def _candidate_stages(
 ) -> tuple[list[int], list[int], list[int]]:
     probe_mask = mask_from_points(chain.probe_points(), family.universe_size)
     base = family.base_mask
+    # Every live atom lies inside or outside each chain set, so none splits one.
+    chain_sets = set(chain.set_indices())
     splitters: list[int] = []
     base_hitters: list[int] = []
     full: list[int] = []
     for t in range(family.num_sets):
+        if t in chain_sets:
+            continue
         mem = family.members[t]
         if not any(mask & target_mask & mem and mask & target_mask & ~mem for _, mask in atoms):
             continue
@@ -317,14 +321,18 @@ def verify_witness(family: SetFamily, target: Iterable[int], chain: WitnessChain
                         f"set of step {later + 1} contains probe {p} from earlier step {i + 1}"
                     )
 
-    def trace(point: int, upto: int) -> str:
-        return "".join("1" if sets[k] >> point & 1 else "0" for k in range(upto))
+    # A point's trace on the first i chain sets is the first i characters of
+    # its trace on the whole chain.
+    def trace(point: int) -> str:
+        return "".join("1" if s >> point & 1 else "0" for s in sets)
 
+    all_probes = chain.probe_points()
+    probe_traces = {p: trace(p) for p in all_probes}
     within_ok = True
     for i in range(1, n):
         seen: dict[str, int] = {}
         for p in chain.steps[i].probes:
-            t = trace(p, i)
+            t = probe_traces[p][:i]
             if t in seen:
                 within_ok = False
                 failures.append(
@@ -333,8 +341,7 @@ def verify_witness(family: SetFamily, target: Iterable[int], chain: WitnessChain
             else:
                 seen[t] = p
 
-    all_probes = chain.probe_points()
-    distinct = len({trace(p, n) for p in all_probes})
+    distinct = len(set(probe_traces.values()))
     all_distinct_ok = distinct == len(all_probes)
     if not all_distinct_ok:
         failures.append("probe traces on the full chain are not pairwise distinct")
@@ -344,10 +351,10 @@ def verify_witness(family: SetFamily, target: Iterable[int], chain: WitnessChain
         failures.append(f"distinct probe traces {distinct} fall short of the required {required}")
 
     counts_ok = True
-    target_points = points_from_mask(target_mask)
+    target_traces = {trace(b) for b in points_from_mask(target_mask)}
     previous = 0
     for i in range(1, n + 1):
-        sigs = sorted({trace(b, i) for b in target_points})
+        sigs = sorted({t[:i] for t in target_traces})
         count = len(sigs)
         recorded = chain.target_atom_counts[i - 1]
         if recorded != count:

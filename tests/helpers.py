@@ -124,6 +124,30 @@ def random_family(
     return SetFamily(n, tuple(f"S{i}" for i in range(m)), tuple(members))
 
 
+def columns_oracle(family: SetFamily, subfamily: list[int]) -> list[tuple[int, int]]:
+    """(column, points_mask) of each distinct membership column over the
+    subfamily (bit k: membership in ``subfamily[k]``), by a per-point loop,
+    sorted by column."""
+    cells: dict[int, int] = {}
+    for pt in range(family.universe_size):
+        col = sum(1 << k for k, i in enumerate(subfamily) if family.members[i] >> pt & 1)
+        cells[col] = cells.get(col, 0) | 1 << pt
+    return sorted(cells.items())
+
+
+def random_target_family(rng, max_sets=6, base_points=8, ext_points=4):
+    """Random family over a base block plus an extension block used as target."""
+    n = base_points + ext_points
+    ext = range(base_points, n)
+    m = 1 + rng.below(max_sets)
+    sets = []
+    for i in range(m):
+        members = [p for p in range(n) if rng.below(100) < 45]
+        sets.append((f"S{i}", members))
+    fam = SetFamily.from_points(n, sets, extension=ext)
+    return fam, tuple(ext)
+
+
 def candidate_points_oracle(family: SetFamily) -> list[tuple[int, int]]:
     """(point, column) for the lowest point of each distinct nonzero
     membership column, by a per-point loop over every set."""

@@ -288,6 +288,21 @@ class TestErrorPaths:
         assert run(capsys, "atoms", "--in", str(path)) == (
             2, "", "error: family file nests too deeply to parse\n")
 
+    @pytest.mark.parametrize("command, args", [
+        ("atoms", []),
+        ("shatter", ["--n", "2"]),
+        ("pq", ["--p", "2", "--q", "2"]),
+        ("pierce", []),
+        ("disjoint", []),
+        ("witness", ["--n", "2", "--target-from-file"]),
+        ("generate", ["--kind", "intervals", "--count", "2", "--universe", "6"]),
+    ])
+    @pytest.mark.parametrize("budget", ["-1", "-5"])
+    def test_negative_budget(self, capsys, rich_file, command, args, budget):
+        family = [] if command == "generate" else ["--in", rich_file]
+        assert run(capsys, command, *family, *args, "--budget", budget) == (
+            2, "", "error: --budget must be nonnegative\n")
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

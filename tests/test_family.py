@@ -4,19 +4,22 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import candidate_points_oracle, families
+from helpers import candidate_points_oracle, columns_oracle, families
 from setfam import (
     FamilyFormatError,
     SetFamily,
     atoms_meeting,
     boolean_atoms,
+    gen_random,
     parse_family,
     point_signature,
     points_from_mask,
     serialize_family,
 )
+from setfam import family as family_module
 from setfam.family import columns
 from setfam.piercing import _candidate_points
+from setfam.rng import SplitMix64
 
 
 def two_sets():
@@ -229,6 +232,20 @@ class TestBooleanAtoms:
                 assert point_signature(fam, sub, p) == sig
 
 
+@pytest.fixture
+def row_reads(monkeypatch):
+    """The sets ``columns`` formats as rows, which it does only once it stops
+    splitting."""
+    reads = []
+
+    def spy(value, spec):
+        reads.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(family_module, "format", spy, raising=False)
+    return reads
+
+
 class TestColumns:
     @given(families(min_points=0), st.lists(st.integers(0, 5), unique=True, max_size=6))
     @example(SetFamily(0, ("A",), (0,)), [0])
@@ -247,6 +264,67 @@ class TestColumns:
         assert union == fam.universe_mask
         assert len({col for col, _ in cells}) == len(cells)
         assert _candidate_points(fam) == candidate_points_oracle(fam)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("order", [list(range(60)), [*range(1, 60, 2), *range(0, 60, 2)]])
+    def test_wide_subfamily_reads_set_rows(self, row_reads, seed, order):
+        fam = gen_random(60, 400, 0.3, seed)
+        assert sorted(columns(fam, order)) == columns_oracle(fam, order)
+        assert sorted(row_reads) == sorted(fam.members)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_narrow_subfamily_keeps_splitting(self, row_reads, seed):
+        fam = gen_random(60, 400, 0.3, seed)
+        for j in range(0, 57, 4):
+            sub = [j + 3, j + 1, j + 2, j]
+            assert sorted(columns(fam, sub)) == columns_oracle(fam, sub)
+        assert row_reads == []
+
+    @pytest.mark.parametrize("sets, switches", [
+        # 1 cell * 2 sets and then 2 cells * 1 set, both equal to 2 points.
+        ([[0], [1]], False),
+        # 1 cell * 3 sets exceeds 2 points at once; point 1 is in no set.
+        ([[0], [0], [0]], True),
+    ])
+    def test_regime_boundary_on_two_points(self, row_reads, sets, switches):
+        fam = SetFamily.from_points(2, [(f"S{i}", pts) for i, pts in enumerate(sets)])
+        sub = list(range(len(sets)))
+        assert sorted(columns(fam, sub)) == columns_oracle(fam, sub)
+        assert bool(row_reads) == switches
+
+    @pytest.mark.parametrize("second, switches", [
+        # 2 cells * 3 sets and then 3 cells * 2 sets, both equal to 6 points.
+        ([0], False),
+        # 4 cells * 2 sets after the second set exceed 6 points.
+        ([0, 3], True),
+    ])
+    def test_regime_boundary_midway(self, row_reads, second, switches):
+        sets = [[0, 1, 2], second, [3], [5]]  # point 4 is in no set
+        fam = SetFamily.from_points(6, [(f"S{i}", pts) for i, pts in enumerate(sets)])
+        for sub in ([0, 1, 2, 3], [0, 1, 3, 2]):
+            assert sorted(columns(fam, sub)) == columns_oracle(fam, sub)
+        assert bool(row_reads) == switches
+
+    def test_universe_zero_and_empty_subfamily(self, row_reads):
+        assert columns(SetFamily(0, ("A", "B"), (0, 0)), [1, 0]) == []
+        assert columns(SetFamily(0, (), ()), []) == []
+        fam = gen_random(60, 400, 0.3, 0)
+        assert columns(fam, []) == [(0, fam.universe_mask)]
+        assert row_reads == []
+
+    def test_boolean_atoms_on_a_permuted_full_order(self):
+        fam = gen_random(60, 400, 0.3, 2)
+        order = list(range(60))
+        SplitMix64(5).shuffle(order)
+        expect: dict[str, int] = {}
+        for p in range(fam.universe_size):
+            sig = point_signature(fam, order, p)
+            expect[sig] = expect.get(sig, 0) | 1 << p
+        for zero in (True, False):
+            cells = boolean_atoms(fam, order, include_zero_cell=zero).cells
+            assert list(cells.items()) == sorted(
+                (sig, mask) for sig, mask in expect.items() if zero or "1" in sig
+            )
 
 
 class TestAtomsMeeting:

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from helpers import random_target_family
 from setfam import (
     ChainStep,
     SetFamily,
@@ -23,17 +24,9 @@ def one_set_family():
     return SetFamily.from_points(10, [("S1", [8, 0])], extension=[8, 9])
 
 
-def random_target_family(rng, max_sets=6, base_points=8, ext_points=4):
-    """Random family over a base block plus an extension block used as target."""
-    n = base_points + ext_points
-    ext = range(base_points, n)
-    m = 1 + rng.below(max_sets)
-    sets = []
-    for i in range(m):
-        members = [p for p in range(n) if rng.below(100) < 45]
-        sets.append((f"S{i}", members))
-    fam = SetFamily.from_points(n, sets, extension=ext)
-    return fam, tuple(ext)
+def flip_first(signature):
+    """The signature with its first membership flipped."""
+    return ("1" if signature[0] == "0" else "0") + signature[1:]
 
 
 class TestCandidateSets:
@@ -211,6 +204,45 @@ class TestVerifier:
         mutated = dataclasses.replace(chain, target_atom_counts=(2, 9))
         report = verify_witness(fam, target, mutated)
         assert not report.target_counts_ok
+
+    @pytest.mark.parametrize("seed", [0, 6])
+    @pytest.mark.parametrize("tamper, message", [
+        pytest.param(
+            lambda chain: dataclasses.replace(chain, atom_history=(
+                *chain.atom_history[:2],
+                (flip_first(chain.atom_history[2][0]), *chain.atom_history[2][1:]),
+                *chain.atom_history[3:],
+            )),
+            "recorded atom signatures at step 3 differ from recomputed atoms",
+            id="signature-changed-at-step-3",
+        ),
+        pytest.param(
+            lambda chain: dataclasses.replace(chain, atom_history=(
+                *chain.atom_history[:-1], chain.atom_history[-1][:-1],
+            )),
+            "recorded atom signatures at step 6 differ from recomputed atoms",
+            id="signature-dropped-at-step-6",
+        ),
+        pytest.param(
+            lambda chain: dataclasses.replace(
+                chain, target_atom_counts=(3, *chain.target_atom_counts[1:])
+            ),
+            "recorded live-atom count 3 at step 1 differs from recomputed 2",
+            id="count-changed-at-step-1",
+        ),
+    ])
+    def test_tampered_bookkeeping_at_depth_six(self, seed, tamper, message):
+        fam, target = gen_witness_rich(6, seed=seed)
+        chain = build_quadratic_witness(fam, target, 6)
+        assert verify_witness(fam, target, chain).ok
+        mutated = tamper(chain)
+        assert mutated != chain
+        report = verify_witness(fam, target, mutated)
+        assert not report.target_counts_ok
+        assert not report.ok
+        assert report.step_separation_ok and report.within_step_distinct_ok
+        assert report.all_traces_distinct_ok and report.quadratic_bound_ok
+        assert report.failures == (message,)
 
     def test_structurally_invalid_chain_raises(self):
         fam, target = gen_witness_rich(2, seed=4)
