@@ -2,8 +2,15 @@
 
 ``dual_shatter(family, n)`` maximizes the boolean-atom count over all
 subfamilies of ``n`` sets. Exact mode enumerates n-subsets depth-first in
-lexicographic order with the admissible prune ``atoms(S + t) <= 2*atoms(S)``,
-so the reported witness is always the lexicographically first maximizer.
+lexicographic order and replaces its incumbent only by a strictly larger
+count, so the reported witness is always the lexicographically first
+maximizer. It works on the family's distinct point columns (points with equal
+columns are never separated, so no count changes), skips a node with r sets
+left once ``sum(min(2**r, |c|))`` over its cells, |c| the distinct columns of
+cell c, cannot beat the incumbent (a cell of k columns never yields more than
+k atoms), and at the last set counts each candidate's splits instead of
+building its cells. All three keep every count and the visiting order, so
+the witness cannot change.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
-from .family import Check, SetFamily, boolean_atoms
+from .family import Check, SetFamily, boolean_atoms, columns
 
 MODE_EXACT = "exact"
 MODE_GREEDY = "greedy-lower-bound"
@@ -60,29 +67,49 @@ def _exact(family: SetFamily, n: int, budget: int) -> ShatterResult:
         raise BudgetExceededError(
             f"exact shatter search over C({m},{n}) subfamilies exceeds the budget of {budget}"
         )
-    members = family.members
-    cap = family.universe_size
+    # Points with equal columns are never separated, so the search runs on the
+    # distinct columns: bit j of members[t] means column j holds set t. The
+    # columns are transposed as digit strings, which is far cheaper than
+    # testing every bit of every column.
+    cols = [col for col, _ in columns(family, range(m))]
+    rows = zip(*(format(col, f"0{m}b")[::-1] for col in cols))  # row t: set t
+    members = [int("".join(row)[::-1], 2) for row in rows] if cols else [0] * m
     best_value = -1
     best_witness: tuple[int, ...] = ()
 
     def dfs(start: int, chosen: list[int], cells: list[int]) -> None:
         nonlocal best_value, best_witness
         remaining = n - len(chosen)
-        if remaining == 0:
-            if len(cells) > best_value:
-                best_value = len(cells)
-                best_witness = tuple(chosen)
+        if remaining > 1:
+            # A cell of k columns yields at most min(2^remaining, k) atoms.
+            limit = 1 << remaining
+            if sum(min(limit, c.bit_count()) for c in cells) <= best_value:
+                return
+            for t in range(start, m - remaining + 1):
+                chosen.append(t)
+                dfs(t + 1, chosen, _split(cells, members[t]))
+                chosen.pop()
             return
-        if min(len(cells) << remaining, cap) <= best_value:
+        # With one set left the bound is the cells plus those of two or more
+        # columns, the only ones a set can split; each last set's splits are
+        # counted instead of built.
+        live = [c for c in cells if c & (c - 1)]
+        bound = len(cells) + len(live)
+        if bound <= best_value:
             return
-        for t in range(start, m - remaining + 1):
-            chosen.append(t)
-            dfs(t + 1, chosen, _split(cells, members[t]))
-            chosen.pop()
+        for t in range(start, m):
+            mem = members[t]
+            value = len(cells)
+            for c in live:
+                if 0 != c & mem != c:
+                    value += 1
+            if value > best_value:
+                best_value, best_witness = value, (*chosen, t)
+                if value == bound:
+                    return
 
-    start_cells = [family.universe_mask] if family.universe_mask else []
-    dfs(0, [], start_cells)
-    return ShatterResult(n, max(best_value, 0), best_witness, MODE_EXACT)
+    dfs(0, [], [(1 << len(cols)) - 1] if cols else [])
+    return ShatterResult(n, best_value, best_witness, MODE_EXACT)
 
 
 def _greedy(family: SetFamily, n: int) -> ShatterResult:
@@ -139,8 +166,12 @@ def growth_profile(
 
 
 def check_values(family: SetFamily, entries: Iterable[tuple[int, int, Sequence[int]]]) -> Check:
-    """Re-check reported ``(n, value, witness)`` entries by recounting each witness's atoms."""
+    """Re-check reported ``(n, value, witness)`` entries: each witness has n
+    sets and as many atoms as reported."""
     for n, value, witness in entries:
+        if len(witness) != n:
+            return Check("shatter.witness-reverifies", False,
+                         f"witness for n={n} has {len(witness)} sets")
         count = len(boolean_atoms(family, witness, include_zero_cell=True))
         if count != value:
             return Check("shatter.witness-reverifies", False,

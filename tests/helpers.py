@@ -15,16 +15,24 @@ from setfam import SetFamily
 from setfam.rng import SplitMix64
 
 
-def brute_pi_star(family: SetFamily, n: int) -> int:
-    """Max number of distinct point signatures over all n-subfamilies."""
-    best = 0
+def brute_first_shatter(family: SetFamily, n: int) -> tuple[int, tuple[int, ...]]:
+    """Max number of distinct point signatures over all n-subfamilies, and the
+    first n-subfamily in ``combinations`` order that reaches it (a later one
+    replaces it only by a strictly larger count)."""
+    best, witness = -1, ()
     for combo in itertools.combinations(range(family.num_sets), n):
         sigs = {
             tuple(family.members[i] >> p & 1 for i in combo)
             for p in range(family.universe_size)
         }
-        best = max(best, len(sigs))
-    return best
+        if len(sigs) > best:
+            best, witness = len(sigs), combo
+    return best, witness
+
+
+def brute_pi_star(family: SetFamily, n: int) -> int:
+    """Max number of distinct point signatures over all n-subfamilies."""
+    return brute_first_shatter(family, n)[0]
 
 
 def brute_first_packing(family: SetFamily, size: int) -> tuple[int, ...] | None:

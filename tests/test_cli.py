@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from setfam import parse_family, serialize_family
+from setfam import gen_intervals, parse_family, serialize_family
 from setfam.cli import main
 
 
@@ -204,6 +204,25 @@ class TestAtomsShatterDisjoint:
         assert "fitted exponent" in out
         code, out, _ = run(capsys, "verify", "--report", str(report))
         assert code == 0 and "verdict: PASS" in out
+
+    @pytest.mark.parametrize("profile", [False, True], ids=["single", "profile"])
+    def test_shatter_n_disagreeing_with_witness_fails_verify(self, capsys, tmp_path, profile):
+        path = tmp_path / "lines.fam"
+        path.write_text(serialize_family(gen_intervals(10, 40, 1)))
+        report = tmp_path / "shatter.report"
+        flags = ["--profile"] if profile else []
+        code, _, _ = run(capsys, "shatter", "--in", str(path), "--n", "3", *flags, "--out", str(report))
+        assert code == 0
+        payload = json.loads(report.read_text())
+        result = payload["results"]["shatter"]
+        entry = result["profile"][-1] if profile else result
+        assert entry["n"] == 3 and len(entry["witness"]) == 3
+        entry["n"] = 4
+        report.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", "--report", str(report))
+        assert code == 1
+        assert "verdict: FAIL" in out
+        assert "witness for n=4 has 3 sets" in out
 
     def test_shatter_budget_exit_code(self, capsys, tmp_path):
         path = tmp_path / "wide.fam"

@@ -114,6 +114,11 @@ CASES = [
      _edit("pierce3.json", "bad-pierce2.json", _set("pierce", "piercing_points", [1, 0, 2]))),
     ("verify-bad-shatter", ["verify", "--report", "bad-shatter.json"],
      _edit("shatter.json", "bad-shatter.json", _set("shatter", "value", 5))),
+    ("verify-bad-shatter-n", ["verify", "--report", "bad-shatter-n.json"],
+     _edit("shatter.json", "bad-shatter-n.json", _set("shatter", "n", 3))),
+    ("verify-bad-profile-n", ["verify", "--report", "bad-profile-n.json"],
+     _edit("profile.json", "bad-profile-n.json",
+           lambda r: r["shatter"]["profile"][1].__setitem__("n", 3))),
     ("verify-bad-atoms", ["verify", "--report", "bad-atoms.json"],
      _edit("atoms.json", "bad-atoms.json",
            lambda r: r["atoms"]["atoms"][0].__setitem__("signature", "111"))),
@@ -183,6 +188,8 @@ GOLDEN = {
     'verify-bad-pierce': [1, 'cf38262d95d57ae2ad6efe282e55436448d05f675c72c18a51d6bb755c5d97b1', None],
     'verify-bad-pierce-points': [1, '56f16fa484ad7397f1e93fdb810776685d21a24c9b85d78ae0e7efeb4e70d6d4', None],
     'verify-bad-shatter': [1, 'd391495f97fe31f7c2fa0375b12ce51b1328bf90e03dd6f0b1ed30979b5d5a58', None],
+    'verify-bad-shatter-n': [1, 'daf89ae177371e13f07f9204320575463def206fdbac334a91c96f4648252193', None],
+    'verify-bad-profile-n': [1, 'daf89ae177371e13f07f9204320575463def206fdbac334a91c96f4648252193', None],
     'verify-bad-atoms': [1, '964275a732a28db359920724e46e4992e8977b8cc81cf2638a7836c2e86c4960', None],
     'verify-bad-atoms-cover': [1, '6a948b49398c5f7d02b7098db14c5a4a469cdfb9d061f439df1ed34b4cd837ec', None],
     'verify-bad-sequence': [1, '53d265f7379f9a731f5c2797e0563e2f8575ed217416e8a97dc540c0338bd927', None],

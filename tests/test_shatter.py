@@ -1,10 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_pi_star, families
+from helpers import brute_first_shatter, brute_pi_star, families
 from setfam import (
     BudgetExceededError,
     SetFamily,
@@ -36,6 +36,11 @@ class TestDualShatterExact:
         assert result.value == 11 == 1 + 4 + math.comb(4, 2)
         assert result.value == brute_pi_star(fam, 4)
 
+    def test_empty_universe(self):
+        fam = SetFamily(0, ("A", "B", "C"), (0, 0, 0))
+        result = dual_shatter(fam, 2)
+        assert (result.value, result.witness) == (0, (0, 1))
+
     def test_n_out_of_range(self):
         with pytest.raises(ValueError):
             dual_shatter(singletons(), 4)
@@ -58,6 +63,14 @@ class TestDualShatterExact:
         result = dual_shatter(fam, n)
         assert len(result.witness) == n
         assert len(boolean_atoms(fam, result.witness)) == result.value
+
+    @settings(max_examples=300)
+    @given(families(max_sets=7, max_points=8, min_points=0), st.data())
+    def test_witness_is_lexicographically_first(self, fam, data):
+        # The first n-subfamily in combinations order among all maximizers.
+        n = data.draw(st.integers(1, fam.num_sets))
+        result = dual_shatter(fam, n)
+        assert (result.value, result.witness) == brute_first_shatter(fam, n)
 
     @given(families(max_sets=5, max_points=8))
     def test_nondecreasing_and_bounded(self, fam):
@@ -104,6 +117,13 @@ class TestGrowthProfile:
         expected = [1 + n + math.comb(n, 2) for n in range(1, 9)]
         assert [r.value for r in profile.results] == expected
         assert 1.7 <= profile.exponent <= 2.1
+
+    def test_halfplane_closed_form_at_scale(self):
+        # Every subfamily of lines in general position cuts 1 + n + C(n,2) cells.
+        fam = gen_halfplane_grid(12, 64, seed=3)
+        profile = growth_profile(fam, 12)
+        expected = [1 + n + math.comb(n, 2) for n in range(1, 13)]
+        assert [r.value for r in profile.results] == expected
 
     def test_single_set_family_flat(self):
         fam = SetFamily.from_points(4, [("A", [0, 1])])
