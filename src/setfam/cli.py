@@ -23,7 +23,6 @@ import time
 from pathlib import Path
 from typing import Any
 
-from . import generators, piercing, pq, shatter, witness
 from .errors import DEFAULT_BUDGET, BudgetExceededError, SetFamError
 from .family import SetFamily, boolean_atoms, family_to_dict, parse_family, points_from_mask, serialize_family
 from .report import SCHEMA_VERSION, verify_report
@@ -116,7 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # --------------------------------------------------------------------------
-# subcommand payloads: each returns (payload, text_lines, negative_verdict)
+# subcommand payloads: each returns (payload, text_lines, negative_verdict).
+# Each imports its solver module when it runs, so that a setfam process
+# loads only the modules of its own subcommand.
 
 
 def _fmt(points: Any) -> str:
@@ -141,6 +142,8 @@ def _cmd_atoms(args, family: SetFamily) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_shatter(args, family: SetFamily) -> tuple[dict, list[str], bool]:
+    from . import shatter
+
     mode = shatter.MODE_EXACT if args.mode == "exact" else shatter.MODE_GREEDY
     if args.profile:
         profile = shatter.growth_profile(family, args.n, mode, args.budget)
@@ -154,6 +157,8 @@ def _cmd_shatter(args, family: SetFamily) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_pq(args, family: SetFamily) -> tuple[dict, list[str], bool]:
+    from . import pq
+
     report = pq.has_pq(family, args.p, args.q, args.budget)
     lines = [f"({args.p},{args.q})-property: {'holds' if report.holds else 'fails'}"]
     if report.violation is not None:
@@ -164,6 +169,8 @@ def _cmd_pq(args, family: SetFamily) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_pierce(args, family: SetFamily) -> tuple[dict, list[str], bool]:
+    from . import piercing
+
     if args.mode == "exact":
         solution = piercing.transversal_exact(family, args.budget)
     else:
@@ -177,6 +184,8 @@ def _cmd_pierce(args, family: SetFamily) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_disjoint(args, family: SetFamily) -> tuple[dict, list[str], bool]:
+    from . import pq
+
     if args.sequence:
         seq = pq.disjoint_sequence_greedy(family, args.avoid)
         return {"sequence": list(seq), "avoid": list(args.avoid)}, [f"sequence: {_fmt(seq)}"], False
@@ -186,6 +195,8 @@ def _cmd_disjoint(args, family: SetFamily) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_witness(args, family: SetFamily) -> tuple[dict, list[str], bool]:
+    from . import witness
+
     if args.target_from_file:
         if family.external_target is None:
             raise ValueError("family file carries no external_target")
@@ -229,6 +240,8 @@ def _cmd_witness(args, family: SetFamily) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_generate(args, _family) -> tuple[dict, list[str], bool]:
+    from . import generators
+
     def need(name: str) -> Any:
         value = getattr(args, name)
         if value is None:
@@ -290,8 +303,9 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     family = digest = None
     try:
-        if getattr(args, "budget", 0) < 0:
-            raise ValueError("--budget must be nonnegative")
+        for option in ("budget", "cap"):
+            if (getattr(args, option, None) or 0) < 0:
+                raise ValueError(f"--{option} must be nonnegative")
         if hasattr(args, "input"):  # every command that analyses a family file
             # Imported here: hashlib loads OpenSSL, about 3.5 MiB resident,
             # which generate, verify and library users of this module never need.

@@ -12,11 +12,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import GenerationError
 from .family import SetFamily, canonical_json, columns
 from .rng import SplitMix64
+
+if TYPE_CHECKING:  # fractions loads only on the halfplane path, in _sample_lines
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,8 @@ _DEFAULT_ATTEMPTS = 400
 
 
 def _sample_lines(rng: SplitMix64, count: int, side: int) -> list[tuple[Fraction, Fraction]]:
+    from fractions import Fraction
+
     # Tangents to a downward parabola with apex at the grid center: two
     # tangents cross above the midpoint of their tangency abscissas, so
     # jittered tangency points spread over the middle of the grid put every
@@ -160,6 +165,10 @@ def gen_halfplane_grid(
     )
 
 
+# 2**(depth+1) - 1 points: 2,097,151 at the largest depth.
+MAX_WITNESS_DEPTH = 20
+
+
 def gen_witness_rich(depth: int, seed: int) -> tuple[SetFamily, tuple[int, ...]]:
     """Family plus external target on which the witness chain reaches ``depth``.
 
@@ -170,10 +179,11 @@ def gen_witness_rich(depth: int, seed: int) -> tuple[SetFamily, tuple[int, ...]]
     holds a base point of the next set. Carrier points of step k keep labels
     below those of later steps -- the probe picks then always land on the
     current step's own carriers, which no later set contains -- and the seed
-    shuffles labels inside each carrier block and inside the target.
+    shuffles labels inside each carrier block and inside the target. A depth
+    above MAX_WITNESS_DEPTH raises ValueError before anything is allocated.
     """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    if not 1 <= depth <= MAX_WITNESS_DEPTH:
+        raise ValueError(f"depth must be between 1 and {MAX_WITNESS_DEPTH}, got {depth}")
     n_ext = 1 << depth
     n_base = n_ext - 1
     universe = n_base + n_ext

@@ -78,15 +78,18 @@ def max_disjoint(family: SetFamily, cap: int | None = None) -> tuple[int, tuple[
     Branch and bound on the intersection graph, include-branch first in index
     order, so the witness is the lexicographically first optimum. With
     ``cap`` set the search stops as soon as ``cap`` disjoint sets are found
-    and returns ``min(packing number, cap)`` with a witness of that size.
+    and returns ``min(packing number, cap)`` with a witness of that size; a
+    negative ``cap`` raises ValueError.
 
     The exclude branch of the lowest candidate is skipped when its candidate
     neighbours pairwise conflict: some maximum packing of the candidates then
     contains it, so the include branch has already reached the best size and
     the exclude branch could not strictly beat it.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     m = family.num_sets
-    if m == 0 or (cap is not None and cap <= 0):
+    if m == 0 or cap == 0:
         return 0, ()
     conf = _conflicts(family)
     best_size = 0

@@ -10,9 +10,9 @@ claim is false yields a failed Check, not an error.
 
 from __future__ import annotations
 
+import importlib
 from typing import Any
 
-from . import piercing, pq, shatter, witness
 from .errors import FamilyFormatError, ReportFormatError
 from .family import POINT, SET_INDEX, Check, SetFamily, check_atoms, check_shape, family_from_dict
 
@@ -21,7 +21,7 @@ SCHEMA_VERSION = "v1"
 _SHATTER = {"n": int, "value": int, "witness": [SET_INDEX]}
 
 
-def _check_witness(family: SetFamily, r: dict) -> list[Check]:
+def _check_witness(witness: Any, family: SetFamily, r: dict) -> list[Check]:
     """A chain must re-verify and match its recorded verdict; a stuck chain must be final and valid."""
     target, chain = r["target"], witness.chain_from_dict(r["chain"])
     if r["status"] == "chain":
@@ -42,46 +42,54 @@ def _check_witness(family: SetFamily, r: dict) -> list[Check]:
     return checks
 
 
-# Result kind -> (the shape of what its checks read beside "family", or a
-# function of the payload that picks that shape; the checks themselves).
-_KINDS: dict[str, tuple[Any, Any]] = {
+# Result kind -> (the module that holds its checks; the shape of what they
+# read beside "family", or a function of that module and the payload that
+# picks the shape; the checks, given that module, the family and the
+# payload). A kind's module is imported only to verify a result of that kind.
+_KINDS: dict[str, tuple[str, Any, Any]] = {
     "atoms": (
+        "family",
         {"subfamily": [SET_INDEX], "include_zero_cell": bool, "atoms": [{"signature": str, "points": [POINT]}]},
-        lambda family, r: [
+        lambda _, family, r: [
             check_atoms(family, r["subfamily"], [(a["signature"], a["points"]) for a in r["atoms"]],
                         r["include_zero_cell"])
         ],
     ),
     "disjoint": (
-        lambda r: {"sequence": [SET_INDEX], "avoid": [POINT]} if "sequence" in r else {"witness": [SET_INDEX]},
-        lambda family, r: [
+        "pq",
+        lambda _, r: {"sequence": [SET_INDEX], "avoid": [POINT]} if "sequence" in r else {"witness": [SET_INDEX]},
+        lambda pq, family, r: [
             pq.check_disjoint(family, r["sequence"], r["avoid"]) if "sequence" in r
             else pq.check_disjoint(family, r["witness"])
         ],
     ),
     "pierce": (
+        "piercing",
         {"tau": int, "piercing_points": [POINT], "assignment": [int]},
-        lambda family, r: piercing.check_solution(family, r["tau"], r["piercing_points"], r["assignment"]),
+        lambda piercing, family, r: piercing.check_solution(family, r["tau"], r["piercing_points"], r["assignment"]),
     ),
     "pq": (
+        "pq",
         {"p": int, "q": int, "violation": (None, [SET_INDEX]), "disjoint_witness": (None, [SET_INDEX])},
-        lambda family, r: pq.check_verdict(family, r["p"], r["q"], r["violation"], r["disjoint_witness"]),
+        lambda pq, family, r: pq.check_verdict(family, r["p"], r["q"], r["violation"], r["disjoint_witness"]),
     ),
     "shatter": (
-        lambda r: {"profile": [_SHATTER]} if "profile" in r else _SHATTER,
-        lambda family, r: [
+        "shatter",
+        lambda _, r: {"profile": [_SHATTER]} if "profile" in r else _SHATTER,
+        lambda shatter, family, r: [
             shatter.check_values(family, [(e["n"], e["value"], e["witness"]) for e in r.get("profile", [r])])
         ],
     ),
     "witness": (
-        lambda r: {"target": [POINT], "status": str, "chain": witness.CHAIN_SHAPE,
-                   **({"verification": {"ok": bool}} if r.get("status") == "chain" else {})},
+        "witness",
+        lambda witness, r: {"target": [POINT], "status": str, "chain": witness.CHAIN_SHAPE,
+                            **({"verification": {"ok": bool}} if r.get("status") == "chain" else {})},
         _check_witness,
     ),
 }
 
 
-def _result_family(kind: str, payload: Any) -> SetFamily:
+def _result_family(kind: str, module: Any, payload: Any) -> SetFamily:
     """Check the shape of one result and return the family it embeds."""
     where = f"results.{kind}"
     check_shape(payload, {"family": dict}, where)
@@ -89,8 +97,8 @@ def _result_family(kind: str, payload: Any) -> SetFamily:
         family = family_from_dict(payload["family"])
     except FamilyFormatError as exc:
         raise ReportFormatError(str(exc), where=f"{where}.family") from None
-    shape = _KINDS[kind][0]
-    check_shape(payload, shape(payload) if callable(shape) else shape, where, family)
+    shape = _KINDS[kind][1]
+    check_shape(payload, shape(module, payload) if callable(shape) else shape, where, family)
     return family
 
 
@@ -103,12 +111,14 @@ def verify_report(report: Any) -> list[Check]:
         raise ReportFormatError(f"unsupported report schema {report['schema_version']!r}",
                                 where="schema_version")
     results = report["results"]
-    families = {kind: _result_family(kind, results[kind]) for kind in sorted(results) if kind in _KINDS}
+    modules = {kind: importlib.import_module(f"{__package__}.{_KINDS[kind][0]}")
+               for kind in sorted(results) if kind in _KINDS}
+    families = {kind: _result_family(kind, module, results[kind]) for kind, module in modules.items()}
     checks: list[Check] = []
     for kind in sorted(results):
         if kind in _KINDS:
             try:
-                checks += _KINDS[kind][1](families[kind], results[kind])
+                checks += _KINDS[kind][2](modules[kind], families[kind], results[kind])
             except ValueError as exc:  # a fault the shape check cannot see, found by a check
                 raise ReportFormatError(str(exc), where=f"results.{kind}") from None
         else:

@@ -16,7 +16,6 @@ the witness cannot change.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -61,19 +60,26 @@ def _split(cells: list[int], mem: int) -> list[int]:
     return out
 
 
-def _exact(family: SetFamily, n: int, budget: int) -> ShatterResult:
+def _compress(family: SetFamily) -> tuple[list[int], int]:
+    """Each set as a mask over the family's distinct point columns (bit j of
+    set t means column j holds set t), and the number of those columns.
+
+    Points with equal columns are never separated, so the exact search runs
+    on these. The columns are transposed as digit strings, which is far
+    cheaper than testing every bit of every column."""
     m = family.num_sets
+    cols = [col for col, _ in columns(family, range(m))]
+    rows = zip(*(format(col, f"0{m}b")[::-1] for col in cols))  # row t: set t
+    return ([int("".join(row)[::-1], 2) for row in rows] if cols else [0] * m), len(cols)
+
+
+def _exact(compressed: tuple[list[int], int], n: int, budget: int) -> ShatterResult:
+    members, width = compressed
+    m = len(members)
     if math.comb(m, n) > budget:
         raise BudgetExceededError(
             f"exact shatter search over C({m},{n}) subfamilies exceeds the budget of {budget}"
         )
-    # Points with equal columns are never separated, so the search runs on the
-    # distinct columns: bit j of members[t] means column j holds set t. The
-    # columns are transposed as digit strings, which is far cheaper than
-    # testing every bit of every column.
-    cols = [col for col, _ in columns(family, range(m))]
-    rows = zip(*(format(col, f"0{m}b")[::-1] for col in cols))  # row t: set t
-    members = [int("".join(row)[::-1], 2) for row in rows] if cols else [0] * m
     best_value = -1
     best_witness: tuple[int, ...] = ()
 
@@ -108,7 +114,7 @@ def _exact(family: SetFamily, n: int, budget: int) -> ShatterResult:
                 if value == bound:
                     return
 
-    dfs(0, [], [(1 << len(cols)) - 1] if cols else [])
+    dfs(0, [], [(1 << width) - 1] if width else [])
     return ShatterResult(n, best_value, best_witness, MODE_EXACT)
 
 
@@ -139,7 +145,7 @@ def dual_shatter(
     if not 1 <= n <= family.num_sets:
         raise ValueError(f"n must be between 1 and {family.num_sets}, got {n}")
     if mode == MODE_EXACT:
-        return _exact(family, n, budget)
+        return _exact(_compress(family), n, budget)
     if mode in (MODE_GREEDY, "greedy"):
         return _greedy(family, n)
     raise ValueError(f"unknown mode {mode!r}")
@@ -148,11 +154,18 @@ def dual_shatter(
 def growth_profile(
     family: SetFamily, n_max: int, mode: str = MODE_EXACT, budget: int = DEFAULT_BUDGET
 ) -> GrowthProfile:
-    """Shatter values for n = 1..min(n_max, #sets) with a fitted exponent."""
+    """Shatter values for n = 1..min(n_max, #sets) with a fitted exponent.
+
+    In exact mode the family is compressed to its distinct columns once for
+    the whole profile."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     top = min(n_max, family.num_sets)
-    results = tuple(dual_shatter(family, k, mode, budget) for k in range(1, top + 1))
+    if mode == MODE_EXACT:
+        compressed = _compress(family)
+        results = tuple(_exact(compressed, k, budget) for k in range(1, top + 1))
+    else:
+        results = tuple(dual_shatter(family, k, mode, budget) for k in range(1, top + 1))
     tail = results[len(results) // 2 :]
     if len(tail) < 2:
         tail = results
@@ -161,6 +174,8 @@ def growth_profile(
     else:
         xs = [math.log(r.n) for r in tail]
         ys = [math.log(r.value) for r in tail]
+        import statistics  # only a fit needs it; it loads fractions, decimal and random
+
         exponent = statistics.linear_regression(xs, ys).slope
     return GrowthProfile(results, exponent)
 

@@ -322,6 +322,14 @@ class TestErrorPaths:
         assert run(capsys, command, *family, *args, "--budget", budget) == (
             2, "", "error: --budget must be nonnegative\n")
 
+    def test_negative_cap(self, capsys, rich_file):
+        assert run(capsys, "disjoint", "--in", rich_file, "--cap", "-1") == (
+            2, "", "error: --cap must be nonnegative\n")
+
+    def test_witness_rich_depth_above_maximum(self, capsys):
+        assert run(capsys, "generate", "--kind", "witness_rich", "--depth", "100") == (
+            2, "", "error: depth must be between 1 and 20, got 100\n")
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

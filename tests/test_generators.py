@@ -21,6 +21,7 @@ from setfam import (
     transversal_exact,
     verify_witness,
 )
+from setfam.generators import MAX_WITNESS_DEPTH
 
 
 class TestIntervals:
@@ -132,8 +133,10 @@ class TestWitnessRich:
         assert sum(1 << p for p in target) == fam.extension_mask
 
     def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            gen_witness_rich(0, seed=0)
+        # Rejected before any label is allocated: 2**101 points would not fit.
+        for depth in (0, -3, MAX_WITNESS_DEPTH + 1, 100):
+            with pytest.raises(ValueError, match="depth must be between 1 and 20"):
+                gen_witness_rich(depth, seed=0)
 
 
 class TestRandom:

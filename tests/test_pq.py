@@ -62,6 +62,10 @@ class TestMaxDisjoint:
     def test_cap_above_nu_returns_nu(self):
         assert max_disjoint(star(), cap=5) == (1, (0,))
 
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="cap must be nonnegative"):
+            max_disjoint(star(), cap=-1)
+
     @given(families())
     def test_matches_brute_force(self, fam):
         size, witness = max_disjoint(fam)

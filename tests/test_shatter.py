@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_first_shatter, brute_pi_star, families
+from setfam import shatter as shatter_module
 from setfam import (
     BudgetExceededError,
     SetFamily,
@@ -134,3 +135,13 @@ class TestGrowthProfile:
     def test_n_max_validation(self):
         with pytest.raises(ValueError):
             growth_profile(singletons(), 1)
+
+    def test_exact_profile_compresses_once(self, monkeypatch):
+        # The distinct point columns are built once per profile, not once per n.
+        calls = []
+        original = shatter_module.columns
+        monkeypatch.setattr(shatter_module, "columns", lambda *a: calls.append(a) or original(*a))
+        fam = gen_intervals(10, 30, seed=0)
+        profile = growth_profile(fam, 6)
+        assert len(calls) == 1
+        assert profile.results == tuple(dual_shatter(fam, n) for n in range(1, 7))
