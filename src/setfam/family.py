@@ -8,7 +8,9 @@ once splitting would cost more, and carries each cell's membership column
 as an int. ``boolean_atoms`` formats those columns as signatures, and
 ``atoms_meeting``, piercing candidates and the halfplane generator count or
 read them directly. ``point_signature`` and ``check_atoms`` stay off the
-kernel so that they can check it.
+kernel so that they can check it. ``transpose`` is the one bit-matrix
+transpose; ``columns``, the exact shatter search's column compression and
+the halfplane generator's masks all call it.
 
 Two text formats are supported:
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import FamilyFormatError, ReportFormatError
 
@@ -191,6 +193,16 @@ class AtomDecomposition:
         return points_from_mask(self.cells[signature])
 
 
+def transpose(rows: Sequence[int], width: int) -> Iterator[str]:
+    """The bit matrix whose row i is ``rows[i]``, read column by column: for
+    each bit position p below ``width``, in order, a binary numeral whose bit
+    i is bit p of ``rows[i]``. No rows give no numerals.
+
+    Each row is formatted once as a string of digits and the strings are
+    zipped, which is far cheaper than testing every bit of every row."""
+    return map("".join, zip(*(format(row, f"0{width}b")[::-1] for row in reversed(rows))))
+
+
 def columns(family: SetFamily, subfamily: Iterable[int]) -> list[tuple[int, int]]:
     """The nonempty cells of the universe split by the subfamily, as
     ``(column, points_mask)`` pairs in no fixed order; bit k of a column means
@@ -198,17 +210,15 @@ def columns(family: SetFamily, subfamily: Iterable[int]) -> list[tuple[int, int]
 
     Splitting by one more set visits every cell once, so once the cells times
     the sets left exceed the points, reading each point's column off the set
-    rows costs less: each set is formatted once as a row of bits, the rows are
-    zipped into one binary numeral per point (last set first, so the numeral
-    is the column), and the points are grouped by numeral."""
+    rows costs less: ``transpose`` turns the rows into one binary numeral per
+    point, and the points are grouped by numeral."""
     idxs = tuple(subfamily)
     n = family.universe_size
     cells = [(0, family.universe_mask)] if n else []
     for k, i in enumerate(idxs):
         if len(cells) * (len(idxs) - k) > n:
-            rows = [format(family.members[j], f"0{n}b")[::-1] for j in reversed(idxs)]
             groups: dict[str, int] = {}
-            for p, numeral in enumerate(map("".join, zip(*rows))):
+            for p, numeral in enumerate(transpose([family.members[j] for j in idxs], n)):
                 groups[numeral] = groups.get(numeral, 0) | 1 << p
             return [(int(numeral, 2), mask) for numeral, mask in groups.items()]
         mem, bit = family.members[i], 1 << k

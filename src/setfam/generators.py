@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import GenerationError
-from .family import SetFamily, canonical_json, columns
+from .family import SetFamily, canonical_json, columns, transpose
 from .rng import SplitMix64
 
 if TYPE_CHECKING:  # fractions loads only on the halfplane path, in _sample_lines
@@ -70,10 +70,11 @@ _DEFAULT_ATTEMPTS = 400
 def _sample_lines(rng: SplitMix64, count: int, side: int) -> list[tuple[Fraction, Fraction]]:
     from fractions import Fraction
 
-    # Tangents to a downward parabola with apex at the grid center: two
-    # tangents cross above the midpoint of their tangency abscissas, so
-    # jittered tangency points spread over the middle of the grid put every
-    # pairwise crossing strictly inside and rule out three-line concurrency.
+    # Tangents to a downward parabola with apex at the grid center, at
+    # increasing abscissas a strictly inside (0.1, 0.9)*span, so no two
+    # slopes are equal. Tangents at a and b cross at x = (a+b)/2 and
+    # y = mid - (a-mid)(b-mid)/width, both strictly inside (0.1, 0.9)*span,
+    # and no point of the plane lies on three tangents of a parabola.
     span = side - 1
     mid = Fraction(span, 2)
     width = Fraction(2 * span, 5)
@@ -87,43 +88,21 @@ def _sample_lines(rng: SplitMix64, count: int, side: int) -> list[tuple[Fraction
     return lines
 
 
-def _hits_grid_point(slope: Fraction, intercept: Fraction, side: int) -> bool:
+def _below_mask(slope: Fraction, intercept: Fraction, side: int) -> int | None:
+    # One exact pass over the grid columns: a line through a grid point is
+    # rejected (None); otherwise each column contributes the run of rows
+    # strictly below the line, and the runs are transposed into rows.
+    runs = []
     for x in range(side):
         y = slope * x + intercept
-        if y.denominator == 1 and 0 <= y.numerator <= side - 1:
-            return True
-    return False
+        if y.denominator == 1 and 0 <= y.numerator < side:
+            return None
+        runs.append((1 << max(0, min(math.floor(y) + 1, side))) - 1)
+    return int("".join(reversed(list(transpose(runs, side)))), 2)
 
 
-def _crossings_inside(lines: list[tuple[Fraction, Fraction]], side: int) -> bool:
-    crossings = set()
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            a1, b1 = lines[i]
-            a2, b2 = lines[j]
-            if a1 == a2:
-                return False
-            x = (b2 - b1) / (a1 - a2)
-            y = a1 * x + b1
-            if not (0 < x < side - 1 and 0 < y < side - 1):
-                return False
-            if (x, y) in crossings:  # three lines through one point
-                return False
-            crossings.add((x, y))
-    return True
-
-
-def _below_mask(slope: Fraction, intercept: Fraction, side: int) -> int:
-    mask = 0
-    for x in range(side):
-        y = slope * x + intercept
-        top = math.floor(y)
-        if y == top:
-            top -= 1  # the line itself is excluded; "strictly below"
-        top = min(top, side - 1)
-        for row in range(top + 1):
-            mask |= 1 << (row * side + x)
-    return mask
+# 1,448**2 = 2,096,704 points, just under gen_witness_rich's largest universe.
+MAX_GRID_SIDE = 1448
 
 
 def gen_halfplane_grid(
@@ -132,30 +111,31 @@ def gen_halfplane_grid(
     """Points strictly below sampled lines over a grid, in general position.
 
     The universe is the grid in row-major order (point = row*side + column).
-    A sample is accepted only when the lines pairwise cross strictly inside
-    the grid, no three meet, no line passes through a grid point, and every
-    cell of the arrangement catches a grid point, i.e. the distinct-signature
-    count equals 1 + n + n(n-1)/2. Accepted instances therefore meet that
-    closed form at every subfamily size. Rejection resamples from the same
-    stream, up to ``attempts`` times.
+    The lines are tangents to one parabola at distinct abscissas in the
+    middle eight tenths of the grid, so by construction no two are parallel,
+    every pair crosses strictly inside the grid, and no three meet. Two
+    checks reject the rest: a sample is accepted only when no line passes
+    through a grid point and every cell of the arrangement catches a grid
+    point, i.e. the atom count equals 1 + n + n(n-1)/2. Accepted instances
+    therefore meet that closed form at every subfamily size. Rejection
+    resamples from the same stream, up to ``attempts`` times. A grid side
+    above MAX_GRID_SIDE raises ValueError before anything is sampled.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if grid_side < 3:
-        raise ValueError("grid_side must be at least 3")
+    if not 3 <= grid_side <= MAX_GRID_SIDE:
+        raise ValueError(f"grid_side must be between 3 and {MAX_GRID_SIDE}, got {grid_side}")
     rng = SplitMix64(seed)
     want = 1 + count + count * (count - 1) // 2
     spec = GeneratorSpec("halfplane_grid", (("count", count), ("grid_side", grid_side)), seed)
     for _ in range(attempts):
-        lines = _sample_lines(rng, count, grid_side)
-        if any(_hits_grid_point(a, b, grid_side) for a, b in lines):
-            continue
-        if count > 1 and not _crossings_inside(lines, grid_side):
+        masks = [_below_mask(a, b, grid_side) for a, b in _sample_lines(rng, count, grid_side)]
+        if None in masks:
             continue
         family = SetFamily(
             grid_side * grid_side,
             tuple(f"H{i}" for i in range(count)),
-            tuple(_below_mask(a, b, grid_side) for a, b in lines),
+            tuple(masks),
             provenance=spec.provenance(),
         )
         if len(columns(family, range(count))) == want:

@@ -75,10 +75,12 @@ def transversal_greedy(family: SetFamily) -> PiercingSolution:
     """Greedy upper bound: repeatedly take the point covering the most
     unassigned sets (ties to the lowest point index)."""
     _require_pierceable(family)
-    m = family.num_sets
-    if m == 0:
+    if family.num_sets == 0:
         return PiercingSolution(0, (), (), True, 0)
-    candidates = _candidate_points(family)
+    return _greedy(family.num_sets, _candidate_points(family))
+
+
+def _greedy(m: int, candidates: list[tuple[int, int]]) -> PiercingSolution:
     unassigned = (1 << m) - 1
     assignment = [-1] * m
     points: list[int] = []
@@ -120,14 +122,15 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
     if m == 0:
         return PiercingSolution(0, (), (), True, 0)
     nu, _ = max_disjoint(family)
-    greedy = transversal_greedy(family)
+    candidates = _candidate_points(family)
+    greedy = _greedy(m, candidates)
     if greedy.tau == nu:
         return _canonical(family, greedy.piercing_points, True, nu)
 
     # The candidate points covering each set, in candidate order, and the
     # sets by how few there are (ties to the lower index).
     options: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for pt, col in _candidate_points(family):
+    for pt, col in candidates:
         r = col
         while r:
             options[(r & -r).bit_length() - 1].append((pt, col))

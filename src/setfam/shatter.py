@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
-from .family import Check, SetFamily, boolean_atoms, columns
+from .family import Check, SetFamily, boolean_atoms, columns, transpose
 
 MODE_EXACT = "exact"
 MODE_GREEDY = "greedy-lower-bound"
@@ -65,12 +65,10 @@ def _compress(family: SetFamily) -> tuple[list[int], int]:
     set t means column j holds set t), and the number of those columns.
 
     Points with equal columns are never separated, so the exact search runs
-    on these. The columns are transposed as digit strings, which is far
-    cheaper than testing every bit of every column."""
+    on these."""
     m = family.num_sets
     cols = [col for col, _ in columns(family, range(m))]
-    rows = zip(*(format(col, f"0{m}b")[::-1] for col in cols))  # row t: set t
-    return ([int("".join(row)[::-1], 2) for row in rows] if cols else [0] * m), len(cols)
+    return ([int(numeral, 2) for numeral in transpose(cols, m)] if cols else [0] * m), len(cols)
 
 
 def _exact(compressed: tuple[list[int], int], n: int, budget: int) -> ShatterResult:
@@ -82,28 +80,32 @@ def _exact(compressed: tuple[list[int], int], n: int, budget: int) -> ShatterRes
         )
     best_value = -1
     best_witness: tuple[int, ...] = ()
-
-    def dfs(start: int, chosen: list[int], cells: list[int]) -> None:
-        nonlocal best_value, best_witness
-        remaining = n - len(chosen)
+    chosen: list[int] = []
+    # Each node is its depth, its last chosen set (-1 at the root) and its
+    # parent's cells, which it splits only when popped; children are pushed
+    # in reverse, so each subtree is finished before its next sibling starts.
+    stack = [(0, -1, [(1 << width) - 1] if width else [])]
+    while stack:
+        depth, last, cells = stack.pop()
+        if last >= 0:
+            del chosen[depth - 1 :]
+            chosen.append(last)
+            cells = _split(cells, members[last])
+        remaining = n - depth
         if remaining > 1:
             # A cell of k columns yields at most min(2^remaining, k) atoms.
             limit = 1 << remaining
-            if sum(min(limit, c.bit_count()) for c in cells) <= best_value:
-                return
-            for t in range(start, m - remaining + 1):
-                chosen.append(t)
-                dfs(t + 1, chosen, _split(cells, members[t]))
-                chosen.pop()
-            return
+            if sum(min(limit, c.bit_count()) for c in cells) > best_value:
+                stack += [(depth + 1, t, cells) for t in reversed(range(last + 1, m - remaining + 1))]
+            continue
         # With one set left the bound is the cells plus those of two or more
         # columns, the only ones a set can split; each last set's splits are
         # counted instead of built.
         live = [c for c in cells if c & (c - 1)]
         bound = len(cells) + len(live)
         if bound <= best_value:
-            return
-        for t in range(start, m):
+            continue
+        for t in range(last + 1, m):
             mem = members[t]
             value = len(cells)
             for c in live:
@@ -112,9 +114,8 @@ def _exact(compressed: tuple[list[int], int], n: int, budget: int) -> ShatterRes
             if value > best_value:
                 best_value, best_witness = value, (*chosen, t)
                 if value == bound:
-                    return
+                    break
 
-    dfs(0, [], [(1 << width) - 1] if width else [])
     return ShatterResult(n, best_value, best_witness, MODE_EXACT)
 
 

@@ -251,6 +251,15 @@ class TestAtomsShatterDisjoint:
         assert code == 0
         assert "nu=1100" in out
 
+    def test_shatter_on_many_singletons(self, capsys, tmp_path):
+        # One set per search level: deeper than the recursion limit.
+        path = tmp_path / "singletons.fam"
+        sets = [{"name": f"S{i}", "points": [i]} for i in range(1100)]
+        path.write_text(json.dumps({"universe": 1100, "sets": sets}))
+        code, out, _ = run(capsys, "shatter", "--in", str(path), "--n", "1100")
+        assert code == 0
+        assert "value=1100" in out
+
     def test_disjoint_report_verifies(self, capsys, disjoint3_file, tmp_path):
         report = tmp_path / "disjoint.report"
         run(capsys, "disjoint", "--in", disjoint3_file, "--sequence", "--avoid", "0",
@@ -329,6 +338,11 @@ class TestErrorPaths:
     def test_witness_rich_depth_above_maximum(self, capsys):
         assert run(capsys, "generate", "--kind", "witness_rich", "--depth", "100") == (
             2, "", "error: depth must be between 1 and 20, got 100\n")
+
+    def test_halfplane_grid_side_above_maximum(self, capsys):
+        assert run(capsys, "generate", "--kind", "halfplane_grid", "--count", "3",
+                   "--grid-side", "5000") == (
+            2, "", "error: grid_side must be between 3 and 1448, got 5000\n")
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

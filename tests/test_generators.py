@@ -21,7 +21,8 @@ from setfam import (
     transversal_exact,
     verify_witness,
 )
-from setfam.generators import MAX_WITNESS_DEPTH
+from setfam import generators
+from setfam.generators import MAX_GRID_SIDE, MAX_WITNESS_DEPTH
 
 
 class TestIntervals:
@@ -70,9 +71,14 @@ class TestHalfplaneGrid:
             assert dual_shatter(fam, n).value == expected
             assert brute_pi_star(fam, n) == expected
 
-    def test_count_zero_rejected(self):
-        with pytest.raises(ValueError):
+    def test_preconditions(self, monkeypatch):
+        # Rejected before any line is sampled.
+        monkeypatch.setattr(generators, "_sample_lines", None)
+        with pytest.raises(ValueError, match="count"):
             gen_halfplane_grid(0, 16, seed=0)
+        for side in (2, MAX_GRID_SIDE + 1, 5000):
+            with pytest.raises(ValueError, match="grid_side must be between 3 and 1448"):
+                gen_halfplane_grid(3, side, seed=0)
 
     def test_resampling_budget_error(self):
         # One attempt on a coarse grid with many lines cannot succeed.
@@ -82,20 +88,28 @@ class TestHalfplaneGrid:
     def test_deterministic(self):
         assert gen_halfplane_grid(3, 24, seed=5) == gen_halfplane_grid(3, 24, seed=5)
 
-    def test_twelve_lines_keep_their_bytes(self):
-        # Which draws are accepted decides the bytes. These digests were
-        # recorded when acceptance counted distinct per-point signatures
-        # rather than atoms, so they pin that the two counts agree.
-        digests = [
-            "cc55f3c6582ddc04c3d4b7659c1a9e8ff7766882013dfa53a711cf2c9ee73ef3",
-            "cc63e8be8b16ee64fb2e2421ae4e6efff92d32a0d92d343985cb637382e53a22",
-            "b075e90a320f6b9ffc4745cebaf2dbd1d0bdc37024922523b099dce6c766776b",
-            "4e92f24ee17c225a34de2bf02438595371b6cdc256fc64299395c3453e58394e",
+    def test_draws_keep_their_bytes(self):
+        # Which draws are accepted decides the bytes. The (12, 64) digests
+        # were recorded when acceptance counted distinct per-point signatures
+        # rather than atoms, so they pin that the two counts agree. The
+        # others, recorded while the generator still checked every sample for
+        # crossings outside the grid and triple points, pin the grid-hit
+        # rejection: (8, 33, 7) rejects its 3rd draw for a grid hit and
+        # accepts its 20th, and (5, 7, 0) rejects draws for grid hits and then
+        # runs out.
+        cases = [
+            ((12, 64, 0), "cc55f3c6582ddc04c3d4b7659c1a9e8ff7766882013dfa53a711cf2c9ee73ef3"),
+            ((12, 64, 1), "cc63e8be8b16ee64fb2e2421ae4e6efff92d32a0d92d343985cb637382e53a22"),
+            ((12, 64, 2), "b075e90a320f6b9ffc4745cebaf2dbd1d0bdc37024922523b099dce6c766776b"),
+            ((12, 64, 3), "4e92f24ee17c225a34de2bf02438595371b6cdc256fc64299395c3453e58394e"),
+            ((8, 33, 7), "59d1c759af558d851a83d28f7ea39c3783c5582ee5cc08b07d2cc8144b76f945"),
         ]
-        for seed, digest in enumerate(digests):
-            fam = gen_halfplane_grid(12, 64, seed)
+        for (count, side, seed), digest in cases:
+            fam = gen_halfplane_grid(count, side, seed)
             assert hashlib.sha256(serialize_family(fam).encode()).hexdigest() == digest
-            assert len(boolean_atoms(fam, range(12))) == 1 + 12 + math.comb(12, 2)
+            assert len(boolean_atoms(fam, range(count))) == 1 + count + math.comb(count, 2)
+        with pytest.raises(GenerationError, match="after 60 attempts"):
+            gen_halfplane_grid(5, 7, 0, attempts=60)
 
 
 class TestWitnessRich:

@@ -27,6 +27,13 @@ class TestDualShatterExact:
         assert result.value == 3  # two sets plus the zero cell
         assert result.witness == (0, 1)
 
+    def test_deeper_than_the_recursion_limit(self):
+        # One set per search level, 1,100 levels; C(1100, 1100) = 1 subfamily.
+        fam = SetFamily.from_points(1100, [(f"S{i}", [i]) for i in range(1100)])
+        result = dual_shatter(fam, 1100)
+        assert result.value == 1100
+        assert result.witness == tuple(range(1100))
+
     def test_two_overlapping_sets(self):
         fam = SetFamily.from_points(4, [("A0", [0, 1]), ("A1", [1, 2])])
         assert dual_shatter(fam, 2).value == 4
