@@ -2,15 +2,16 @@
 
 Points are dense indices ``0 .. universe_size-1``, partitioned into *base*
 points and *extension* points. Sets are stored as bit masks (one Python int
-per set). The one atom primitive is ``columns``: it splits the universe by
-one chosen set at a time, or reads the points' columns off the set rows
-once splitting would cost more, and carries each cell's membership column
-as an int. ``boolean_atoms`` formats those columns as signatures, and
-``atoms_meeting``, piercing candidates and the halfplane generator count or
-read them directly. ``point_signature`` and ``check_atoms`` stay off the
-kernel so that they can check it. ``transpose`` is the one bit-matrix
-transpose; ``columns``, the exact shatter search's column compression and
-the halfplane generator's masks all call it.
+per set). The one atom kernel, ``_cells``, splits the universe by one
+chosen set at a time, or reads the points' columns off the set rows once
+splitting would cost more. ``columns`` carries each cell's membership column
+as an int, and ``atoms_meeting``, piercing candidates and the halfplane
+generator count or read those directly. ``boolean_atoms`` keys each cell by
+its signature, which the kernel reads straight off the rows when it reads
+rows. ``point_signature`` and ``check_atoms`` stay off the kernel so that
+they can check it. ``transpose`` is the one bit-matrix transpose; the
+kernel, the exact shatter search's column compression and the halfplane
+generator's masks all call it.
 
 Two text formats are supported:
 
@@ -203,24 +204,25 @@ def transpose(rows: Sequence[int], width: int) -> Iterator[str]:
     return map("".join, zip(*(format(row, f"0{width}b")[::-1] for row in reversed(rows))))
 
 
-def columns(family: SetFamily, subfamily: Iterable[int]) -> list[tuple[int, int]]:
-    """The nonempty cells of the universe split by the subfamily, as
-    ``(column, points_mask)`` pairs in no fixed order; bit k of a column means
-    membership in ``subfamily[k]``. Indices are not checked.
+def _cells(family: SetFamily, idxs: tuple[int, ...], signatures: bool) -> list[tuple[int, int]] | dict[str, int]:
+    """The nonempty cells of the universe split by ``idxs``, as ``columns``
+    describes them, or, once the kernel reads the set rows, a dict from each
+    numeral that ``transpose`` reads off the rows to its points. The rows go
+    in subfamily order, so a numeral's value is its column, or with
+    ``signatures`` in reverse, so its character k is membership in ``idxs[k]``.
 
     Splitting by one more set visits every cell once, so once the cells times
-    the sets left exceed the points, reading each point's column off the set
-    rows costs less: ``transpose`` turns the rows into one binary numeral per
-    point, and the points are grouped by numeral."""
-    idxs = tuple(subfamily)
+    the sets left exceed the points, reading each point's numeral off the set
+    rows costs less."""
     n = family.universe_size
     cells = [(0, family.universe_mask)] if n else []
     for k, i in enumerate(idxs):
         if len(cells) * (len(idxs) - k) > n:
+            rows = [family.members[j] for j in (idxs[::-1] if signatures else idxs)]
             groups: dict[str, int] = {}
-            for p, numeral in enumerate(transpose([family.members[j] for j in idxs], n)):
+            for p, numeral in enumerate(transpose(rows, n)):
                 groups[numeral] = groups.get(numeral, 0) | 1 << p
-            return [(int(numeral, 2), mask) for numeral, mask in groups.items()]
+            return groups
         mem, bit = family.members[i], 1 << k
         split = []
         for col, mask in cells:
@@ -236,6 +238,17 @@ def columns(family: SetFamily, subfamily: Iterable[int]) -> list[tuple[int, int]
     return cells
 
 
+def columns(family: SetFamily, subfamily: Iterable[int]) -> list[tuple[int, int]]:
+    """The nonempty cells of the universe split by the subfamily, as
+    ``(column, points_mask)`` pairs in no fixed order; bit k of a column means
+    membership in ``subfamily[k]``. Indices are not checked.
+
+    Narrow subfamilies split the universe one set at a time; wide ones read
+    each point's column off the set rows (see ``_cells``)."""
+    cells = _cells(family, tuple(subfamily), signatures=False)
+    return [(int(numeral, 2), mask) for numeral, mask in cells.items()] if isinstance(cells, dict) else cells
+
+
 def boolean_atoms(
     family: SetFamily, subfamily: Iterable[int], include_zero_cell: bool = True
 ) -> AtomDecomposition:
@@ -245,28 +258,31 @@ def boolean_atoms(
     set is constant. The all-complements cell (signature with no ``1``) is an
     atom of the closure under complements; ``include_zero_cell=False`` drops
     it, which is the other convention found in the literature.
+
+    Where the kernel reads the set rows, it reads the signatures themselves;
+    only split cells have their int columns formatted.
     """
     idxs = _check_subfamily(family, subfamily)
-    # bin() of col with a leading 1 at bit n spells the n column bits high to
-    # low after "0b1"; reversed, character k is membership in idxs[k].
-    top = 1 << len(idxs)
-    cells = sorted(
-        (bin(col | top)[3:][::-1], mask)
-        for col, mask in columns(family, idxs)
-        if col or include_zero_cell
-    )
-    return AtomDecomposition(idxs, dict(cells))
+    cells = _cells(family, idxs, signatures=True)
+    if not isinstance(cells, dict):
+        # bin() of col with a leading 1 at bit n spells the n column bits high
+        # to low after "0b1"; reversed, character k is membership in idxs[k].
+        top = 1 << len(idxs)
+        cells = {bin(col | top)[3:][::-1]: mask for col, mask in cells}
+    return AtomDecomposition(idxs, {sig: cells[sig] for sig in sorted(cells) if include_zero_cell or "1" in sig})
 
 
 def check_atoms(
     family: SetFamily,
     subfamily: Sequence[int],
-    atoms: Iterable[tuple[Signature, Sequence[int]]],
+    atoms: Sequence[tuple[Signature, Sequence[int]]],
     include_zero_cell: bool,
+    atom_count: int,
 ) -> Check:
     """Re-check listed atoms: cells pairwise disjoint, every point carrying its
-    cell's signature, and the cells covering the universe, or with the zero
-    cell dropped, exactly the union of the subfamily's sets."""
+    cell's signature, the cells covering the universe, or with the zero cell
+    dropped, exactly the union of the subfamily's sets, and then no cell
+    empty, no signature listed twice and ``atom_count`` cells listed."""
     kind = "atoms.decomposition-reverifies"
     idxs = _check_subfamily(family, subfamily)
     union = 0
@@ -286,6 +302,10 @@ def check_atoms(
             sets_union |= family.members[i]
         if union != sets_union:
             return Check(kind, False, "cells do not cover exactly the union of the subfamily's sets")
+    if len({signature for signature, _ in atoms}) != len(atoms) or not all(points for _, points in atoms):
+        return Check(kind, False, "cells must be nonempty, each with its own signature")
+    if atom_count != len(atoms):
+        return Check(kind, False, f"atom_count {atom_count} differs from the {len(atoms)} listed atoms")
     return Check(kind, True, "cells are disjoint and signatures match")
 
 

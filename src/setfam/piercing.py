@@ -214,18 +214,23 @@ def verify_partition(
 
 
 def check_solution(
-    family: SetFamily, tau: int, points: Sequence[int], assignment: Sequence[int]
+    family: SetFamily, tau: int, points: Sequence[int], assignment: Sequence[int], optimal: bool,
+    lower_bound: int | None,
 ) -> list[Check]:
     """Re-check a reported partition: classes consistent, set ``i`` containing
-    ``points[assignment[i]]``, and ``tau`` counting the points."""
+    ``points[assignment[i]]``, ``tau`` counting the points, and the lower
+    bound, if any, at most ``tau`` and equal to it when ``optimal``."""
     consistent, failing = verify_partition(family, assignment)
     covered = all(
         0 <= cls < len(points) and family.members[i] >> points[cls] & 1
         for i, cls in enumerate(assignment)
     )
+    bounded = (lower_bound is None or lower_bound <= tau) and (not optimal or lower_bound == tau)
     return [
         Check("pierce.partition-consistent", consistent,
               "all classes consistent" if consistent else f"class {failing} empty"),
-        Check("pierce.classes-pierced", tau == len(points) and covered,
-              "every set contains its class point" if covered else "a set misses its class point"),
+        Check("pierce.classes-pierced", tau == len(points) and covered and bounded,
+              "a set misses its class point" if not covered
+              else "every set contains its class point" if bounded
+              else f"lower bound {lower_bound} does not fit tau {tau} with optimal={optimal}"),
     ]

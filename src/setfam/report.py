@@ -22,12 +22,16 @@ _SHATTER = {"n": int, "value": int, "witness": [SET_INDEX]}
 
 
 def _check_witness(witness: Any, family: SetFamily, r: dict) -> list[Check]:
-    """A chain must re-verify and match its recorded verdict; a stuck chain must be final and valid."""
+    """A chain must re-verify, reach ``n_target`` and match its recorded
+    verdict; a stuck chain must be final and valid."""
     target, chain = r["target"], witness.chain_from_dict(r["chain"])
     if r["status"] == "chain":
         report, recorded_ok = witness.verify_witness(family, target, chain), r["verification"]["ok"]
+        failures = list(report.failures)
+        if chain.length != r["n_target"]:
+            failures.append(f"chain has {chain.length} steps, n_target is {r['n_target']}")
         return [
-            Check("witness.chain-valid", report.ok, "; ".join(report.failures) or "all checks pass"),
+            Check("witness.chain-valid", not failures, "; ".join(failures) or "all checks pass"),
             Check("witness.verdict-agrees", report.ok == recorded_ok,
                   f"recomputed ok={report.ok}, recorded ok={recorded_ok}"),
         ]
@@ -49,10 +53,11 @@ def _check_witness(witness: Any, family: SetFamily, r: dict) -> list[Check]:
 _KINDS: dict[str, tuple[str, Any, Any]] = {
     "atoms": (
         "family",
-        {"subfamily": [SET_INDEX], "include_zero_cell": bool, "atoms": [{"signature": str, "points": [POINT]}]},
+        {"subfamily": [SET_INDEX], "include_zero_cell": bool, "atom_count": int,
+         "atoms": [{"signature": str, "points": [POINT]}]},
         lambda _, family, r: [
             check_atoms(family, r["subfamily"], [(a["signature"], a["points"]) for a in r["atoms"]],
-                        r["include_zero_cell"])
+                        r["include_zero_cell"], r["atom_count"])
         ],
     ),
     "disjoint": (
@@ -65,8 +70,9 @@ _KINDS: dict[str, tuple[str, Any, Any]] = {
     ),
     "pierce": (
         "piercing",
-        {"tau": int, "piercing_points": [POINT], "assignment": [int]},
-        lambda piercing, family, r: piercing.check_solution(family, r["tau"], r["piercing_points"], r["assignment"]),
+        {"tau": int, "piercing_points": [POINT], "assignment": [int], "optimal": bool, "lower_bound": (None, int)},
+        lambda piercing, family, r: piercing.check_solution(
+            family, r["tau"], r["piercing_points"], r["assignment"], r["optimal"], r["lower_bound"]),
     ),
     "pq": (
         "pq",
@@ -82,7 +88,7 @@ _KINDS: dict[str, tuple[str, Any, Any]] = {
     ),
     "witness": (
         "witness",
-        lambda witness, r: {"target": [POINT], "status": str, "chain": witness.CHAIN_SHAPE,
+        lambda witness, r: {"target": [POINT], "n_target": int, "status": str, "chain": witness.CHAIN_SHAPE,
                             **({"verification": {"ok": bool}} if r.get("status") == "chain" else {})},
         _check_witness,
     ),

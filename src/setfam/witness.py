@@ -19,13 +19,15 @@ that (in this order of blame when none survives)
 
 and then takes the lowest-index survivor, with the lowest base point as each
 probe. "Live atom" means an atom of the current chain sets that meets B.
-``verify_witness`` recomputes every condition from scratch, using direct
-membership arithmetic rather than the builder's atom bookkeeping.
+``verify_witness`` recomputes every condition from scratch, reading each
+point's trace off the chain sets' own rows rather than the builder's atom
+bookkeeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Any, Iterable
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
@@ -296,10 +298,13 @@ def _build_exhaustive(
 def verify_witness(family: SetFamily, target: Iterable[int], chain: WitnessChain) -> VerificationReport:
     """Re-check a chain from scratch and report each condition separately.
 
-    Traces are recomputed by direct membership tests and the live-atom counts
-    by grouping the target's own points, so the verifier shares none of the
-    builder's atom-splitting path. Structural defects (wrong probe counts,
-    non-base probes, bad indices) raise instead of reporting.
+    Each chain set is formatted once as a row of digits and the rows are
+    zipped, so every point's trace on the chain comes from one pass. The
+    live atoms after step i are the distinct i-prefixes of the target's
+    traces, each level built from the level after it. The verifier calls
+    none of the builder's atom code (``columns``, ``boolean_atoms``,
+    ``transpose``). Structural defects (wrong probe counts, non-base probes,
+    bad indices) raise instead of reporting.
     """
     target_mask = _target_mask(family, target, require_nonempty=True)
     _validate_chain(family, chain)
@@ -321,13 +326,14 @@ def verify_witness(family: SetFamily, target: Iterable[int], chain: WitnessChain
                         f"set of step {later + 1} contains probe {p} from earlier step {i + 1}"
                     )
 
-    # A point's trace on the first i chain sets is the first i characters of
-    # its trace on the whole chain.
-    def trace(point: int) -> str:
-        return "".join("1" if s >> point & 1 else "0" for s in sets)
-
+    # Each chain set is formatted once as a row of digits, lowest point
+    # first; zipping the rows spells every point's trace on the whole chain in
+    # one pass (no rows, no traces). A point's trace on the first i chain sets
+    # is the first i characters of that trace.
     all_probes = chain.probe_points()
-    probe_traces = {p: trace(p) for p in all_probes}
+    rows = [format(s, f"0{family.universe_size}b")[::-1] for s in sets]
+    traces = list(map("".join, zip(*rows)))
+    probe_traces = {p: traces[p] for p in all_probes}
     within_ok = True
     for i in range(1, n):
         seen: dict[str, int] = {}
@@ -350,11 +356,16 @@ def verify_witness(family: SetFamily, target: Iterable[int], chain: WitnessChain
     if not bound_ok:
         failures.append(f"distinct probe traces {distinct} fall short of the required {required}")
 
+    # The live atoms after step i are the distinct i-prefixes of the target's
+    # traces, built from the longest down: the prefixes of a sorted level are
+    # sorted, so each level is the deduplicated prefixes of the level after it.
+    in_target = map("1".__eq__, format(target_mask, f"0{family.universe_size}b")[::-1])
+    live_atoms = [sorted(set(compress(traces, in_target)))]
+    for i in range(n - 1, 0, -1):
+        live_atoms.append(list(dict.fromkeys([t[:i] for t in live_atoms[-1]])))
     counts_ok = True
-    target_traces = {trace(b) for b in points_from_mask(target_mask)}
     previous = 0
-    for i in range(1, n + 1):
-        sigs = sorted({t[:i] for t in target_traces})
+    for i, sigs in zip(range(1, n + 1), reversed(live_atoms)):
         count = len(sigs)
         recorded = chain.target_atom_counts[i - 1]
         if recorded != count:

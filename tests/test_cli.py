@@ -67,6 +67,23 @@ class TestPierce:
         assert code == 0
         assert "verdict: PASS" in out
 
+    @pytest.mark.parametrize("optimal, lower_bound, detail", [
+        (True, 4, "lower bound 4 does not fit tau 3 with optimal=True"),
+        (False, 4, "lower bound 4 does not fit tau 3 with optimal=False"),
+        (True, 2, "lower bound 2 does not fit tau 3 with optimal=True"),
+        (True, None, "lower bound None does not fit tau 3 with optimal=True"),
+    ])
+    def test_wrong_lower_bound_fails_verify(self, capsys, disjoint3_file, tmp_path, optimal,
+                                            lower_bound, detail):
+        report = tmp_path / "pierce.report"
+        assert run(capsys, "pierce", "--in", disjoint3_file, "--out", str(report))[0] == 0
+        payload = json.loads(report.read_text())
+        payload["results"]["pierce"].update(optimal=optimal, lower_bound=lower_bound)
+        report.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", "--report", str(report))
+        assert code == 1
+        assert f"pierce.classes-pierced: FAIL ({detail})" in out
+
 
 class TestPq:
     def test_violation_listed(self, capsys, disjoint3_file):
@@ -125,6 +142,19 @@ class TestWitnessAndVerify:
         code, out, _ = run(capsys, "verify", "--report", str(report_path))
         assert code == 1
         assert "verdict: FAIL" in out
+
+    def test_truncated_chain_fails_verify(self, capsys, rich_file, tmp_path):
+        report_path = tmp_path / "chain.report"
+        run(capsys, "witness", "--in", rich_file, "--B-from-file", "--n", "3",
+            "--out", str(report_path))
+        report = json.loads(report_path.read_text())
+        chain = report["results"]["witness"]["chain"]
+        for key in chain:
+            del chain[key][2:]
+        report_path.write_text(json.dumps(report))
+        code, out, _ = run(capsys, "verify", "--report", str(report_path))
+        assert code == 1
+        assert "witness.chain-valid: FAIL (chain has 2 steps, n_target is 3)" in out
 
     def test_explicit_target_points(self, capsys, tmp_path):
         path = tmp_path / "one.fam"
@@ -190,6 +220,29 @@ class TestAtomsShatterDisjoint:
         code, out, _ = run(capsys, "verify", "--report", str(report))
         assert code == 1
         assert "verdict: FAIL" in out
+
+    @pytest.mark.parametrize("flags, tamper, detail", [
+        ([], lambda p: p.__setitem__("atom_count", 11), "atom_count 11 differs from the 4 listed atoms"),
+        ([], lambda p: p.update(atom_count=5, atoms=[
+            {"signature": "00", "points": [3]}, {"signature": "00", "points": [4]}, *p["atoms"][1:]]),
+         "cells must be nonempty, each with its own signature"),
+        (["--drop-zero-cell"], lambda p: p.update(atom_count=4, atoms=[
+            {"signature": "00", "points": []}, *p["atoms"]]),
+         "cells must be nonempty, each with its own signature"),
+    ], ids=["count", "split-atom", "empty-cell"])
+    def test_miscounted_atoms_fail_verify(self, capsys, tmp_path, flags, tamper, detail):
+        path = tmp_path / "two.fam"
+        path.write_text("2 5\n11000\n01100\n")  # points 3 and 4 form the zero cell
+        report = tmp_path / "atoms.report"
+        assert run(capsys, "atoms", "--in", str(path), *flags, "--out", str(report))[0] == 0
+        payload = json.loads(report.read_text())
+        assert [a["signature"] for a in payload["results"]["atoms"]["atoms"]] == (
+            ["00", "01", "10", "11"][1 if flags else 0:])
+        tamper(payload["results"]["atoms"])
+        report.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", "--report", str(report))
+        assert code == 1
+        assert f"atoms.decomposition-reverifies: FAIL ({detail})" in out
 
     def test_shatter_value(self, capsys, disjoint3_file):
         code, out, _ = run(capsys, "shatter", "--in", disjoint3_file, "--n", "2")

@@ -234,8 +234,8 @@ class TestBooleanAtoms:
 
 @pytest.fixture
 def row_reads(monkeypatch):
-    """The sets ``columns`` formats as rows, which it does only once it stops
-    splitting."""
+    """The sets the atom kernel formats as rows, for ``columns`` or
+    ``boolean_atoms``, which it does only once it stops splitting."""
     reads = []
 
     def spy(value, spec):
@@ -312,7 +312,25 @@ class TestColumns:
         assert columns(fam, []) == [(0, fam.universe_mask)]
         assert row_reads == []
 
-    def test_boolean_atoms_on_a_permuted_full_order(self):
+    @pytest.mark.parametrize("density, has_zero_cell", [(0.02, True), (0.5, False)])
+    def test_boolean_atoms_drop_the_zero_cell_off_the_rows(self, row_reads, density, has_zero_cell):
+        # 30 sets on 300 points: the kernel reads the rows. At density 0.5 the
+        # sets cover the universe, so there is no zero cell to drop.
+        fam = gen_random(30, 300, density, 3)
+        sub = list(range(30))
+        expect: dict[str, int] = {}
+        for p in range(fam.universe_size):
+            sig = point_signature(fam, sub, p)
+            expect[sig] = expect.get(sig, 0) | 1 << p
+        assert ("0" * 30 in expect) == has_zero_cell
+        for zero in (True, False):
+            cells = boolean_atoms(fam, sub, include_zero_cell=zero).cells
+            assert list(cells.items()) == sorted(
+                (sig, mask) for sig, mask in expect.items() if zero or "1" in sig
+            )
+        assert sorted(row_reads) == sorted(2 * fam.members)
+
+    def test_boolean_atoms_on_a_permuted_full_order(self, row_reads):
         fam = gen_random(60, 400, 0.3, 2)
         order = list(range(60))
         SplitMix64(5).shuffle(order)
@@ -325,6 +343,8 @@ class TestColumns:
             assert list(cells.items()) == sorted(
                 (sig, mask) for sig, mask in expect.items() if zero or "1" in sig
             )
+        # Both calls read the signatures off the rows.
+        assert sorted(row_reads) == sorted(2 * fam.members)
 
 
 class TestAtomsMeeting:

@@ -48,6 +48,18 @@ def _set(kind, key, value):
     return lambda results: results[kind].__setitem__(key, value)
 
 
+def _truncate_chain(results):
+    chain = results["witness"]["chain"]
+    for key in chain:
+        del chain[key][2:]
+
+
+def _split_atom(results):
+    atoms = results["atoms"]
+    atoms["atoms"].append({"signature": atoms["atoms"][0]["signature"], "points": []})
+    atoms["atom_count"] += 1
+
+
 def _rename_kind(results):
     results["frobnicate"] = results.pop("pq")
 
@@ -124,10 +136,18 @@ CASES = [
            lambda r: r["atoms"]["atoms"][0].__setitem__("signature", "111"))),
     ("verify-bad-atoms-cover", ["verify", "--report", "bad-cover.json"],
      _edit("atoms.json", "bad-cover.json", lambda r: r["atoms"]["atoms"].pop())),
+    ("verify-bad-atom-count", ["verify", "--report", "bad-atom-count.json"],
+     _edit("atoms.json", "bad-atom-count.json", _set("atoms", "atom_count", 11))),
+    ("verify-bad-atoms-split", ["verify", "--report", "bad-split.json"],
+     _edit("atoms.json", "bad-split.json", _split_atom)),
+    ("verify-bad-pierce-bound", ["verify", "--report", "bad-pierce-bound.json"],
+     _edit("pierce3.json", "bad-pierce-bound.json", _set("pierce", "lower_bound", 4))),
     ("verify-bad-sequence", ["verify", "--report", "bad-sequence.json"],
      _edit("sequence3.json", "bad-sequence.json", _set("disjoint", "avoid", [1]))),
     ("verify-bad-chain", ["verify", "--report", "bad-chain.json"],
      _edit("witness.json", "bad-chain.json", _swap_probes)),
+    ("verify-bad-chain-length", ["verify", "--report", "bad-chain-length.json"],
+     _edit("witness.json", "bad-chain-length.json", _truncate_chain)),
     ("verify-bad-verdict", ["verify", "--report", "bad-verdict.json"],
      _edit("witness.json", "bad-verdict.json",
            lambda r: r["witness"]["verification"].__setitem__("ok", False))),
@@ -192,8 +212,12 @@ GOLDEN = {
     'verify-bad-profile-n': [1, 'daf89ae177371e13f07f9204320575463def206fdbac334a91c96f4648252193', None],
     'verify-bad-atoms': [1, '964275a732a28db359920724e46e4992e8977b8cc81cf2638a7836c2e86c4960', None],
     'verify-bad-atoms-cover': [1, '6a948b49398c5f7d02b7098db14c5a4a469cdfb9d061f439df1ed34b4cd837ec', None],
+    'verify-bad-atom-count': [1, '658770b7fbc1fa4f7bdef8dde6439ce06d223abee52d0d901f0acdcf2c84839c', None],
+    'verify-bad-atoms-split': [1, '534f553589f8718dcc75048c578c2b339db9206b4c0d2316835f6bfa37619028', None],
+    'verify-bad-pierce-bound': [1, '5e42a91b89bb8a94bdf9b8906eaf625c1d41b84fe54bc65023ad9e8f536e2a3f', None],
     'verify-bad-sequence': [1, '53d265f7379f9a731f5c2797e0563e2f8575ed217416e8a97dc540c0338bd927', None],
     'verify-bad-chain': [1, '15db5fa70f0859a081fa22692d347b73fa03dd90af3954de99bd31036d54f00f', None],
+    'verify-bad-chain-length': [1, 'eb930fa54678a58d433494cf1d155ed3045813dedc39170057c0917616140ece', None],
     'verify-bad-verdict': [1, '2838f145b701753af96fd8f0a369b6b46d0344ef73123710375439fac4e8317e', None],
     'verify-unknown-kind': [1, '48cae2dc822f752c6f14f30626363f235077e6ae9b65c0f13494350b10d02a99', None],
 }

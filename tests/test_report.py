@@ -42,12 +42,12 @@ COMMANDS = {
 
 # Keys no check reads, by result kind; "verification" is read on chain reports only.
 IGNORED = {
-    "atoms": {"atom_count"},
+    "atoms": set(),
     "shatter": {"mode", "exponent"},
     "pq": {"holds"},
-    "pierce": {"mode", "optimal", "lower_bound"},
+    "pierce": {"mode"},
     "disjoint": {"nu", "cap"},
-    "witness": {"n_target", "stuck"},
+    "witness": {"stuck"},
 }
 TOP_IGNORED = {"command", "input_digest", "wall_time_s"}
 

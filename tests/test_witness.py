@@ -244,6 +244,42 @@ class TestVerifier:
         assert report.all_traces_distinct_ok and report.quadratic_bound_ok
         assert report.failures == (message,)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("tamper, message", [
+        pytest.param(
+            lambda chain: dataclasses.replace(chain, atom_history=(
+                *chain.atom_history[:-1],
+                (*chain.atom_history[-1][:-1], flip_first(chain.atom_history[-1][-1])),
+            )),
+            "recorded atom signatures at step 13 differ from recomputed atoms",
+            id="signature-changed-at-step-13",
+        ),
+        pytest.param(
+            lambda chain: dataclasses.replace(
+                chain, target_atom_counts=(3, *chain.target_atom_counts[1:])
+            ),
+            "recorded live-atom count 3 at step 1 differs from recomputed 2",
+            id="count-changed-at-step-1",
+        ),
+    ])
+    def test_tampered_bookkeeping_at_depth_thirteen(self, seed, tamper, message):
+        fam, target = gen_witness_rich(13, seed=seed)
+        chain = build_quadratic_witness(fam, target, 13)
+        assert verify_witness(fam, target, chain).ok
+        mutated = tamper(chain)
+        assert mutated != chain
+        report = verify_witness(fam, target, mutated)
+        assert not report.target_counts_ok and not report.ok
+        assert report.distinct_trace_count == report.required_trace_count == 91
+        assert report.failures == (message,)
+
+    def test_empty_chain(self):
+        fam, target = gen_witness_rich(3, seed=1)
+        report = verify_witness(fam, target, WitnessChain())
+        assert report.ok and report.length == 0
+        assert (report.distinct_trace_count, report.required_trace_count) == (0, 0)
+        assert report.failures == ()
+
     def test_structurally_invalid_chain_raises(self):
         fam, target = gen_witness_rich(2, seed=4)
         chain = build_quadratic_witness(fam, target, 2)
