@@ -15,7 +15,6 @@ Reports are byte-stable for fixed inputs and flags except for the
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -23,9 +22,8 @@ import time
 from pathlib import Path
 from typing import Any
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, SetFamError
+from .errors import DEFAULT_BUDGET, SCHEMA_VERSION, BudgetExceededError, SetFamError
 from .family import SetFamily, boolean_atoms, family_to_dict, parse_family, points_from_mask, serialize_family
-from .report import SCHEMA_VERSION, verify_report
 
 
 def _int_list(text: str) -> list[int]:
@@ -116,8 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # --------------------------------------------------------------------------
 # subcommand payloads: each returns (payload, text_lines, negative_verdict).
-# Each imports its solver module when it runs, so that a setfam process
-# loads only the modules of its own subcommand.
+# Each imports its solver module (verify: the report module) when it runs, so
+# that a setfam process loads only the modules of its own subcommand. Result
+# records are named tuples, so payloads are their flat ``_asdict()``.
 
 
 def _fmt(points: Any) -> str:
@@ -147,13 +146,13 @@ def _cmd_shatter(args, family: SetFamily) -> tuple[dict, list[str], bool]:
     mode = shatter.MODE_EXACT if args.mode == "exact" else shatter.MODE_GREEDY
     if args.profile:
         profile = shatter.growth_profile(family, args.n, mode, args.budget)
-        payload = {"profile": [dataclasses.asdict(r) for r in profile.results], "exponent": profile.exponent}
+        payload = {"profile": [r._asdict() for r in profile.results], "exponent": profile.exponent}
         lines = [f"n={r.n} value={r.value} witness={_fmt(r.witness)}" for r in profile.results]
         lines.append(f"fitted exponent: {profile.exponent:.4f}")
         return payload, lines, False
     result = shatter.dual_shatter(family, args.n, mode, args.budget)
     lines = [f"n={result.n} mode={result.mode} value={result.value} witness={_fmt(result.witness)}"]
-    return dataclasses.asdict(result), lines, False
+    return result._asdict(), lines, False
 
 
 def _cmd_pq(args, family: SetFamily) -> tuple[dict, list[str], bool]:
@@ -165,7 +164,7 @@ def _cmd_pq(args, family: SetFamily) -> tuple[dict, list[str], bool]:
         lines.append(f"violation: {_fmt(report.violation)}")
     if report.disjoint_witness is not None:
         lines.append(f"disjoint witness: {_fmt(report.disjoint_witness)}")
-    return dataclasses.asdict(report), lines, not report.holds
+    return report._asdict(), lines, not report.holds
 
 
 def _cmd_pierce(args, family: SetFamily) -> tuple[dict, list[str], bool]:
@@ -180,7 +179,7 @@ def _cmd_pierce(args, family: SetFamily) -> tuple[dict, list[str], bool]:
         f"piercing points: {_fmt(solution.piercing_points)}",
         f"assignment: {_fmt(solution.assignment)}",
     ]
-    return {"mode": args.mode, **dataclasses.asdict(solution)}, lines, False
+    return {"mode": args.mode, **solution._asdict()}, lines, False
 
 
 def _cmd_disjoint(args, family: SetFamily) -> tuple[dict, list[str], bool]:
@@ -222,7 +221,7 @@ def _cmd_witness(args, family: SetFamily) -> tuple[dict, list[str], bool]:
             "candidate_trace": {stage: list(sets) for stage, sets in outcome.candidate_trace},
         },
         "verification": None if verification is None else {
-            **dataclasses.asdict(verification), "ok": verification.ok
+            **verification._asdict(), "ok": verification.ok
         },
     }
     if stuck:
@@ -270,6 +269,8 @@ def _cmd_generate(args, _family) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_verify(args, _family) -> tuple[dict, list[str], bool]:
+    from .report import verify_report
+
     try:
         report = json.loads(Path(args.report).read_text(encoding="utf-8"))
     except RecursionError:

@@ -1,9 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types and constants shared across the package."""
 
 from __future__ import annotations
 
 # Node budget of every exact search unless the caller passes its own.
 DEFAULT_BUDGET = 10**7
+# The version every report is written with and ``verify`` accepts.
+SCHEMA_VERSION = "v1"
 
 
 class SetFamError(Exception):

@@ -30,7 +30,6 @@ Serialization is canonical: the same family always produces the same bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import FamilyFormatError, ReportFormatError
@@ -48,6 +47,18 @@ class Check(NamedTuple):
 
 
 def mask_from_points(points: Iterable[int], universe_size: int) -> int:
+    """The bit mask of the points; ValueError names the first point, in
+    iteration order, outside the universe.
+
+    OR-ing in one point costs time linear in the universe, so more than 64
+    points, all in range, are written as digits of one binary numeral that is
+    read once. Fewer, or any out of range, are OR-ed in one at a time."""
+    points = list(points)
+    if len(points) > 64 and 0 <= min(points) <= max(points) < universe_size:
+        digits = bytearray(b"0") * universe_size
+        for p in points:
+            digits[~p] = 49  # ord("1"); the last digit is point 0
+        return int(digits, 2)
     mask = 0
     for p in points:
         if not 0 <= p < universe_size:
@@ -70,8 +81,29 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class SetFamily:
+class _Record:
+    """Equality, repr and pickling by the values of ``__slots__``, in order.
+
+    The result records are named tuples; the two types that define
+    ``__len__`` derive from this instead, since a named tuple's ``_make``
+    and ``_replace`` rely on ``len``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in zip(self.__slots__, self._values()))})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class SetFamily(_Record):
     """Immutable incidence structure of named sets over a finite universe.
 
     ``members[i]`` is the bit mask of points of set ``names[i]``; declaration
@@ -79,17 +111,24 @@ class SetFamily:
     it. ``extension_mask`` marks the extension points (base points are the
     complement). ``external_target`` optionally records a distinguished point
     set inside the extension, and ``provenance`` a canonical-JSON generator
-    record; both round-trip through the structured file format.
+    record; both round-trip through the structured file format. A family is
+    hashable and equal to another with the same field values.
     """
 
-    universe_size: int
-    names: tuple[str, ...]
-    members: tuple[int, ...]
-    extension_mask: int = 0
-    external_target: int | None = None
-    provenance: str | None = None
+    __slots__ = ("universe_size", "names", "members", "extension_mask", "external_target", "provenance")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        universe_size: int,
+        names: tuple[str, ...],
+        members: tuple[int, ...],
+        extension_mask: int = 0,
+        external_target: int | None = None,
+        provenance: str | None = None,
+    ) -> None:
+        values = (universe_size, names, members, extension_mask, external_target, provenance)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
         if self.universe_size < 0:
             raise ValueError("universe_size must be nonnegative")
         if len(self.names) != len(self.members):
@@ -106,6 +145,14 @@ class SetFamily:
                 raise ValueError(f"set {name!r} contains point {bad}, outside the universe")
         if self.external_target is not None and self.external_target & ~self.extension_mask:
             raise ValueError("external target must lie inside the extension points")
+
+    def __setattr__(self, name: str, *value: Any) -> None:
+        raise AttributeError(f"cannot assign or delete field {name!r} of an immutable SetFamily")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     @property
     def universe_mask(self) -> int:
@@ -172,17 +219,20 @@ def point_signature(family: SetFamily, subfamily: Iterable[int], point: int) -> 
     return "".join("1" if family.members[i] >> point & 1 else "0" for i in idxs)
 
 
-@dataclass
-class AtomDecomposition:
+class AtomDecomposition(_Record):
     """The nonempty signature cells (boolean atoms) of a chosen subfamily.
 
     ``cells`` maps each realized signature to the bit mask of its points,
     keyed in ascending signature order. The cells are pairwise disjoint and,
-    when the zero cell is kept, cover the universe.
+    when the zero cell is kept, cover the universe. Decompositions compare
+    by value and are not hashable.
     """
 
-    subfamily: tuple[int, ...]
-    cells: dict[Signature, int] = field(default_factory=dict)
+    __slots__ = ("subfamily", "cells")
+
+    def __init__(self, subfamily: tuple[int, ...], cells: dict[Signature, int] | None = None) -> None:
+        self.subfamily = subfamily
+        self.cells = {} if cells is None else cells
 
     def __len__(self) -> int:
         return len(self.cells)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import GenerationError
 from .family import SetFamily, canonical_json, columns, transpose
@@ -22,8 +21,7 @@ if TYPE_CHECKING:  # fractions loads only on the halfplane path, in _sample_line
     from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     """What produced a family: kind, kind-specific sizes, and the seed."""
 
     kind: str
@@ -52,14 +50,15 @@ def gen_intervals(count: int, universe_size: int, seed: int) -> SetFamily:
     if universe_size < 2 * count:
         raise ValueError("universe_size must be at least 2*count")
     rng = SplitMix64(seed)
-    sets = []
-    for i in range(count):
+    masks = []
+    for _ in range(count):
         a = rng.below(universe_size)
         b = rng.below(universe_size)
         lo, hi = (a, b) if a <= b else (b, a)
-        sets.append((f"I{i}", range(lo, hi + 1)))
+        masks.append((2 << hi) - (1 << lo))  # the points lo..hi
     spec = GeneratorSpec("intervals", (("count", count), ("universe_size", universe_size)), seed)
-    return SetFamily.from_points(universe_size, sets, provenance=spec.provenance())
+    names = tuple(f"I{i}" for i in range(count))
+    return SetFamily(universe_size, names, tuple(masks), provenance=spec.provenance())
 
 
 # --- halfplanes below lines over a square grid ----------------------------
@@ -119,14 +118,18 @@ def gen_halfplane_grid(
     point, i.e. the atom count equals 1 + n + n(n-1)/2. Accepted instances
     therefore meet that closed form at every subfamily size. Rejection
     resamples from the same stream, up to ``attempts`` times. A grid side
-    above MAX_GRID_SIDE raises ValueError before anything is sampled.
+    above MAX_GRID_SIDE, or one with fewer points than the closed form has
+    cells, raises ValueError before anything is sampled.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if not 3 <= grid_side <= MAX_GRID_SIDE:
         raise ValueError(f"grid_side must be between 3 and {MAX_GRID_SIDE}, got {grid_side}")
-    rng = SplitMix64(seed)
     want = 1 + count + count * (count - 1) // 2
+    if want > grid_side * grid_side:
+        raise ValueError(f"count {count} makes {want} cells, each needing a grid point; "
+                         f"grid_side must be at least {math.isqrt(want - 1) + 1}, got {grid_side}")
+    rng = SplitMix64(seed)
     spec = GeneratorSpec("halfplane_grid", (("count", count), ("grid_side", grid_side)), seed)
     for _ in range(attempts):
         masks = [_below_mask(a, b, grid_side) for a, b in _sample_lines(rng, count, grid_side)]

@@ -10,16 +10,14 @@ as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, EmptySetError
 from .family import Check, SetFamily, columns
 from .pq import max_disjoint
 
 
-@dataclass(frozen=True)
-class PiercingSolution:
+class PiercingSolution(NamedTuple):
     """A partition of the family into consistent classes, one point each.
 
     Every set in class ``i`` contains ``piercing_points[i]``, so each class
@@ -231,6 +229,7 @@ def check_solution(
               "all classes consistent" if consistent else f"class {failing} empty"),
         Check("pierce.classes-pierced", tau == len(points) and covered and bounded,
               "a set misses its class point" if not covered
+              else f"tau {tau} but {len(points)} piercing points" if tau != len(points)
               else "every set contains its class point" if bounded
               else f"lower bound {lower_bound} does not fit tau {tau} with optimal={optimal}"),
     ]

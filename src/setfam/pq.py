@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .family import Check, SetFamily, mask_from_points
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """Verdict for one (p,q) query, with re-checkable witnesses.
 
     When ``holds`` is false and q = 2, ``violation`` lists p pairwise-disjoint

@@ -1,4 +1,4 @@
-"""Report files: the schema version, the shape check and ``verify`` replay.
+"""Report files: the shape check and ``verify`` replay (``errors.SCHEMA_VERSION`` is their version).
 
 ``verify_report`` checks the shape of a whole report before it runs any
 check: every key a check reads must be present with its JSON type, and every
@@ -13,10 +13,8 @@ from __future__ import annotations
 import importlib
 from typing import Any
 
-from .errors import FamilyFormatError, ReportFormatError
+from .errors import SCHEMA_VERSION, FamilyFormatError, ReportFormatError
 from .family import POINT, SET_INDEX, Check, SetFamily, check_atoms, check_shape, family_from_dict
-
-SCHEMA_VERSION = "v1"
 
 _SHATTER = {"n": int, "value": int, "witness": [SET_INDEX]}
 

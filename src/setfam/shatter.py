@@ -16,8 +16,7 @@ the witness cannot change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .family import Check, SetFamily, boolean_atoms, columns, transpose
@@ -26,16 +25,14 @@ MODE_EXACT = "exact"
 MODE_GREEDY = "greedy-lower-bound"
 
 
-@dataclass(frozen=True)
-class ShatterResult:
+class ShatterResult(NamedTuple):
     n: int
     value: int
     witness: tuple[int, ...]
     mode: str
 
 
-@dataclass(frozen=True)
-class GrowthProfile:
+class GrowthProfile(NamedTuple):
     """Shatter values for n = 1..n_max plus a diagnostic log-log slope.
 
     The exponent is a least-squares fit over the top half of the range and is

@@ -26,9 +26,8 @@ bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .family import POINT, SET_INDEX, SetFamily, Signature, boolean_atoms, check_shape
@@ -43,14 +42,12 @@ _STAGE_BASE = "also_meets_every_live_atom_in_base_points"
 _STAGE_AVOID = "also_avoids_prior_probe_points"
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     set_index: int
     probes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class WitnessChain:
+class WitnessChain(NamedTuple):
     """Chain steps plus per-step bookkeeping.
 
     ``atom_history[i]`` lists the signatures of the atoms of the first i+1
@@ -74,8 +71,7 @@ class WitnessChain:
         return tuple(p for step in self.steps for p in step.probes)
 
 
-@dataclass(frozen=True)
-class StuckCertificate:
+class StuckCertificate(NamedTuple):
     """Evidence that the construction cannot extend past ``reached_length``.
 
     ``candidate_trace`` records the surviving sets after each filter stage in
@@ -89,8 +85,7 @@ class StuckCertificate:
     chain: WitnessChain
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of the independent chain checks, one flag per check.
 
     ``step_separation_ok``: each step's set contains its own probes and none

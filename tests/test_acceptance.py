@@ -5,7 +5,6 @@ Every expected value is either a closed-form count checked exactly or a
 brute-force recomputation; no tolerances are involved anywhere.
 """
 
-import dataclasses
 import itertools
 import json
 import time
@@ -112,7 +111,7 @@ def test_criterion_3_conditions_imply_distinct_traces():
                 )
                 for s in chain.steps
             )
-            variants.append(dataclasses.replace(chain, steps=steps))
+            variants.append(chain._replace(steps=steps))
         for variant in variants:
             report = verify_witness(family, target, variant)
             mutants_checked += 1

@@ -84,6 +84,16 @@ class TestPierce:
         assert code == 1
         assert f"pierce.classes-pierced: FAIL ({detail})" in out
 
+    def test_tau_not_counting_the_points_fails_verify(self, capsys, disjoint3_file, tmp_path):
+        report = tmp_path / "pierce.report"
+        assert run(capsys, "pierce", "--in", disjoint3_file, "--out", str(report))[0] == 0
+        payload = json.loads(report.read_text())
+        payload["results"]["pierce"].update(tau=5, lower_bound=5)
+        report.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", "--report", str(report))
+        assert code == 1
+        assert "pierce.classes-pierced: FAIL (tau 5 but 3 piercing points)" in out
+
 
 class TestPq:
     def test_violation_listed(self, capsys, disjoint3_file):
@@ -396,6 +406,12 @@ class TestErrorPaths:
         assert run(capsys, "generate", "--kind", "halfplane_grid", "--count", "3",
                    "--grid-side", "5000") == (
             2, "", "error: grid_side must be between 3 and 1448, got 5000\n")
+
+    def test_halfplane_grid_count_beyond_grid_points(self, capsys):
+        # 60 lines make 1,831 cells, each needing its own point of the grid.
+        assert run(capsys, "generate", "--kind", "halfplane_grid", "--count", "60", "--grid-side", "10") == (
+            2, "", "error: count 60 makes 1831 cells, each needing a grid point; "
+            "grid_side must be at least 43, got 10\n")
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

@@ -14,7 +14,6 @@ After a deliberate change to the answers, print the new table with
 import hashlib
 import json
 import sys
-from dataclasses import asdict
 
 import pytest
 
@@ -62,11 +61,11 @@ def answers(fam, pierce):
     nu, witness = max_disjoint(fam)
     out = {
         "max_disjoint": [nu, list(witness)],
-        "has_pq_above": asdict(has_pq(fam, nu + 1, 2)),
-        "has_pq_at": asdict(has_pq(fam, max(nu, 2), 2)),
+        "has_pq_above": has_pq(fam, nu + 1, 2)._asdict(),
+        "has_pq_at": has_pq(fam, max(nu, 2), 2)._asdict(),
     }
     if pierce:
-        out["transversal_exact"] = asdict(transversal_exact(fam))
+        out["transversal_exact"] = transversal_exact(fam)._asdict()
     return out
 
 

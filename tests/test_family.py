@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import example, given
@@ -6,11 +8,13 @@ from hypothesis import strategies as st
 
 from helpers import candidate_points_oracle, columns_oracle, families
 from setfam import (
+    AtomDecomposition,
     FamilyFormatError,
     SetFamily,
     atoms_meeting,
     boolean_atoms,
     gen_random,
+    mask_from_points,
     parse_family,
     point_signature,
     points_from_mask,
@@ -158,6 +162,101 @@ class TestInvariants:
     def test_target_outside_extension_rejected(self):
         with pytest.raises(ValueError):
             SetFamily(2, (), (), extension_mask=0b10, external_target=0b01)
+
+
+class TestRecords:
+    """SetFamily and AtomDecomposition keep what their dataclass forms gave:
+    value equality, and for SetFamily immutability, hashing and pickling."""
+
+    @staticmethod
+    def marked():
+        return SetFamily.from_points(
+            4, [("A0", [0, 1]), ("A1", [1, 2])], extension=[3], external_target=[3], provenance='{"k":1}'
+        )
+
+    def test_set_family_rejects_assignment(self):
+        fam = self.marked()
+        for name in ("names", "members", "universe_size", "provenance", "not_a_field"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(fam, name, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(fam, name)
+        assert fam == self.marked()
+
+    def test_set_family_equal_and_hashable_by_value(self):
+        fam = self.marked()
+        twin = SetFamily(4, ("A0", "A1"), (0b0011, 0b0110), 0b1000, 0b1000, '{"k":1}')
+        assert fam == twin and fam is not twin
+        assert hash(fam) == hash(twin) and len({fam, twin}) == 1
+        assert fam != SetFamily(4, ("A0", "A1"), (0b0011, 0b0110), 0b1000, None, '{"k":1}')
+        assert fam != SetFamily(4, ("A0", "A1"), (0b0011, 0b0110), 0b1000, 0b1000)
+        assert fam != (4, ("A0", "A1"), (0b0011, 0b0110), 0b1000, 0b1000, '{"k":1}')
+        assert repr(SetFamily(1, ("A",), (1,))) == (
+            "SetFamily(universe_size=1, names=('A',), members=(1,), extension_mask=0, "
+            "external_target=None, provenance=None)"
+        )
+
+    def test_set_family_survives_copy_and_pickle(self):
+        fam = self.marked()
+        for clone in (copy.copy(fam), copy.deepcopy(fam), pickle.loads(pickle.dumps(fam))):
+            assert type(clone) is SetFamily and clone == fam
+            assert (clone.extension_mask, clone.external_target, clone.provenance) == (0b1000, 0b1000, '{"k":1}')
+
+    def test_set_family_checks_length_before_names(self):
+        with pytest.raises(ValueError, match="equal length"):
+            SetFamily(2, ("A", "A"), (1,))
+        with pytest.raises(ValueError, match="nonnegative"):
+            SetFamily(-1, ("A", "A"), (1,))
+
+    def test_atom_decomposition_compares_by_value(self):
+        fam = two_sets()
+        atoms = boolean_atoms(fam, [0, 1])
+        assert atoms == boolean_atoms(fam, [0, 1]) and atoms is not boolean_atoms(fam, [0, 1])
+        assert atoms == AtomDecomposition((0, 1), {"00": 0b1000, "01": 0b0100, "10": 0b0001, "11": 0b0010})
+        assert atoms != boolean_atoms(fam, [1, 0])
+        assert atoms != boolean_atoms(fam, [0, 1], include_zero_cell=False)
+        assert AtomDecomposition((0,)) == AtomDecomposition((0,), {}) and len(AtomDecomposition((0,))) == 0
+        with pytest.raises(TypeError):
+            hash(atoms)
+
+
+def or_fold(points):
+    mask = 0
+    for p in points:
+        mask |= 1 << p
+    return mask
+
+
+class TestMaskFromPoints:
+    # Few points are OR-ed in one at a time, many written as digits.
+    @pytest.mark.parametrize("min_size", [0, 65])
+    @given(data=st.data())
+    def test_matches_or_fold(self, min_size, data):
+        universe = data.draw(st.integers(0 if min_size == 0 else 1, 300), label="universe")
+        points = data.draw(st.lists(st.integers(0, universe - 1), min_size=min_size, max_size=200)
+                           if universe else st.just([]))
+        if points:
+            points += data.draw(st.lists(st.sampled_from(points), max_size=80), label="repeats")
+        assert mask_from_points(iter(points), universe) == or_fold(points)
+
+    @pytest.mark.parametrize("min_size", [0, 65])
+    @given(data=st.data())
+    def test_names_the_first_point_out_of_range(self, min_size, data):
+        universe = data.draw(st.integers(0 if min_size == 0 else 1, 300), label="universe")
+        head = data.draw(st.lists(st.integers(0, universe - 1), min_size=min_size, max_size=100)) if universe else []
+        first = data.draw(st.one_of(st.integers(max_value=-1), st.integers(min_value=universe)), label="first")
+        points = [*head, first, *data.draw(st.lists(st.integers(-3, universe + 3), max_size=100))]
+        with pytest.raises(ValueError, match=rf"^point {first} out of range for a universe of {universe} points$"):
+            mask_from_points(points, universe)
+
+    def test_empty_and_whole_universe(self):
+        assert mask_from_points([], 0) == mask_from_points((), 5) == 0
+        assert mask_from_points(range(100), 100) == (1 << 100) - 1
+        with pytest.raises(ValueError, match="point 0 out of range for a universe of 0 points"):
+            mask_from_points([0], 0)
+        for bad in (100, -1):
+            with pytest.raises(ValueError, match=f"^point {bad} out of range for a universe of 100 points$"):
+                mask_from_points([*range(100), bad, 5], 100)
 
 
 class TestPointSignature:

@@ -79,6 +79,12 @@ class TestHalfplaneGrid:
         for side in (2, MAX_GRID_SIDE + 1, 5000):
             with pytest.raises(ValueError, match="grid_side must be between 3 and 1448"):
                 gen_halfplane_grid(3, side, seed=0)
+        # n lines make 1 + n + C(n,2) cells, each needing its own grid point.
+        for count, side, smallest in ((60, 10, 43), (2000, 30, 1415), (4, 3, 4), (3, 3, 3)):
+            if side < smallest:
+                with pytest.raises(ValueError, match=f"^count {count} makes .* at least {smallest}, got {side}$"):
+                    gen_halfplane_grid(count, side, seed=0)
+            assert smallest * smallest >= 1 + count + math.comb(count, 2) > (smallest - 1) ** 2
 
     def test_resampling_budget_error(self):
         # One attempt on a coarse grid with many lines cannot succeed.

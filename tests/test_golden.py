@@ -142,6 +142,8 @@ CASES = [
      _edit("atoms.json", "bad-split.json", _split_atom)),
     ("verify-bad-pierce-bound", ["verify", "--report", "bad-pierce-bound.json"],
      _edit("pierce3.json", "bad-pierce-bound.json", _set("pierce", "lower_bound", 4))),
+    ("verify-bad-pierce-tau", ["verify", "--report", "bad-pierce-tau.json"],
+     _edit("pierce3.json", "bad-pierce-tau.json", lambda r: r["pierce"].update(tau=5, lower_bound=5))),
     ("verify-bad-sequence", ["verify", "--report", "bad-sequence.json"],
      _edit("sequence3.json", "bad-sequence.json", _set("disjoint", "avoid", [1]))),
     ("verify-bad-chain", ["verify", "--report", "bad-chain.json"],
@@ -215,6 +217,7 @@ GOLDEN = {
     'verify-bad-atom-count': [1, '658770b7fbc1fa4f7bdef8dde6439ce06d223abee52d0d901f0acdcf2c84839c', None],
     'verify-bad-atoms-split': [1, '534f553589f8718dcc75048c578c2b339db9206b4c0d2316835f6bfa37619028', None],
     'verify-bad-pierce-bound': [1, '5e42a91b89bb8a94bdf9b8906eaf625c1d41b84fe54bc65023ad9e8f536e2a3f', None],
+    'verify-bad-pierce-tau': [1, '7bc822ee818dae90df2c3c94d67aeca7abe696f6902c0135ab91d22e0b99a713', None],
     'verify-bad-sequence': [1, '53d265f7379f9a731f5c2797e0563e2f8575ed217416e8a97dc540c0338bd927', None],
     'verify-bad-chain': [1, '15db5fa70f0859a081fa22692d347b73fa03dd90af3954de99bd31036d54f00f', None],
     'verify-bad-chain-length': [1, 'eb930fa54678a58d433494cf1d155ed3045813dedc39170057c0917616140ece', None],

@@ -11,6 +11,7 @@ from helpers import (
 )
 from setfam import (
     EmptySetError,
+    PiercingSolution,
     SetFamily,
     gen_intervals,
     max_disjoint,
@@ -105,6 +106,15 @@ class TestExact:
         bigger = SetFamily(fam.universe_size, fam.names + ("EXTRA",), fam.members + (extra,))
         assert transversal_exact(bigger).tau >= transversal_exact(fam).tau
         assert max_disjoint(bigger)[0] >= max_disjoint(fam)[0]
+
+    def test_solution_as_dict(self):
+        solution = transversal_exact(singletons())
+        assert solution._asdict() == {
+            "tau": 3, "piercing_points": (0, 1, 2), "assignment": (0, 1, 2), "optimal": True, "lower_bound": 3,
+        }
+        assert list(solution._asdict()) == list(PiercingSolution._fields)
+        assert PiercingSolution(**solution._asdict()) == solution
+        assert PiercingSolution(1, (0,), (0,), False).lower_bound is None
 
 
 class TestIntervalsAtScale:

@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -178,9 +177,9 @@ class TestVerifier:
         p1 = list(steps[1].probes)
         p2 = list(steps[2].probes)
         p1[0], p2[0] = p2[0], p1[0]
-        steps[1] = dataclasses.replace(steps[1], probes=tuple(p1))
-        steps[2] = dataclasses.replace(steps[2], probes=tuple(p2))
-        mutated = dataclasses.replace(chain, steps=tuple(steps))
+        steps[1] = steps[1]._replace(probes=tuple(p1))
+        steps[2] = steps[2]._replace(probes=tuple(p2))
+        mutated = chain._replace(steps=tuple(steps))
         report = verify_witness(fam, target, mutated)
         assert not report.step_separation_ok
         assert not report.ok
@@ -192,8 +191,8 @@ class TestVerifier:
         steps = list(chain.steps)
         probes = list(steps[1].probes)
         probes[1] = probes[0]
-        steps[1] = dataclasses.replace(steps[1], probes=tuple(probes))
-        mutated = dataclasses.replace(chain, steps=tuple(steps))
+        steps[1] = steps[1]._replace(probes=tuple(probes))
+        mutated = chain._replace(steps=tuple(steps))
         report = verify_witness(fam, target, mutated)
         assert not report.within_step_distinct_ok
         assert not report.all_traces_distinct_ok
@@ -201,14 +200,14 @@ class TestVerifier:
     def test_tampered_counts_detected(self):
         fam, target = gen_witness_rich(2, seed=4)
         chain = build_quadratic_witness(fam, target, 2)
-        mutated = dataclasses.replace(chain, target_atom_counts=(2, 9))
+        mutated = chain._replace(target_atom_counts=(2, 9))
         report = verify_witness(fam, target, mutated)
         assert not report.target_counts_ok
 
     @pytest.mark.parametrize("seed", [0, 6])
     @pytest.mark.parametrize("tamper, message", [
         pytest.param(
-            lambda chain: dataclasses.replace(chain, atom_history=(
+            lambda chain: chain._replace(atom_history=(
                 *chain.atom_history[:2],
                 (flip_first(chain.atom_history[2][0]), *chain.atom_history[2][1:]),
                 *chain.atom_history[3:],
@@ -217,16 +216,14 @@ class TestVerifier:
             id="signature-changed-at-step-3",
         ),
         pytest.param(
-            lambda chain: dataclasses.replace(chain, atom_history=(
+            lambda chain: chain._replace(atom_history=(
                 *chain.atom_history[:-1], chain.atom_history[-1][:-1],
             )),
             "recorded atom signatures at step 6 differ from recomputed atoms",
             id="signature-dropped-at-step-6",
         ),
         pytest.param(
-            lambda chain: dataclasses.replace(
-                chain, target_atom_counts=(3, *chain.target_atom_counts[1:])
-            ),
+            lambda chain: chain._replace(target_atom_counts=(3, *chain.target_atom_counts[1:])),
             "recorded live-atom count 3 at step 1 differs from recomputed 2",
             id="count-changed-at-step-1",
         ),
@@ -247,7 +244,7 @@ class TestVerifier:
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("tamper, message", [
         pytest.param(
-            lambda chain: dataclasses.replace(chain, atom_history=(
+            lambda chain: chain._replace(atom_history=(
                 *chain.atom_history[:-1],
                 (*chain.atom_history[-1][:-1], flip_first(chain.atom_history[-1][-1])),
             )),
@@ -255,9 +252,7 @@ class TestVerifier:
             id="signature-changed-at-step-13",
         ),
         pytest.param(
-            lambda chain: dataclasses.replace(
-                chain, target_atom_counts=(3, *chain.target_atom_counts[1:])
-            ),
+            lambda chain: chain._replace(target_atom_counts=(3, *chain.target_atom_counts[1:])),
             "recorded live-atom count 3 at step 1 differs from recomputed 2",
             id="count-changed-at-step-1",
         ),
@@ -273,6 +268,19 @@ class TestVerifier:
         assert report.distinct_trace_count == report.required_trace_count == 91
         assert report.failures == (message,)
 
+    def test_chain_replace_and_as_dict(self):
+        fam, target = gen_witness_rich(3, seed=1)
+        chain = build_quadratic_witness(fam, target, 3)
+        shorter = chain._replace(steps=chain.steps[:2])
+        assert (shorter.length, chain.length) == (2, 3)
+        assert shorter.atom_history is chain.atom_history and shorter.steps == chain.steps[:2]
+        assert chain._replace() == chain and WitnessChain(*chain) == chain
+        assert list(chain._asdict()) == ["steps", "atom_history", "target_atom_counts"]
+        with pytest.raises(ValueError):
+            chain._replace(length=2)
+        with pytest.raises(AttributeError):
+            chain.steps = ()
+
     def test_empty_chain(self):
         fam, target = gen_witness_rich(3, seed=1)
         report = verify_witness(fam, target, WitnessChain())
@@ -283,18 +291,14 @@ class TestVerifier:
     def test_structurally_invalid_chain_raises(self):
         fam, target = gen_witness_rich(2, seed=4)
         chain = build_quadratic_witness(fam, target, 2)
-        wrong_count = dataclasses.replace(
-            chain, steps=(chain.steps[0], dataclasses.replace(chain.steps[1], probes=(0,)))
-        )
+        wrong_count = chain._replace(steps=(chain.steps[0], chain.steps[1]._replace(probes=(0,))))
         with pytest.raises(ValueError, match="2 probes"):
             verify_witness(fam, target, wrong_count)
 
     def test_non_base_probe_raises(self):
         fam, target = gen_witness_rich(1, seed=4)
         chain = build_quadratic_witness(fam, target, 1)
-        bad = dataclasses.replace(
-            chain, steps=(dataclasses.replace(chain.steps[0], probes=(target[0],)),)
-        )
+        bad = chain._replace(steps=(chain.steps[0]._replace(probes=(target[0],)),))
         with pytest.raises(ValueError, match="base"):
             verify_witness(fam, target, bad)
 
@@ -325,7 +329,7 @@ class TestVerifier:
                     )
                     for s in chain.steps
                 ]
-                variants.append(dataclasses.replace(chain, steps=tuple(steps)))
+                variants.append(chain._replace(steps=tuple(steps)))
             for variant in variants:
                 report = verify_witness(fam, target, variant)
                 if report.step_separation_ok and report.within_step_distinct_ok:
