@@ -26,7 +26,6 @@ _EXPORTS = {
         "AtomDecomposition",
         "SetFamily",
         "Signature",
-        "atoms_meeting",
         "boolean_atoms",
         "family_from_dict",
         "family_to_dict",

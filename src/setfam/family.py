@@ -1,17 +1,18 @@
 """Finite set families over an integer point universe.
 
-Points are dense indices ``0 .. universe_size-1``, partitioned into *base*
-points and *extension* points. Sets are stored as bit masks (one Python int
-per set). The one atom kernel, ``_cells``, splits the universe by one
-chosen set at a time, or reads the points' columns off the set rows once
-splitting would cost more. ``columns`` carries each cell's membership column
-as an int, and ``atoms_meeting``, piercing candidates and the halfplane
-generator count or read those directly. ``boolean_atoms`` keys each cell by
-its signature, which the kernel reads straight off the rows when it reads
-rows. ``point_signature`` and ``check_atoms`` stay off the kernel so that
-they can check it. ``transpose`` is the one bit-matrix transpose; the
-kernel, the exact shatter search's column compression and the halfplane
-generator's masks all call it.
+Points are dense indices ``0 .. universe_size-1``, at most MAX_UNIVERSE of
+them, partitioned into *base* points and *extension* points. Sets are stored
+as bit masks (one Python int per set). A cell of a chosen subfamily pairs a
+signature (character k: membership in its k-th set) with the mask of the
+points that carry it. The atom kernel, ``cells``, returns them as one dict:
+it splits the universe one set at a time with ``split_cells``, or reads the
+signatures off the set rows once splitting would cost more.
+``boolean_atoms``, the exact shatter search's compression, piercing
+candidates and the halfplane generator read that dict; the witness builder
+refines its live atoms with ``split_cells``. ``transpose`` is the one
+bit-matrix transpose. The verifiers (``check_atoms`` and the witness
+verifier) read traces with ``point_traces``, apart from the kernel, so that
+they check it.
 
 Two text formats are supported:
 
@@ -33,6 +34,10 @@ import json
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import FamilyFormatError, ReportFormatError
+
+# The largest universe: gen_witness_rich's at its largest depth. A larger one
+# is refused before any mask is built.
+MAX_UNIVERSE = 2**21 - 1
 
 # One '0'/'1' character per set of a chosen subfamily, in subfamily order.
 Signature = str
@@ -68,12 +73,8 @@ def mask_from_points(points: Iterable[int], universe_size: int) -> int:
 
 
 def points_from_mask(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    """The points of the mask, ascending, read off its binary digits."""
+    return tuple([p for p, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"])
 
 
 def canonical_json(obj: Any) -> str:
@@ -131,6 +132,8 @@ class SetFamily(_Record):
             object.__setattr__(self, name, value)
         if self.universe_size < 0:
             raise ValueError("universe_size must be nonnegative")
+        if self.universe_size > MAX_UNIVERSE:
+            raise ValueError(f"universe_size must be at most {MAX_UNIVERSE}, got {universe_size}")
         if len(self.names) != len(self.members):
             raise ValueError("names and members must have equal length")
         if len(set(self.names)) != len(self.names):
@@ -254,49 +257,43 @@ def transpose(rows: Sequence[int], width: int) -> Iterator[str]:
     return map("".join, zip(*(format(row, f"0{width}b")[::-1] for row in reversed(rows))))
 
 
-def _cells(family: SetFamily, idxs: tuple[int, ...], signatures: bool) -> list[tuple[int, int]] | dict[str, int]:
-    """The nonempty cells of the universe split by ``idxs``, as ``columns``
-    describes them, or, once the kernel reads the set rows, a dict from each
-    numeral that ``transpose`` reads off the rows to its points. The rows go
-    in subfamily order, so a numeral's value is its column, or with
-    ``signatures`` in reverse, so its character k is membership in ``idxs[k]``.
+Cell = tuple[Signature, int]
+
+
+def split_cells(parts: Iterable[Cell], mem: int) -> list[Cell]:
+    """Each cell split by one more set: its points outside the set, then
+    those inside, each part kept if nonempty and its signature extended by
+    "0" or "1". Cells in ascending signature order stay in that order."""
+    out = []
+    for sig, mask in parts:
+        hi = mask & mem
+        if hi != mask:
+            out.append((sig + "0", mask ^ hi))
+        if hi:
+            out.append((sig + "1", hi))
+    return out
+
+
+def cells(family: SetFamily, subfamily: Iterable[int]) -> dict[Signature, int]:
+    """The nonempty cells of the universe split by the subfamily, as a dict
+    from each signature to its points. Indices are not checked.
 
     Splitting by one more set visits every cell once, so once the cells times
-    the sets left exceed the points, reading each point's numeral off the set
-    rows costs less."""
+    the sets left exceed the points, the kernel reads each point's signature
+    off the set rows instead: ``transpose`` of the rows in reverse subfamily
+    order. Split cells come in ascending signature order, read ones in order
+    of their lowest point."""
+    idxs = tuple(subfamily)
     n = family.universe_size
-    cells = [(0, family.universe_mask)] if n else []
+    parts = [("", family.universe_mask)] if n else []
     for k, i in enumerate(idxs):
-        if len(cells) * (len(idxs) - k) > n:
-            rows = [family.members[j] for j in (idxs[::-1] if signatures else idxs)]
-            groups: dict[str, int] = {}
-            for p, numeral in enumerate(transpose(rows, n)):
-                groups[numeral] = groups.get(numeral, 0) | 1 << p
-            return groups
-        mem, bit = family.members[i], 1 << k
-        split = []
-        for col, mask in cells:
-            hi = mask & mem
-            if hi:
-                split.append((col | bit, hi))
-                lo = mask ^ hi
-                if lo:
-                    split.append((col, lo))
-            else:
-                split.append((col, mask))
-        cells = split
-    return cells
-
-
-def columns(family: SetFamily, subfamily: Iterable[int]) -> list[tuple[int, int]]:
-    """The nonempty cells of the universe split by the subfamily, as
-    ``(column, points_mask)`` pairs in no fixed order; bit k of a column means
-    membership in ``subfamily[k]``. Indices are not checked.
-
-    Narrow subfamilies split the universe one set at a time; wide ones read
-    each point's column off the set rows (see ``_cells``)."""
-    cells = _cells(family, tuple(subfamily), signatures=False)
-    return [(int(numeral, 2), mask) for numeral, mask in cells.items()] if isinstance(cells, dict) else cells
+        if len(parts) * (len(idxs) - k) > n:
+            found: dict[Signature, int] = {}
+            for p, sig in enumerate(transpose([family.members[j] for j in reversed(idxs)], n)):
+                found[sig] = found.get(sig, 0) | 1 << p
+            return found
+        parts = split_cells(parts, family.members[i])
+    return dict(parts)
 
 
 def boolean_atoms(
@@ -308,18 +305,20 @@ def boolean_atoms(
     set is constant. The all-complements cell (signature with no ``1``) is an
     atom of the closure under complements; ``include_zero_cell=False`` drops
     it, which is the other convention found in the literature.
-
-    Where the kernel reads the set rows, it reads the signatures themselves;
-    only split cells have their int columns formatted.
     """
     idxs = _check_subfamily(family, subfamily)
-    cells = _cells(family, idxs, signatures=True)
-    if not isinstance(cells, dict):
-        # bin() of col with a leading 1 at bit n spells the n column bits high
-        # to low after "0b1"; reversed, character k is membership in idxs[k].
-        top = 1 << len(idxs)
-        cells = {bin(col | top)[3:][::-1]: mask for col, mask in cells}
-    return AtomDecomposition(idxs, {sig: cells[sig] for sig in sorted(cells) if include_zero_cell or "1" in sig})
+    found = cells(family, idxs)
+    return AtomDecomposition(idxs, {sig: found[sig] for sig in sorted(found) if include_zero_cell or "1" in sig})
+
+
+def point_traces(family: SetFamily, subfamily: Sequence[int]) -> list[Signature]:
+    """Every point's signature on the subfamily, in point order.
+
+    Each set is formatted once as a row of digits, lowest point first, and
+    the rows are zipped. The verifiers read traces here, apart from the
+    kernel, so that they check it."""
+    rows = [format(family.members[i], f"0{family.universe_size}b")[::-1] for i in subfamily]
+    return list(map("".join, zip(*rows))) if rows else [""] * family.universe_size
 
 
 def check_atoms(
@@ -335,6 +334,7 @@ def check_atoms(
     empty, no signature listed twice and ``atom_count`` cells listed."""
     kind = "atoms.decomposition-reverifies"
     idxs = _check_subfamily(family, subfamily)
+    traces = point_traces(family, idxs)
     union = 0
     for signature, points in atoms:
         mask = mask_from_points(points, family.universe_size)
@@ -342,7 +342,7 @@ def check_atoms(
             return Check(kind, False, "cells overlap")
         union |= mask
         for p in points:
-            if point_signature(family, idxs, p) != signature:
+            if traces[p] != signature:
                 return Check(kind, False, f"point {p} does not match signature {signature}")
     if include_zero_cell and union != family.universe_mask:
         return Check(kind, False, "cells do not cover the universe")
@@ -357,12 +357,6 @@ def check_atoms(
     if atom_count != len(atoms):
         return Check(kind, False, f"atom_count {atom_count} differs from the {len(atoms)} listed atoms")
     return Check(kind, True, "cells are disjoint and signatures match")
-
-
-def atoms_meeting(family: SetFamily, subfamily: Iterable[int], target: Iterable[int]) -> int:
-    """Number of atoms (zero cell included) that intersect the target points."""
-    t = mask_from_points(target, family.universe_size)
-    return sum(1 for _, mask in columns(family, _check_subfamily(family, subfamily)) if mask & t)
 
 
 # --------------------------------------------------------------------------
@@ -437,6 +431,8 @@ def _parse_incidence(text: str) -> SetFamily:
     if len(parts) != 2 or not all(p.isdigit() for p in parts):
         raise FamilyFormatError("header must be two integers 'num_sets num_points'", line=header_line)
     m, n = int(parts[0]), int(parts[1])
+    if n > MAX_UNIVERSE:
+        raise FamilyFormatError(f"universe of {n} points exceeds the largest, {MAX_UNIVERSE}", line=header_line)
     body = rows[1:]
     if len(body) != m:
         at = body[-1][0] if body else header_line
@@ -448,16 +444,11 @@ def _parse_incidence(text: str) -> SetFamily:
             raise FamilyFormatError(
                 f"incidence row must have {n} characters, found {len(row)}", line=lineno
             )
-        mask = 0
-        for col, ch in enumerate(row):
-            if ch == "1":
-                mask |= 1 << col
-            elif ch != "0":
-                raise FamilyFormatError(
-                    f"invalid character {ch!r} in incidence row", line=lineno, column=col + 1
-                )
+        if row.count("0") + row.count("1") != n:
+            col = next(col for col, ch in enumerate(row) if ch not in "01")
+            raise FamilyFormatError(f"invalid character {row[col]!r} in incidence row", line=lineno, column=col + 1)
         names.append(f"S{i}")
-        members.append(mask)
+        members.append(int(row[::-1], 2))  # the last digit is point 0
     return SetFamily(n, tuple(names), tuple(members))
 
 
@@ -474,14 +465,11 @@ def _parse_structured(text: str) -> SetFamily:
 def _expect_point_list(value: Any, where: str, universe: int) -> int:
     if not isinstance(value, list) or not all(isinstance(p, int) and not isinstance(p, bool) for p in value):
         raise FamilyFormatError("expected a list of point indices", where=where)
-    mask = 0
-    for pos, p in enumerate(value):
-        if not 0 <= p < universe:
-            raise FamilyFormatError(
-                f"point {p} out of range for universe {universe}", where=f"{where}[{pos}]"
-            )
-        mask |= 1 << p
-    return mask
+    try:
+        return mask_from_points(value, universe)
+    except ValueError:
+        pos, p = next((pos, p) for pos, p in enumerate(value) if not 0 <= p < universe)
+        raise FamilyFormatError(f"point {p} out of range for universe {universe}", where=f"{where}[{pos}]") from None
 
 
 def family_from_dict(obj: Any) -> SetFamily:
@@ -496,6 +484,8 @@ def family_from_dict(obj: Any) -> SetFamily:
     universe = obj["universe"]
     if universe < 0:
         raise FamilyFormatError("'universe' must be nonnegative", where="universe")
+    if universe > MAX_UNIVERSE:
+        raise FamilyFormatError(f"universe of {universe} points exceeds the largest, {MAX_UNIVERSE}", where="universe")
     ext_mask = _expect_point_list(obj.get("extension", []), "extension", universe)
     if "base" in obj:
         base_mask = _expect_point_list(obj["base"], "base", universe)
@@ -579,6 +569,6 @@ def serialize_family(family: SetFamily, fmt: str = "structured") -> str:
         n = family.universe_size
         lines = [f"{family.num_sets} {n}"]
         for mem in family.members:
-            lines.append("".join("1" if mem >> p & 1 else "0" for p in range(n)))
+            lines.append(format(mem, f"0{n}b")[::-1] if n else "")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -9,12 +9,11 @@ provenance record that survives serialization.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import GenerationError
-from .family import SetFamily, canonical_json, columns, transpose
+from .family import MAX_UNIVERSE, SetFamily, canonical_json, cells, transpose
 from .rng import SplitMix64
 
 if TYPE_CHECKING:  # fractions loads only on the halfplane path, in _sample_lines
@@ -33,11 +32,6 @@ class GeneratorSpec(NamedTuple):
             {"kind": self.kind, "parameters": dict(self.parameters), "seed": self.seed}
         )
 
-    @classmethod
-    def from_provenance(cls, text: str) -> "GeneratorSpec":
-        obj = json.loads(text)
-        return cls(obj["kind"], tuple(sorted(obj["parameters"].items())), obj["seed"])
-
 
 def gen_intervals(count: int, universe_size: int, seed: int) -> SetFamily:
     """Random integer intervals (inclusive point ranges); all points base.
@@ -49,6 +43,8 @@ def gen_intervals(count: int, universe_size: int, seed: int) -> SetFamily:
         raise ValueError("count must be at least 1")
     if universe_size < 2 * count:
         raise ValueError("universe_size must be at least 2*count")
+    if universe_size > MAX_UNIVERSE:
+        raise ValueError(f"universe_size must be at most {MAX_UNIVERSE}, got {universe_size}")
     rng = SplitMix64(seed)
     masks = []
     for _ in range(count):
@@ -100,7 +96,7 @@ def _below_mask(slope: Fraction, intercept: Fraction, side: int) -> int | None:
     return int("".join(reversed(list(transpose(runs, side)))), 2)
 
 
-# 1,448**2 = 2,096,704 points, just under gen_witness_rich's largest universe.
+# 1,448**2 = 2,096,704 points, just under MAX_UNIVERSE.
 MAX_GRID_SIDE = 1448
 
 
@@ -141,14 +137,14 @@ def gen_halfplane_grid(
             tuple(masks),
             provenance=spec.provenance(),
         )
-        if len(columns(family, range(count))) == want:
+        if len(cells(family, range(count))) == want:
             return family
     raise GenerationError(
         f"resampling budget exhausted after {attempts} attempts; use a finer grid"
     )
 
 
-# 2**(depth+1) - 1 points: 2,097,151 at the largest depth.
+# 2**(depth+1) - 1 points: MAX_UNIVERSE at the largest depth.
 MAX_WITNESS_DEPTH = 20
 
 
@@ -225,6 +221,8 @@ def gen_random(
         raise ValueError("count must be at least 1")
     if universe_size < 1:
         raise ValueError("universe_size must be at least 1")
+    if universe_size > MAX_UNIVERSE:
+        raise ValueError(f"universe_size must be at most {MAX_UNIVERSE}, got {universe_size}")
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
     threshold = int(density * 2**64)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, EmptySetError
-from .family import Check, SetFamily, columns
+from .family import Check, SetFamily, cells
 from .pq import max_disjoint
 
 
@@ -41,11 +41,12 @@ def _require_pierceable(family: SetFamily) -> None:
 
 def _candidate_points(family: SetFamily) -> list[tuple[int, int]]:
     # Points with identical set-membership columns are interchangeable; keep
-    # the lowest index of each distinct nonzero column.
+    # the lowest index of each distinct nonzero column. Over the sets in
+    # reverse order, bit i of a signature's numeral is membership in set i.
     return sorted(
-        ((mask & -mask).bit_length() - 1, col)
-        for col, mask in columns(family, range(family.num_sets))
-        if col
+        ((mask & -mask).bit_length() - 1, int(sig, 2))
+        for sig, mask in cells(family, reversed(range(family.num_sets))).items()
+        if "1" in sig
     )
 
 

@@ -19,7 +19,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
-from .family import Check, SetFamily, boolean_atoms, columns, transpose
+from .family import Check, SetFamily, boolean_atoms, cells
 
 MODE_EXACT = "exact"
 MODE_GREEDY = "greedy-lower-bound"
@@ -64,8 +64,9 @@ def _compress(family: SetFamily) -> tuple[list[int], int]:
     Points with equal columns are never separated, so the exact search runs
     on these."""
     m = family.num_sets
-    cols = [col for col, _ in columns(family, range(m))]
-    return ([int(numeral, 2) for numeral in transpose(cols, m)] if cols else [0] * m), len(cols)
+    sigs = list(cells(family, range(m)))
+    # Character t of every distinct signature, read as one numeral.
+    return ([int("".join(row), 2) for row in zip(*sigs)] if sigs else [0] * m), len(sigs)
 
 
 def _exact(compressed: tuple[list[int], int], n: int, budget: int) -> ShatterResult:

@@ -18,7 +18,9 @@ that (in this order of blame when none survives)
 3. avoid every probe placed at earlier steps;
 
 and then takes the lowest-index survivor, with the lowest base point as each
-probe. "Live atom" means an atom of the current chain sets that meets B.
+probe. "Live atom" means an atom of the current chain sets that meets B;
+each step splits the live atoms by the new set with the kernel's
+``split_cells`` and keeps the parts that meet B.
 ``verify_witness`` recomputes every condition from scratch, reading each
 point's trace off the chain sets' own rows rather than the builder's atom
 bookkeeping.
@@ -30,8 +32,8 @@ from itertools import compress
 from typing import Any, Iterable, NamedTuple
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError
-from .family import POINT, SET_INDEX, SetFamily, Signature, boolean_atoms, check_shape
-from .family import mask_from_points, points_from_mask
+from .family import POINT, SET_INDEX, Cell, SetFamily, Signature, _check_subfamily, check_shape
+from .family import mask_from_points, point_traces, points_from_mask, split_cells
 
 REASON_NO_SPLIT = "no splitting set"
 REASON_NO_BASE_HIT = "no set meeting every live atom in base points"
@@ -146,12 +148,13 @@ def _validate_chain(family: SetFamily, chain: WitnessChain) -> None:
 
 # The live atoms of a chain: (signature, points) of each atom of its sets that
 # meets the target, in ascending signature order.
-_Atoms = list[tuple[Signature, int]]
+_Atoms = list[Cell]
 
 
-def _live_atoms(family: SetFamily, prefix: tuple[int, ...], target_mask: int) -> _Atoms:
-    decomposition = boolean_atoms(family, prefix, include_zero_cell=True)
-    return [(sig, mask) for sig, mask in decomposition.cells.items() if mask & target_mask]
+def _refine(atoms: _Atoms, mem: int, target_mask: int) -> _Atoms:
+    """The live atoms after one more set: each live atom split by it, keeping
+    the parts that meet the target."""
+    return [cell for cell in split_cells(atoms, mem) if cell[1] & target_mask]
 
 
 def _candidate_stages(
@@ -190,7 +193,9 @@ def candidate_sets(
     """
     mask = _target_mask(family, target, require_nonempty=False)
     _validate_chain(family, chain)
-    atoms = _live_atoms(family, chain.set_indices(), mask)
+    atoms = [("", family.universe_mask)]
+    for i in _check_subfamily(family, chain.set_indices()):
+        atoms = _refine(atoms, family.members[i], mask)
     return tuple(_candidate_stages(family, mask, chain, atoms)[2])
 
 
@@ -207,8 +212,7 @@ def _extend(
         pool = atoms[j][1] & mem & base
         assert pool, "candidate filtering guarantees a base point in every live atom"
         probes.append((pool & -pool).bit_length() - 1)
-    prefix = chain.set_indices() + (set_index,)
-    after = _live_atoms(family, prefix, target_mask)
+    after = _refine(atoms, mem, target_mask)
     return WitnessChain(
         chain.steps + (ChainStep(set_index, tuple(probes)),),
         chain.atom_history + (tuple(sig for sig, _ in after),),
@@ -253,7 +257,7 @@ def build_quadratic_witness(
         raise ValueError("n_target must be at least 1")
     if exhaustive:
         return _build_exhaustive(family, target_mask, n_target, budget)
-    chain, atoms = WitnessChain(), _live_atoms(family, (), target_mask)
+    chain, atoms = WitnessChain(), [("", family.universe_mask)]
     while chain.length < n_target:
         splitters, base_hitters, full = _candidate_stages(family, target_mask, chain, atoms)
         if not full:
@@ -265,7 +269,7 @@ def build_quadratic_witness(
 def _build_exhaustive(
     family: SetFamily, target_mask: int, n_target: int, budget: int
 ) -> WitnessChain | StuckCertificate:
-    deepest = WitnessChain(), _live_atoms(family, (), target_mask)
+    deepest = WitnessChain(), [("", family.universe_mask)]
     nodes = 0
 
     def dfs(chain: WitnessChain, atoms: _Atoms) -> WitnessChain | None:
@@ -293,11 +297,10 @@ def _build_exhaustive(
 def verify_witness(family: SetFamily, target: Iterable[int], chain: WitnessChain) -> VerificationReport:
     """Re-check a chain from scratch and report each condition separately.
 
-    Each chain set is formatted once as a row of digits and the rows are
-    zipped, so every point's trace on the chain comes from one pass. The
-    live atoms after step i are the distinct i-prefixes of the target's
+    Every point's trace on the chain comes from one ``point_traces`` pass.
+    The live atoms after step i are the distinct i-prefixes of the target's
     traces, each level built from the level after it. The verifier calls
-    none of the builder's atom code (``columns``, ``boolean_atoms``,
+    none of the builder's atom code (``cells``, ``split_cells``,
     ``transpose``). Structural defects (wrong probe counts, non-base probes,
     bad indices) raise instead of reporting.
     """
@@ -321,13 +324,10 @@ def verify_witness(family: SetFamily, target: Iterable[int], chain: WitnessChain
                         f"set of step {later + 1} contains probe {p} from earlier step {i + 1}"
                     )
 
-    # Each chain set is formatted once as a row of digits, lowest point
-    # first; zipping the rows spells every point's trace on the whole chain in
-    # one pass (no rows, no traces). A point's trace on the first i chain sets
-    # is the first i characters of that trace.
+    # A point's trace on the first i chain sets is the first i characters of
+    # its trace on the whole chain.
     all_probes = chain.probe_points()
-    rows = [format(s, f"0{family.universe_size}b")[::-1] for s in sets]
-    traces = list(map("".join, zip(*rows)))
+    traces = point_traces(family, chain.set_indices())
     probe_traces = {p: traces[p] for p in all_probes}
     within_ok = True
     for i in range(1, n):

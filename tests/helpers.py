@@ -132,14 +132,14 @@ def random_family(
     return SetFamily(n, tuple(f"S{i}" for i in range(m)), tuple(members))
 
 
-def columns_oracle(family: SetFamily, subfamily: list[int]) -> list[tuple[int, int]]:
-    """(column, points_mask) of each distinct membership column over the
-    subfamily (bit k: membership in ``subfamily[k]``), by a per-point loop,
-    sorted by column."""
-    cells: dict[int, int] = {}
+def cells_oracle(family: SetFamily, subfamily: list[int]) -> list[tuple[str, int]]:
+    """(signature, points_mask) of each distinct membership signature over
+    the subfamily (character k: membership in ``subfamily[k]``), by a
+    per-point loop, sorted by signature."""
+    cells: dict[str, int] = {}
     for pt in range(family.universe_size):
-        col = sum(1 << k for k, i in enumerate(subfamily) if family.members[i] >> pt & 1)
-        cells[col] = cells.get(col, 0) | 1 << pt
+        sig = "".join("1" if family.members[i] >> pt & 1 else "0" for i in subfamily)
+        cells[sig] = cells.get(sig, 0) | 1 << pt
     return sorted(cells.items())
 
 

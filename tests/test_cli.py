@@ -413,6 +413,21 @@ class TestErrorPaths:
             2, "", "error: count 60 makes 1831 cells, each needing a grid point; "
             "grid_side must be at least 43, got 10\n")
 
+    @pytest.mark.parametrize("kind, args", [("intervals", []), ("random", ["--density", "0.5"])])
+    def test_generate_universe_above_maximum(self, capsys, kind, args):
+        assert run(capsys, "generate", "--kind", kind, "--count", "3", "--universe", "2097152", *args) == (
+            2, "", "error: universe_size must be at most 2097151, got 2097152\n")
+
+    @pytest.mark.parametrize("text, where", [
+        ("0 2097152\n", "line 1"),
+        ('{"universe": 2097152, "sets": []}', "universe"),
+    ])
+    def test_family_universe_above_maximum(self, capsys, tmp_path, text, where):
+        path = tmp_path / "huge.fam"
+        path.write_text(text)
+        assert run(capsys, "disjoint", "--in", str(path)) == (
+            2, "", f"error: {where}: universe of 2097152 points exceeds the largest, 2097151\n")
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

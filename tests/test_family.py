@@ -6,12 +6,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import candidate_points_oracle, columns_oracle, families
+from helpers import candidate_points_oracle, cells_oracle, families
 from setfam import (
     AtomDecomposition,
     FamilyFormatError,
     SetFamily,
-    atoms_meeting,
     boolean_atoms,
     gen_random,
     mask_from_points,
@@ -21,7 +20,7 @@ from setfam import (
     serialize_family,
 )
 from setfam import family as family_module
-from setfam.family import columns
+from setfam.family import MAX_UNIVERSE, cells, check_atoms, split_cells
 from setfam.piercing import _candidate_points
 from setfam.rng import SplitMix64
 
@@ -54,6 +53,13 @@ class TestParsing:
         assert fam.extension_points() == (8, 9)
         assert fam.base_points() == tuple(range(8))
         assert fam.set_points(0) == (0, 8)
+
+    @pytest.mark.parametrize("bad", [99, -1])
+    def test_point_out_of_range_in_a_long_list_names_its_position(self, bad):
+        text = json.dumps({"universe": 90, "sets": [{"name": "BIG", "points": [*range(80), bad, 95]}]})
+        with pytest.raises(FamilyFormatError) as info:
+            parse_family(text)
+        assert str(info.value) == f"sets[0] ('BIG').points[80]: point {bad} out of range for universe 90"
 
     def test_point_out_of_range_names_the_set(self):
         text = json.dumps(
@@ -259,6 +265,65 @@ class TestMaskFromPoints:
                 mask_from_points([*range(100), bad, 5], 100)
 
 
+def bit_by_bit(mask):
+    return tuple(p for p in range(mask.bit_length()) if mask >> p & 1)
+
+
+class TestPointsFromMask:
+    @given(st.integers(0, 1 << 600))
+    @example(0)
+    @example(1)
+    @example((1 << 513) - 1)
+    def test_matches_bit_by_bit(self, mask):
+        assert points_from_mask(mask) == bit_by_bit(mask)
+
+    @given(st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), max_size=120))))
+    def test_round_trips_mask_from_points(self, case):
+        universe, points = case
+        mask = mask_from_points(points, universe)
+        assert points_from_mask(mask) == tuple(sorted(set(points))) == bit_by_bit(mask)
+
+
+class TestUniverseCap:
+    # One point more than MAX_UNIVERSE: a 256 KB mask, refused before it is built.
+    TOO_LARGE = MAX_UNIVERSE + 1
+
+    def test_incidence_header(self):
+        with pytest.raises(FamilyFormatError) as info:
+            parse_family(f"\n0 {self.TOO_LARGE}\n")
+        assert str(info.value) == f"line 2: universe of {self.TOO_LARGE} points exceeds the largest, {MAX_UNIVERSE}"
+
+    def test_structured_universe(self):
+        with pytest.raises(FamilyFormatError) as info:
+            parse_family(json.dumps({"universe": self.TOO_LARGE, "sets": []}))
+        assert str(info.value) == f"universe: universe of {self.TOO_LARGE} points exceeds the largest, {MAX_UNIVERSE}"
+
+    def test_set_family(self):
+        with pytest.raises(ValueError, match=f"^universe_size must be at most {MAX_UNIVERSE}, got {self.TOO_LARGE}$"):
+            SetFamily(self.TOO_LARGE, (), ())
+
+    def test_largest_universe_accepted(self):
+        fam = parse_family(f"1 {MAX_UNIVERSE}\n" + "0" * (MAX_UNIVERSE - 1) + "1\n")
+        assert fam.universe_size == MAX_UNIVERSE and fam.set_points(0) == (MAX_UNIVERSE - 1,)
+
+
+class TestCheckAtoms:
+    @given(families(), st.data())
+    def test_listing_reverifies_and_a_flipped_signature_fails(self, fam, data):
+        # The empty subfamily included: every point then has the trace "".
+        order = data.draw(st.permutations(range(fam.num_sets)))
+        sub = order[: data.draw(st.integers(0, fam.num_sets))]
+        for zero in (True, False):
+            listing = [(sig, points_from_mask(mask))
+                       for sig, mask in boolean_atoms(fam, sub, include_zero_cell=zero).cells.items()]
+            assert check_atoms(fam, sub, listing, zero, len(listing)).ok
+            if listing and sub:
+                sig, points = listing[-1]
+                flipped = ("1" if sig[0] == "0" else "0") + sig[1:]
+                check = check_atoms(fam, sub, [*listing[:-1], (flipped, points)], zero, len(listing))
+                assert check.detail == f"point {points[0]} does not match signature {flipped}"
+
+
 class TestPointSignature:
     def test_in_both(self):
         assert point_signature(two_sets(), [0, 1], 1) == "11"
@@ -333,7 +398,7 @@ class TestBooleanAtoms:
 
 @pytest.fixture
 def row_reads(monkeypatch):
-    """The sets the atom kernel formats as rows, for ``columns`` or
+    """The sets the atom kernel formats as rows, for ``cells`` or
     ``boolean_atoms``, which it does only once it stops splitting."""
     reads = []
 
@@ -346,29 +411,40 @@ def row_reads(monkeypatch):
 
 
 class TestColumns:
+    """The atom kernel ``cells``: each point's membership column over the
+    subfamily, as a signature, in both regimes."""
+
     @given(families(min_points=0), st.lists(st.integers(0, 5), unique=True, max_size=6))
     @example(SetFamily(0, ("A",), (0,)), [0])
     @example(two_sets(), [])
     @example(SetFamily(4, ("A", "B", "E"), (0b0011, 0b0011, 0)), [2, 0, 1])
     def test_cells_carry_each_points_column(self, fam, order):
         sub = [i for i in order if i < fam.num_sets]
-        cells = columns(fam, sub)
         union = 0
-        for col, mask in cells:
+        for sig, mask in cells(fam, sub).items():
             assert mask != 0
             assert union & mask == 0
             union |= mask
             for p in points_from_mask(mask):
-                assert col == sum(1 << k for k, i in enumerate(sub) if fam.members[i] >> p & 1)
+                assert sig == "".join("1" if fam.members[i] >> p & 1 else "0" for i in sub)
         assert union == fam.universe_mask
-        assert len({col for col, _ in cells}) == len(cells)
         assert _candidate_points(fam) == candidate_points_oracle(fam)
+
+    @given(families(min_points=0), st.lists(st.integers(0, 5), unique=True, max_size=6), st.data())
+    def test_split_step_keeps_ascending_order(self, fam, order, data):
+        sub = [i for i in order if i < fam.num_sets]
+        mem = data.draw(st.integers(0, fam.universe_mask))
+        parts = cells_oracle(fam, sub)
+        split = split_cells(parts, mem)
+        assert [sig for sig, _ in split] == sorted(sig for sig, _ in split)
+        assert split == cells_oracle(SetFamily(fam.universe_size, (*fam.names, "T"), (*fam.members, mem)),
+                                     [*sub, fam.num_sets])
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("order", [list(range(60)), [*range(1, 60, 2), *range(0, 60, 2)]])
     def test_wide_subfamily_reads_set_rows(self, row_reads, seed, order):
         fam = gen_random(60, 400, 0.3, seed)
-        assert sorted(columns(fam, order)) == columns_oracle(fam, order)
+        assert sorted(cells(fam, order).items()) == cells_oracle(fam, order)
         assert sorted(row_reads) == sorted(fam.members)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -376,7 +452,8 @@ class TestColumns:
         fam = gen_random(60, 400, 0.3, seed)
         for j in range(0, 57, 4):
             sub = [j + 3, j + 1, j + 2, j]
-            assert sorted(columns(fam, sub)) == columns_oracle(fam, sub)
+            # Split cells come in ascending signature order.
+            assert list(cells(fam, sub).items()) == cells_oracle(fam, sub)
         assert row_reads == []
 
     @pytest.mark.parametrize("sets, switches", [
@@ -388,7 +465,7 @@ class TestColumns:
     def test_regime_boundary_on_two_points(self, row_reads, sets, switches):
         fam = SetFamily.from_points(2, [(f"S{i}", pts) for i, pts in enumerate(sets)])
         sub = list(range(len(sets)))
-        assert sorted(columns(fam, sub)) == columns_oracle(fam, sub)
+        assert sorted(cells(fam, sub).items()) == cells_oracle(fam, sub)
         assert bool(row_reads) == switches
 
     @pytest.mark.parametrize("second, switches", [
@@ -401,14 +478,14 @@ class TestColumns:
         sets = [[0, 1, 2], second, [3], [5]]  # point 4 is in no set
         fam = SetFamily.from_points(6, [(f"S{i}", pts) for i, pts in enumerate(sets)])
         for sub in ([0, 1, 2, 3], [0, 1, 3, 2]):
-            assert sorted(columns(fam, sub)) == columns_oracle(fam, sub)
+            assert sorted(cells(fam, sub).items()) == cells_oracle(fam, sub)
         assert bool(row_reads) == switches
 
     def test_universe_zero_and_empty_subfamily(self, row_reads):
-        assert columns(SetFamily(0, ("A", "B"), (0, 0)), [1, 0]) == []
-        assert columns(SetFamily(0, (), ()), []) == []
+        assert cells(SetFamily(0, ("A", "B"), (0, 0)), [1, 0]) == {}
+        assert cells(SetFamily(0, (), ()), []) == {}
         fam = gen_random(60, 400, 0.3, 0)
-        assert columns(fam, []) == [(0, fam.universe_mask)]
+        assert cells(fam, []) == {"": fam.universe_mask}
         assert row_reads == []
 
     @pytest.mark.parametrize("density, has_zero_cell", [(0.02, True), (0.5, False)])
@@ -423,8 +500,8 @@ class TestColumns:
             expect[sig] = expect.get(sig, 0) | 1 << p
         assert ("0" * 30 in expect) == has_zero_cell
         for zero in (True, False):
-            cells = boolean_atoms(fam, sub, include_zero_cell=zero).cells
-            assert list(cells.items()) == sorted(
+            atoms = boolean_atoms(fam, sub, include_zero_cell=zero).cells
+            assert list(atoms.items()) == sorted(
                 (sig, mask) for sig, mask in expect.items() if zero or "1" in sig
             )
         assert sorted(row_reads) == sorted(2 * fam.members)
@@ -438,33 +515,9 @@ class TestColumns:
             sig = point_signature(fam, order, p)
             expect[sig] = expect.get(sig, 0) | 1 << p
         for zero in (True, False):
-            cells = boolean_atoms(fam, order, include_zero_cell=zero).cells
-            assert list(cells.items()) == sorted(
+            atoms = boolean_atoms(fam, order, include_zero_cell=zero).cells
+            assert list(atoms.items()) == sorted(
                 (sig, mask) for sig, mask in expect.items() if zero or "1" in sig
             )
         # Both calls read the signatures off the rows.
         assert sorted(row_reads) == sorted(2 * fam.members)
-
-
-class TestAtomsMeeting:
-    def test_single_cell_target(self):
-        assert atoms_meeting(two_sets(), [0, 1], [3]) == 1
-
-    def test_empty_target(self):
-        assert atoms_meeting(two_sets(), [0, 1], []) == 0
-
-    def test_first_chain_step_meets_two(self):
-        # One set splitting an extension-point target always leaves exactly
-        # two live atoms: inside and outside.
-        fam = SetFamily.from_points(10, [("S1", [8, 0])], extension=[8, 9])
-        assert atoms_meeting(fam, [0], [8, 9]) == 2
-
-    @given(families(), st.data())
-    def test_counting_matches_direct_grouping(self, fam, data):
-        sub = tuple(range(data.draw(st.integers(0, fam.num_sets))))
-        target_mask = data.draw(st.integers(0, fam.universe_mask))
-        target = points_from_mask(target_mask)
-        count = atoms_meeting(fam, sub, target)
-        grouped = {point_signature(fam, sub, p) for p in target}
-        assert count == len(grouped)
-        assert count <= min(len(boolean_atoms(fam, sub).cells), max(len(target), 0))

@@ -22,6 +22,7 @@ from setfam import (
     verify_witness,
 )
 from setfam import generators
+from setfam.family import MAX_UNIVERSE
 from setfam.generators import MAX_GRID_SIDE, MAX_WITNESS_DEPTH
 
 
@@ -157,6 +158,15 @@ class TestWitnessRich:
         for depth in (0, -3, MAX_WITNESS_DEPTH + 1, 100):
             with pytest.raises(ValueError, match="depth must be between 1 and 20"):
                 gen_witness_rich(depth, seed=0)
+
+
+def test_universe_above_maximum_refused():
+    # Refused before any point is drawn or any mask built.
+    message = f"^universe_size must be at most {MAX_UNIVERSE}, got {MAX_UNIVERSE + 1}$"
+    with pytest.raises(ValueError, match=message):
+        gen_intervals(3, MAX_UNIVERSE + 1, seed=0)
+    with pytest.raises(ValueError, match=message):
+        gen_random(3, MAX_UNIVERSE + 1, 0.5, seed=0)
 
 
 class TestRandom:

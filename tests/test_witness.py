@@ -1,5 +1,7 @@
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import random_target_family
 from setfam import (
@@ -15,6 +17,8 @@ from setfam import (
     gen_witness_rich,
     verify_witness,
 )
+from setfam import witness as witness_module
+from setfam.family import boolean_atoms, mask_from_points
 from setfam.rng import SplitMix64
 from setfam.witness import REASON_NO_BASE_HIT, REASON_NO_PROBE_AVOID, REASON_NO_SPLIT
 
@@ -54,6 +58,13 @@ class TestCandidateSets:
     def test_target_must_avoid_base_points(self):
         with pytest.raises(ValueError, match="base point"):
             candidate_sets(one_set_family(), [0, 8])
+
+    def test_chain_repeating_a_set_rejected(self):
+        fam, target = gen_witness_rich(3, seed=0)
+        chain = build_quadratic_witness(fam, target, 2)
+        looped = chain._replace(steps=(chain.steps[0], chain.steps[1]._replace(set_index=chain.steps[0].set_index)))
+        with pytest.raises(ValueError, match=f"^set index {chain.steps[0].set_index} repeated in subfamily$"):
+            candidate_sets(fam, target, looped)
 
 
 class TestBuild:
@@ -343,3 +354,51 @@ class TestChainSerialization:
         fam, target = gen_witness_rich(3, seed=2)
         chain = build_quadratic_witness(fam, target, 3)
         assert chain_from_dict(chain_to_dict(chain)) == chain
+
+
+@st.composite
+def target_families(draw):
+    """A small random family over base points then extension points, and a
+    nonempty target inside the extension."""
+    n_base, n_ext = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    n = n_base + n_ext
+    members = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6))
+    extension = range(n_base, n)
+    fam = SetFamily(n, tuple(f"S{i}" for i in range(len(members))), tuple(members),
+                    mask_from_points(extension, n))
+    target = draw(st.lists(st.sampled_from(extension), min_size=1, unique=True))
+    return fam, tuple(target)
+
+
+class TestLiveAtoms:
+    @given(target_families())
+    @example(gen_witness_rich(4, seed=3))
+    @example((gap_family(), (6, 7, 8, 9)))
+    def test_builder_live_atoms_match_boolean_atoms(self, case):
+        # At every node of greedy and exhaustive builds, and for candidate_sets
+        # on their results, the live atoms refined one set at a time equal the
+        # atoms of the whole prefix that meet the target.
+        fam, target = case
+        target_mask = mask_from_points(target, fam.universe_size)
+        seen = []
+        stages, extend = witness_module._candidate_stages, witness_module._extend
+
+        def spy_stages(family, mask, chain, atoms):
+            seen.append((chain.set_indices(), atoms))
+            return stages(family, mask, chain, atoms)
+
+        def spy_extend(*args):
+            chain, atoms = extend(*args)
+            seen.append((chain.set_indices(), atoms))
+            return chain, atoms
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(witness_module, "_candidate_stages", spy_stages)
+            patch.setattr(witness_module, "_extend", spy_extend)
+            for exhaustive in (False, True):
+                outcome = build_quadratic_witness(fam, target, fam.num_sets, exhaustive=exhaustive)
+                candidate_sets(fam, target, outcome if isinstance(outcome, WitnessChain) else outcome.chain)
+        assert seen
+        for prefix, atoms in seen:
+            prefix_atoms = boolean_atoms(fam, prefix).cells
+            assert atoms == [(sig, mask) for sig, mask in prefix_atoms.items() if mask & target_mask]
