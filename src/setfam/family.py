@@ -4,15 +4,16 @@ Points are dense indices ``0 .. universe_size-1``, at most MAX_UNIVERSE of
 them, partitioned into *base* points and *extension* points. Sets are stored
 as bit masks (one Python int per set). A cell of a chosen subfamily pairs a
 signature (character k: membership in its k-th set) with the mask of the
-points that carry it. The atom kernel, ``cells``, returns them as one dict:
-it splits the universe one set at a time with ``split_cells``, or reads the
-signatures off the set rows once splitting would cost more.
-``boolean_atoms``, the exact shatter search's compression, piercing
-candidates and the halfplane generator read that dict; the witness builder
-refines its live atoms with ``split_cells``. ``transpose`` is the one
-bit-matrix transpose. The verifiers (``check_atoms`` and the witness
-verifier) read traces with ``point_traces``, apart from the kernel, so that
-they check it.
+points that carry it. The atom kernel, ``cells``, returns them as one dict
+in ascending signature order: it splits the universe one set at a time with
+``split_cells``, or reads the signatures off the set rows once splitting
+would cost more. ``boolean_atoms``, the exact shatter search's compression,
+piercing candidates and the halfplane generator read that dict; the witness
+builder refines its live atoms with ``split_cells``. ``transpose`` is the
+one bit-matrix transpose: it joins the rows into one string of digits and
+reads each column as a stride slice of it. The verifiers (``check_atoms``
+and the witness verifier) read traces with ``point_traces``, apart from the
+kernel, so that they check it.
 
 Two text formats are supported:
 
@@ -250,11 +251,14 @@ class AtomDecomposition(_Record):
 def transpose(rows: Sequence[int], width: int) -> Iterator[str]:
     """The bit matrix whose row i is ``rows[i]``, read column by column: for
     each bit position p below ``width``, in order, a binary numeral whose bit
-    i is bit p of ``rows[i]``. No rows give no numerals.
+    i is bit p of ``rows[i]``. No rows, or width 0, give no numerals.
 
-    Each row is formatted once as a string of digits and the strings are
-    zipped, which is far cheaper than testing every bit of every row."""
-    return map("".join, zip(*(format(row, f"0{width}b")[::-1] for row in reversed(rows))))
+    Each row is formatted once as ``width`` digits, lowest bit first, and the
+    rows, last first, are joined into one string, so column p is its stride
+    slice ``text[p::width]``, which is far cheaper than testing every bit of
+    every row."""
+    text = "".join([format(row, f"0{width}b")[::-1] for row in reversed(rows)])
+    return (text[p::width] for p in range(width if rows else 0))
 
 
 Cell = tuple[Signature, int]
@@ -281,8 +285,8 @@ def cells(family: SetFamily, subfamily: Iterable[int]) -> dict[Signature, int]:
     Splitting by one more set visits every cell once, so once the cells times
     the sets left exceed the points, the kernel reads each point's signature
     off the set rows instead: ``transpose`` of the rows in reverse subfamily
-    order. Split cells come in ascending signature order, read ones in order
-    of their lowest point."""
+    order. Both regimes return the cells in ascending signature order: split
+    cells come in it, read ones are sorted."""
     idxs = tuple(subfamily)
     n = family.universe_size
     parts = [("", family.universe_mask)] if n else []
@@ -291,7 +295,7 @@ def cells(family: SetFamily, subfamily: Iterable[int]) -> dict[Signature, int]:
             found: dict[Signature, int] = {}
             for p, sig in enumerate(transpose([family.members[j] for j in reversed(idxs)], n)):
                 found[sig] = found.get(sig, 0) | 1 << p
-            return found
+            return {sig: found[sig] for sig in sorted(found)}
         parts = split_cells(parts, family.members[i])
     return dict(parts)
 
@@ -308,17 +312,22 @@ def boolean_atoms(
     """
     idxs = _check_subfamily(family, subfamily)
     found = cells(family, idxs)
-    return AtomDecomposition(idxs, {sig: found[sig] for sig in sorted(found) if include_zero_cell or "1" in sig})
+    if not include_zero_cell:
+        found.pop("0" * len(idxs), None)
+    return AtomDecomposition(idxs, found)
 
 
 def point_traces(family: SetFamily, subfamily: Sequence[int]) -> list[Signature]:
     """Every point's signature on the subfamily, in point order.
 
     Each set is formatted once as a row of digits, lowest point first, and
-    the rows are zipped. The verifiers read traces here, apart from the
-    kernel, so that they check it."""
-    rows = [format(family.members[i], f"0{family.universe_size}b")[::-1] for i in subfamily]
-    return list(map("".join, zip(*rows))) if rows else [""] * family.universe_size
+    the rows are joined, so point p's trace is the stride slice
+    ``text[p::n]``. An empty subfamily gives every point the empty trace, a
+    universe of no points no traces. The verifiers read traces here, apart
+    from the kernel, so that they check it."""
+    n = family.universe_size
+    text = "".join([format(family.members[i], f"0{n}b")[::-1] for i in subfamily])
+    return [text[p::n] for p in range(n)]
 
 
 def check_atoms(
@@ -555,6 +564,13 @@ def family_to_dict(family: SetFamily) -> dict[str, Any]:
     return obj
 
 
+def _json_list(items: Iterable[Any], pad: str) -> str:
+    """The items, written with ``str``, as a JSON list laid out as
+    ``json.dumps(..., indent=2)`` lays one out at indentation ``pad``."""
+    items = list(map(str, items))
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]" if items else "[]"
+
+
 def serialize_family(family: SetFamily, fmt: str = "structured") -> str:
     """Canonical text for a family; ``parse_family`` round-trips it exactly.
 
@@ -562,7 +578,20 @@ def serialize_family(family: SetFamily, fmt: str = "structured") -> str:
     refused for families that carry extension points or an external target.
     """
     if fmt == "structured":
-        return json.dumps(family_to_dict(family), indent=2, sort_keys=True) + "\n"
+        # The bytes of json.dumps(obj, indent=2, sort_keys=True), whose indent
+        # selects the pure-Python encoder, one step per point; only names and
+        # the generator record go through json.
+        obj = family_to_dict(family)
+        fields = {key: _json_list(obj[key], "  ") for key in ("extension", "external_target") if key in obj}
+        fields["sets"] = _json_list([
+            f'{{\n      "name": {json.dumps(entry["name"])},\n'
+            f'      "points": {_json_list(entry["points"], "      ")}\n    }}'
+            for entry in obj["sets"]
+        ], "  ")
+        fields["universe"] = str(obj["universe"])
+        if "generator" in obj:
+            fields["generator"] = json.dumps(obj["generator"], indent=2, sort_keys=True).replace("\n", "\n  ")
+        return "{\n" + ",\n".join(f'  "{key}": {fields[key]}' for key in sorted(fields)) + "\n}\n"
     if fmt == "incidence":
         if family.extension_mask or family.external_target is not None:
             raise ValueError("incidence format cannot carry extension points")

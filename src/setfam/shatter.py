@@ -9,8 +9,10 @@ columns are never separated, so no count changes), skips a node with r sets
 left once ``sum(min(2**r, |c|))`` over its cells, |c| the distinct columns of
 cell c, cannot beat the incumbent (a cell of k columns never yields more than
 k atoms), and at the last set counts each candidate's splits instead of
-building its cells. All three keep every count and the visiting order, so
-the witness cannot change.
+building its cells, stopping a count once the candidate cannot beat the
+incumbent. All three keep every count that can win and the visiting order,
+so the witness cannot change. The greedy lower bound counts its candidates
+the same way and builds only the winner's cells.
 """
 
 from __future__ import annotations
@@ -96,38 +98,57 @@ def _exact(compressed: tuple[list[int], int], n: int, budget: int) -> ShatterRes
             if sum(min(limit, c.bit_count()) for c in cells) > best_value:
                 stack += [(depth + 1, t, cells) for t in reversed(range(last + 1, m - remaining + 1))]
             continue
-        # With one set left the bound is the cells plus those of two or more
-        # columns, the only ones a set can split; each last set's splits are
-        # counted instead of built.
+        # With one set left, each candidate's splits are counted, not built;
+        # only cells of two or more columns can split.
         live = [c for c in cells if c & (c - 1)]
-        bound = len(cells) + len(live)
-        if bound <= best_value:
-            continue
-        for t in range(last + 1, m):
-            mem = members[t]
-            value = len(cells)
-            for c in live:
-                if 0 != c & mem != c:
-                    value += 1
-            if value > best_value:
+        if len(cells) + len(live) > best_value:
+            value, t = _best_split(len(cells), live, members, range(last + 1, m), best_value)
+            if t is not None:
                 best_value, best_witness = value, (*chosen, t)
-                if value == bound:
-                    break
 
     return ShatterResult(n, best_value, best_witness, MODE_EXACT)
+
+
+def _best_split(
+    size: int, live: list[int], members: Sequence[int], candidates: Iterable[int], best_value: int
+) -> tuple[int, int | None]:
+    """The most cells one candidate set splits ``size`` cells into, and the
+    first candidate that does, if that beats ``best_value``; else
+    ``(best_value, None)``. ``live`` are the cells that can split, those of
+    two or more points (or columns). Splits are counted, not built.
+
+    The cells plus the live ones bound every count. A candidate replaces the
+    best only with a strictly larger count, and its count stops once it has
+    missed as many live cells as would keep it from beating the best; the
+    candidates stop once the best reaches the bound."""
+    bound = size + len(live)
+    best = None
+    for t in candidates:
+        if best_value >= bound:
+            break
+        mem = members[t]
+        slack = bound - best_value  # misses that still leave t winning, plus one
+        for c in live:
+            if not 0 != c & mem != c:
+                slack -= 1
+                if not slack:
+                    break
+        else:
+            best_value, best = best_value + slack, t
+    return best_value, best
 
 
 def _greedy(family: SetFamily, n: int) -> ShatterResult:
     chosen: list[int] = []
     cells = [family.universe_mask] if family.universe_mask else []
     for _ in range(n):
-        # The set whose split gives the most cells; max keeps the first of
-        # equal keys, so ties go to the lowest index.
-        best, cells = max(
-            ((t, _split(cells, family.members[t])) for t in range(family.num_sets) if t not in chosen),
-            key=lambda pick: len(pick[1]),
-        )
+        # The set whose split gives the most cells, ties to the lowest index;
+        # only its cells are built.
+        live = [c for c in cells if c & (c - 1)]
+        candidates = [t for t in range(family.num_sets) if t not in chosen]
+        _, best = _best_split(len(cells), live, family.members, candidates, -1)
         chosen.append(best)
+        cells = _split(cells, family.members[best])
     return ShatterResult(n, len(cells), tuple(chosen), MODE_GREEDY)
 
 

@@ -20,7 +20,7 @@ from setfam import (
     serialize_family,
 )
 from setfam import family as family_module
-from setfam.family import MAX_UNIVERSE, cells, check_atoms, split_cells
+from setfam.family import MAX_UNIVERSE, cells, check_atoms, family_to_dict, point_traces, split_cells, transpose
 from setfam.piercing import _candidate_points
 from setfam.rng import SplitMix64
 
@@ -155,6 +155,22 @@ class TestSerialization:
     def test_round_trip_random(self, fam):
         assert parse_family(serialize_family(fam)) == fam
 
+    @given(families(min_points=0), st.data())
+    def test_structured_bytes_match_the_json_encoder(self, fam, data):
+        # An empty universe, no sets, empty sets and empty point lists included.
+        m = data.draw(st.sampled_from([0, fam.num_sets]))
+        names = data.draw(st.lists(st.text(max_size=4).filter(bool), min_size=m, max_size=m, unique=True))
+        ext = data.draw(st.integers(0, fam.universe_mask))
+        target = data.draw(st.none() | st.integers(0, ext).map(lambda t: t & ext))
+        value = st.recursive(
+            st.integers() | st.text(max_size=3) | st.booleans() | st.none(),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        )
+        generator = data.draw(st.none() | st.dictionaries(st.text(max_size=3), value, max_size=3))
+        fam = SetFamily(fam.universe_size, tuple(names), fam.members[:m], ext, target,
+                        None if generator is None else json.dumps(generator, sort_keys=True, separators=(",", ":")))
+        assert serialize_family(fam) == json.dumps(family_to_dict(fam), indent=2, sort_keys=True) + "\n"
+
 
 class TestInvariants:
     def test_duplicate_name_rejected_on_build(self):
@@ -282,6 +298,32 @@ class TestPointsFromMask:
         universe, points = case
         mask = mask_from_points(points, universe)
         assert points_from_mask(mask) == tuple(sorted(set(points))) == bit_by_bit(mask)
+
+
+class TestTranspose:
+    @given(st.integers(0, 70).flatmap(
+        lambda width: st.tuples(st.just(width), st.lists(st.integers(0, (1 << width) - 1), max_size=8))))
+    @example((0, [0, 0]))
+    @example((5, []))
+    def test_matches_bit_by_bit(self, case):
+        width, rows = case
+        # Column p's numeral: its bit i, counted from the right, is bit p of rows[i].
+        expect = ["".join(str(row >> p & 1) for row in reversed(rows)) for p in range(width)] if rows else []
+        assert list(transpose(rows, width)) == expect
+
+
+class TestPointTraces:
+    @given(families(min_points=0), st.data())
+    def test_matches_point_signature(self, fam, data):
+        sub = data.draw(st.permutations(range(fam.num_sets)))[: data.draw(st.integers(0, fam.num_sets))]
+        assert point_traces(fam, sub) == [point_signature(fam, sub, p) for p in range(fam.universe_size)]
+
+    def test_no_points_give_no_traces(self):
+        assert point_traces(SetFamily(0, ("A", "B"), (0, 0)), [0, 1]) == []
+        assert point_traces(SetFamily(0, (), ()), []) == []
+
+    def test_empty_subfamily_gives_every_point_the_empty_trace(self):
+        assert point_traces(two_sets(), []) == [""] * 4
 
 
 class TestUniverseCap:
@@ -430,6 +472,16 @@ class TestColumns:
         assert union == fam.universe_mask
         assert _candidate_points(fam) == candidate_points_oracle(fam)
 
+    @given(families(min_points=0), st.lists(st.integers(0, 5), unique=True, max_size=6))
+    @example(SetFamily(2, ("A", "B", "C"), (1, 1, 1)), [0, 1, 2])
+    def test_both_regimes_give_ascending_order(self, fam, order):
+        sub = [i for i in order if i < fam.num_sets]
+        assert list(cells(fam, sub).items()) == cells_oracle(fam, sub)
+        for zero in (True, False):
+            assert list(boolean_atoms(fam, sub, include_zero_cell=zero).cells.items()) == [
+                (sig, mask) for sig, mask in cells_oracle(fam, sub) if zero or "1" in sig
+            ]
+
     @given(families(min_points=0), st.lists(st.integers(0, 5), unique=True, max_size=6), st.data())
     def test_split_step_keeps_ascending_order(self, fam, order, data):
         sub = [i for i in order if i < fam.num_sets]
@@ -444,7 +496,7 @@ class TestColumns:
     @pytest.mark.parametrize("order", [list(range(60)), [*range(1, 60, 2), *range(0, 60, 2)]])
     def test_wide_subfamily_reads_set_rows(self, row_reads, seed, order):
         fam = gen_random(60, 400, 0.3, seed)
-        assert sorted(cells(fam, order).items()) == cells_oracle(fam, order)
+        assert list(cells(fam, order).items()) == cells_oracle(fam, order)
         assert sorted(row_reads) == sorted(fam.members)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -465,7 +517,7 @@ class TestColumns:
     def test_regime_boundary_on_two_points(self, row_reads, sets, switches):
         fam = SetFamily.from_points(2, [(f"S{i}", pts) for i, pts in enumerate(sets)])
         sub = list(range(len(sets)))
-        assert sorted(cells(fam, sub).items()) == cells_oracle(fam, sub)
+        assert list(cells(fam, sub).items()) == cells_oracle(fam, sub)
         assert bool(row_reads) == switches
 
     @pytest.mark.parametrize("second, switches", [
@@ -478,7 +530,7 @@ class TestColumns:
         sets = [[0, 1, 2], second, [3], [5]]  # point 4 is in no set
         fam = SetFamily.from_points(6, [(f"S{i}", pts) for i, pts in enumerate(sets)])
         for sub in ([0, 1, 2, 3], [0, 1, 3, 2]):
-            assert sorted(cells(fam, sub).items()) == cells_oracle(fam, sub)
+            assert list(cells(fam, sub).items()) == cells_oracle(fam, sub)
         assert bool(row_reads) == switches
 
     def test_universe_zero_and_empty_subfamily(self, row_reads):

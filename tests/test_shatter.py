@@ -99,6 +99,21 @@ class TestDualShatterGreedy:
             assert greedy.mode == "greedy-lower-bound"
             assert len(boolean_atoms(fam, greedy.witness)) == greedy.value
 
+    @given(families(max_sets=8, max_points=12))
+    def test_greedy_matches_building_every_candidates_cells(self, fam):
+        # The reference builds each candidate's cells (one signature per
+        # point) and keeps the first candidate with the most.
+        chosen: list[int] = []
+        for n in range(1, fam.num_sets + 1):
+            counts = {
+                t: len({tuple(fam.members[i] >> p & 1 for i in (*chosen, t)) for p in range(fam.universe_size)})
+                for t in range(fam.num_sets) if t not in chosen
+            }
+            best = max(counts, key=lambda t: (counts[t], -t))
+            chosen.append(best)
+            result = dual_shatter(fam, n, mode="greedy")
+            assert (result.value, result.witness) == (counts[best], tuple(chosen))
+
     def test_greedy_tie_breaks_lowest_index(self):
         fam = SetFamily.from_points(4, [("A", [0, 1]), ("B", [0, 1]), ("C", [2])])
         assert dual_shatter(fam, 2, mode="greedy").witness == (0, 2)
