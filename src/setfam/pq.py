@@ -4,7 +4,8 @@ The q = 2 case is decided through the packing number: a family fails the
 (p,2)-property exactly when it contains p pairwise-disjoint sets, so
 ``has_pq`` calls the exact maximum-independent-set solver on the
 intersection graph (capped at p). General q is an explicit exhaustive check
-behind a node budget.
+over every p-subset and its q-subsets, refused up front when C(m,p) * C(p,q)
+exceeds the budget.
 """
 
 from __future__ import annotations

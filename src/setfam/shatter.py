@@ -5,14 +5,20 @@ subfamilies of ``n`` sets. Exact mode enumerates n-subsets depth-first in
 lexicographic order and replaces its incumbent only by a strictly larger
 count, so the reported witness is always the lexicographically first
 maximizer. It works on the family's distinct point columns (points with equal
-columns are never separated, so no count changes), skips a node with r sets
-left once ``sum(min(2**r, |c|))`` over its cells, |c| the distinct columns of
-cell c, cannot beat the incumbent (a cell of k columns never yields more than
-k atoms), and at the last set counts each candidate's splits instead of
+columns are never separated, so no count changes), ordered by their lowest
+point and closed into a cycle, on which each set has a boundary: the edges
+between neighbouring columns that differ on it. It skips a node whose chosen
+sets cut the cycle into too few arcs to beat the incumbent even if each set
+left cut as many new edges as the longest boundary among them (the cells of
+the chosen sets never outnumber those arcs), skips a node with r sets left once
+``sum(min(2**r, |c|))`` over its cells, |c| the distinct columns of cell c,
+cannot beat the incumbent (a cell of k columns never yields more than k
+atoms), and at the last set counts each candidate's splits instead of
 building its cells, stopping a count once the candidate cannot beat the
-incumbent. All three keep every count that can win and the visiting order,
+incumbent. All four keep every count that can win and the visiting order,
 so the witness cannot change. The greedy lower bound counts its candidates
-the same way and builds only the winner's cells.
+the same way and builds only the winner's cells; its first k steps are its
+answer for k sets, so a greedy profile takes one pass.
 """
 
 from __future__ import annotations
@@ -59,44 +65,68 @@ def _split(cells: list[int], mem: int) -> list[int]:
     return out
 
 
-def _compress(family: SetFamily) -> tuple[list[int], int]:
-    """Each set as a mask over the family's distinct point columns (bit j of
-    set t means column j holds set t), and the number of those columns.
+def _compress(family: SetFamily) -> tuple[list[int], list[int], int]:
+    """Each set as a mask over the family's distinct point columns, each set's
+    boundary on the cycle of those columns, and the number of columns.
 
-    Points with equal columns are never separated, so the exact search runs
-    on these."""
+    The columns are ordered by their lowest point: bit j of a set's mask means
+    column j holds the set. Points with equal columns are never separated, so
+    the exact search runs on these. Bit j of a set's boundary means columns j
+    and j + 1 (mod the width) differ on the set. A set whose points are one
+    run of consecutive points, wrapping past the last point or not, holds a
+    run of columns in this order, so its boundary has at most two bits."""
     m = family.num_sets
-    sigs = list(cells(family, range(m)))
-    # Character t of every distinct signature, read as one numeral.
-    return ([int("".join(row), 2) for row in zip(*sigs)] if sigs else [0] * m), len(sigs)
+    found = cells(family, range(m))
+    sigs = sorted(found, key=lambda sig: found[sig] & -found[sig])
+    width = len(sigs)
+    if not width:
+        return [0] * m, [0] * m, 0
+    # Character t of every distinct signature, last column first, read as one
+    # numeral; the boundary compares each column with the next, the last
+    # with the first.
+    members = [int("".join(row), 2) for row in zip(*reversed(sigs))]
+    top = width - 1
+    return members, [mem ^ (mem >> 1 | (mem & 1) << top) for mem in members], width
 
 
-def _exact(compressed: tuple[list[int], int], n: int, budget: int) -> ShatterResult:
-    members, width = compressed
+def _exact(compressed: tuple[list[int], list[int], int], n: int, budget: int) -> ShatterResult:
+    members, boundaries, width = compressed
     m = len(members)
     if math.comb(m, n) > budget:
         raise BudgetExceededError(
             f"exact shatter search over C({m},{n}) subfamilies exceeds the budget of {budget}"
         )
+    # reach[t]: the most boundary edges any one set after set t cuts.
+    reach = [0] * m
+    for t in reversed(range(m - 1)):
+        reach[t] = max(reach[t + 1], boundaries[t + 1].bit_count())
     best_value = -1
     best_witness: tuple[int, ...] = ()
     chosen: list[int] = []
-    # Each node is its depth, its last chosen set (-1 at the root) and its
-    # parent's cells, which it splits only when popped; children are pushed
-    # in reverse, so each subtree is finished before its next sibling starts.
-    stack = [(0, -1, [(1 << width) - 1] if width else [])]
+    # Each node is its depth, its last chosen set (-1 at the root), and its
+    # parent's cells and cut edges, which it extends only when popped;
+    # children are pushed in reverse, so each subtree is finished before its
+    # next sibling starts.
+    stack = [(0, -1, [(1 << width) - 1] if width else [], 0)]
     while stack:
-        depth, last, cells = stack.pop()
+        depth, last, cells, cut = stack.pop()
+        remaining = n - depth
         if last >= 0:
+            # Cells never outnumber the arcs that the cut edges leave on the
+            # cycle, and each set left cuts at most reach[last] more edges.
+            # k >= 1 cut edges leave k arcs; none leave one arc, or none on
+            # no columns, which any counted leaf already reaches.
+            cut |= boundaries[last]
+            if cut.bit_count() + remaining * reach[last] <= best_value:
+                continue
             del chosen[depth - 1 :]
             chosen.append(last)
             cells = _split(cells, members[last])
-        remaining = n - depth
         if remaining > 1:
             # A cell of k columns yields at most min(2^remaining, k) atoms.
             limit = 1 << remaining
             if sum(min(limit, c.bit_count()) for c in cells) > best_value:
-                stack += [(depth + 1, t, cells) for t in reversed(range(last + 1, m - remaining + 1))]
+                stack += [(depth + 1, t, cells, cut) for t in reversed(range(last + 1, m - remaining + 1))]
             continue
         # With one set left, each candidate's splits are counted, not built;
         # only cells of two or more columns can split.
@@ -138,18 +168,23 @@ def _best_split(
     return best_value, best
 
 
-def _greedy(family: SetFamily, n: int) -> ShatterResult:
+def _greedy(family: SetFamily, n: int) -> list[ShatterResult]:
+    """The greedy results for 1..n sets: the k-set subfamily is the first k
+    sets the n-set one picks."""
     chosen: list[int] = []
+    candidates = list(range(family.num_sets))
     cells = [family.universe_mask] if family.universe_mask else []
+    results = []
     for _ in range(n):
         # The set whose split gives the most cells, ties to the lowest index;
         # only its cells are built.
         live = [c for c in cells if c & (c - 1)]
-        candidates = [t for t in range(family.num_sets) if t not in chosen]
         _, best = _best_split(len(cells), live, family.members, candidates, -1)
+        candidates.remove(best)
         chosen.append(best)
         cells = _split(cells, family.members[best])
-    return ShatterResult(n, len(cells), tuple(chosen), MODE_GREEDY)
+        results.append(ShatterResult(len(chosen), len(cells), tuple(chosen), MODE_GREEDY))
+    return results
 
 
 def dual_shatter(
@@ -167,7 +202,7 @@ def dual_shatter(
     if mode == MODE_EXACT:
         return _exact(_compress(family), n, budget)
     if mode in (MODE_GREEDY, "greedy"):
-        return _greedy(family, n)
+        return _greedy(family, n)[-1]
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -177,15 +212,18 @@ def growth_profile(
     """Shatter values for n = 1..min(n_max, #sets) with a fitted exponent.
 
     In exact mode the family is compressed to its distinct columns once for
-    the whole profile."""
+    the whole profile; in greedy mode one greedy pass of ``n_max`` steps
+    gives every value."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     top = min(n_max, family.num_sets)
     if mode == MODE_EXACT:
         compressed = _compress(family)
         results = tuple(_exact(compressed, k, budget) for k in range(1, top + 1))
+    elif mode in (MODE_GREEDY, "greedy"):
+        results = tuple(_greedy(family, top))
     else:
-        results = tuple(dual_shatter(family, k, mode, budget) for k in range(1, top + 1))
+        raise ValueError(f"unknown mode {mode!r}")
     tail = results[len(results) // 2 :]
     if len(tail) < 2:
         tail = results

@@ -179,3 +179,17 @@ def families(
     low = 1 if nonempty else 0
     members = tuple(draw(st.integers(low, (1 << n) - 1)) for _ in range(m))
     return SetFamily(n, tuple(f"S{i}" for i in range(m)), members)
+
+
+@st.composite
+def run_families(draw, max_sets: int = 6, max_points: int = 12):
+    """Families whose every set is one run of consecutive points: ``length``
+    points from ``start`` on, wrapping past the last point to point 0."""
+    n = draw(st.integers(0, max_points))
+    m = draw(st.integers(1, max_sets))
+    members = []
+    for _ in range(m):
+        start = draw(st.integers(0, max(n - 1, 0)))
+        length = draw(st.integers(0, n))
+        members.append(sum(1 << (start + i) % n for i in range(length)))
+    return SetFamily(n, tuple(f"S{i}" for i in range(m)), tuple(members))

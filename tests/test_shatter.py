@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_first_shatter, brute_pi_star, families
+from helpers import brute_first_shatter, brute_pi_star, families, run_families
 from setfam import shatter as shatter_module
 from setfam import (
     BudgetExceededError,
@@ -79,6 +79,33 @@ class TestDualShatterExact:
         n = data.draw(st.integers(1, fam.num_sets))
         result = dual_shatter(fam, n)
         assert (result.value, result.witness) == brute_first_shatter(fam, n)
+
+    @settings(max_examples=300)
+    @given(run_families(max_sets=7))
+    def test_runs_of_consecutive_points_match_brute_force(self, fam):
+        # A run, wrapping or not, holds a run of columns in lowest-point
+        # order, so it cuts at most two edges of their cycle, and the
+        # boundary bound can prune; it must not change a value or witness.
+        assert all(b.bit_count() <= 2 for b in shatter_module._compress(fam)[1])
+        for n in range(1, fam.num_sets + 1):
+            result = dual_shatter(fam, n)
+            assert (result.value, result.witness) == brute_first_shatter(fam, n)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_intervals_stop_at_twice_n(self, monkeypatch, seed):
+        # n intervals make at most 2n atoms; the first descent reaching 2n
+        # closes the search (about 9,800 splits without the boundary bound).
+        calls = []
+        original = shatter_module._split
+        monkeypatch.setattr(shatter_module, "_split", lambda *a: calls.append(1) or original(*a))
+        result = dual_shatter(gen_intervals(40, 200, seed=seed), 4)
+        assert result.value == 8
+        assert len(calls) <= 150
+
+    def test_intervals_closed_form_at_scale(self):
+        # C(60,5) = 5,461,512 subfamilies; the boundary bound ends the search
+        # at the first one reaching 2n atoms.
+        assert dual_shatter(gen_intervals(60, 300, seed=0), 5).value == 10 == 2 * 5
 
     @given(families(max_sets=5, max_points=8))
     def test_nondecreasing_and_bounded(self, fam):
@@ -157,6 +184,27 @@ class TestGrowthProfile:
     def test_n_max_validation(self):
         with pytest.raises(ValueError):
             growth_profile(singletons(), 1)
+
+    @given(families(max_sets=8, max_points=12))
+    def test_greedy_profile_matches_greedy_at_every_n(self, fam):
+        profile = growth_profile(fam, fam.num_sets + 1, "greedy")
+        assert profile.results == tuple(
+            dual_shatter(fam, k, "greedy") for k in range(1, fam.num_sets + 1)
+        )
+
+    def test_greedy_profile_takes_one_pass(self, monkeypatch):
+        # One greedy step per n, not n steps for each n.
+        calls = []
+        original = shatter_module._split
+        monkeypatch.setattr(shatter_module, "_split", lambda *a: calls.append(1) or original(*a))
+        growth_profile(gen_intervals(30, 90, seed=1), 30, "greedy")
+        assert len(calls) == 30
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError):
+            growth_profile(singletons(), 2, "bogus")
+        with pytest.raises(ValueError):
+            dual_shatter(singletons(), 2, "bogus")
 
     def test_exact_profile_compresses_once(self, monkeypatch):
         # The distinct point columns are built once per profile, not once per n.
