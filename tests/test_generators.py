@@ -193,6 +193,69 @@ class TestRandom:
             gen_random(2, 4, 1.5, seed=0)
 
 
+def _digest(family) -> str:
+    return hashlib.sha256(serialize_family(family).encode()).hexdigest()
+
+
+# Every size the benchmark and the answer tests draw, with several seeds.
+# (40,60,0.04) and (90,135,0.03) redraw some empty sets, and (40,3,0.05)
+# redraws 287 rows; 4095, 4096 and 4097 points sit around the 4096-draw
+# block of the batched coin rows, and 12,293 points take three full blocks
+# and a short one.
+RANDOM_DIGESTS = [
+    ((60, 4000, 0.3, 0), {}, "69f24ccecbff43e23f8bd0ecc9e33571abdec9d1d7f80adebce76dea66361fda"),
+    ((60, 4000, 0.3, 1), {}, "a1faa05ed7699e8a815049155b6c7e8518a9ab2e5fd867c6b341d403aed66b93"),
+    ((60, 4000, 0.3, 2), {}, "c0225f301869e5bae85d378462c6e1f8b4870bf181626601998f8c53304b2e4a"),
+    ((40, 80, 0.1, 0), {}, "f2e12c8e5ad50f8b6d7b7dddc0466f8e7931ac52ec8fee19007e28f7ff136cd4"),
+    ((40, 80, 0.1, 1), {}, "31b0b33edd13d899710da5b9fc7ed312c1e563315a2b0c4cde322038811d63c5"),
+    ((40, 80, 0.1, 12), {}, "e4151fd0e1eed4e05df440a0d3b11347a30f4f2e34ba95fbad6a20d983a91a23"),
+    ((40, 80, 0.1, 1000001), {}, "0d20c4b5fda4801cb52c3bb7232d87a17f18b236e4c25ee33fc05d3f3ee2d963"),
+    ((25, 50, 0.1, 0), {}, "686bd27725c69182b814480efe8da707d1948a72eced8ebee853027e519ef1e4"),
+    ((25, 50, 0.1, 5), {}, "90bc34fa0eafb9008f524bf3f2d171c2a882e32f55a80db6681f6b78b8a14205"),
+    ((25, 50, 0.1, 1000001), {}, "4c17071dcbd06109d9763978fc8ffd728307f3ae45facf7e0f10cd557e6ed18d"),
+    ((40, 60, 0.04, 0), {}, "7c382924843d5fe5b2fa2a94b3028e53cd11e88c3e15b457c675061586ca7d3e"),
+    ((40, 60, 0.04, 1), {}, "99aa8b276153a1ede25957683856b94e1c91b35b0b6eaeda690ccb77561e98b5"),
+    ((40, 60, 0.04, 1000001), {}, "0c4647ad8a094fb3a14a5529b325ab2c960a82d1753034e2b8c8dca077872e73"),
+    ((90, 135, 0.03, 0), {}, "dab4761ee5c4a82ea0885d741209a03baefc8623200e52c902176d8eb116a036"),
+    ((90, 135, 0.03, 5), {}, "41f61705c70df3d0ed736d028912e0ea6ae65538fd6e4903b8d5a7e4cbe01735"),
+    ((90, 135, 0.03, 12), {}, "af6b09012f8804638d227d1b5d6bfb40f8dd290694df572bd33a464f7cd3e6ef"),
+    ((20, 40, 0.15, 0), {}, "af788e7b79bfe2b0cad6e2ef6d3f09e432dcf81e1bfcfe1ac537f0376bb3976e"),
+    ((20, 40, 0.15, 1), {}, "9c4a35d82bc477b892e876a09a0ae9f58627912804c07251f3bb7dcbfee2ab09"),
+    ((20, 40, 0.15, 1000001), {}, "eb21e5930a103c527edc5ae1caba4bb0751ebc2ffe7b32195b90acb6b015ce8e"),
+    ((24, 40, 0.2, 0), {}, "c5d26bcf65144f75a5763ff3170eda8057e98ae455d6e0a1b26f2959e8f06392"),
+    ((24, 40, 0.2, 12), {}, "10844c2b9c2429a1095c21e2e7a9b7a56d8ab7579540058cfe1d8e6f5a5f96dc"),
+    ((40, 3, 0.05, 0), {}, "5038735a2ed8475da3ac04c230361af0ca0562179a8b3b0527c5e8b787fefaaf"),
+    ((40, 3, 0.01, 0), {"ensure_nonempty": False}, "f1290c6e650ab4435a13fb47575d2b0517a66730da255bf3be3ae3b526491e22"),
+    ((5, 300, 1.0, 3), {}, "d51279a326c24c9208520a63316f0c9a4f7ffec68b2fef2ae18b22511fdfdcf8"),
+    ((3, 4095, 0.5, 8), {}, "f71b5c61b75ea3b86287da7ebd4d201f16f16d7160f45fe3f7f08cee80f773f4"),
+    ((3, 4096, 0.5, 8), {}, "47d2ca7b952c9b512cc2ea0dc7946ba4ad3fb43bf181e76d84f45bb65f170797"),
+    ((3, 4097, 0.5, 8), {}, "8e743494f0b4963d805cbfc7f5aa50acb33de81e877686bd488c6daacaef23ad"),
+    ((2, 12293, 0.001, 4), {}, "4cf881971161c4c676b87ab92c3f1f14f40dfc4bafbeb28928b6632de1310c00"),
+]
+
+WITNESS_RICH_DIGESTS = [
+    ((1, 0), "b0392c79e1e9b5de9aea2334a83679d53af05b32ab148d250a1d81fd4581549e"),
+    ((1, 7), "afb9bfcad6d58afe18c694d38b646462b59e0983209b3efa46051fea11d07155"),
+    ((6, 1), "257fa93db6da62543a24b48d222a35bea8614c6cd1172909d6f2178632855fe0"),
+    ((6, 2), "7a100588afa25ed3ad7aafbd1cc9767c6b12832b2579f5029c78c82b59a62521"),
+    ((11, 3), "7d117eb3a4f745804438ca69c5470bcf17ea5a8f45cbd1eddd87564f7c6657f9"),
+    ((13, 1), "474d45a607b27d1148c262a4f912eb9e261d6e48ead341f12f1ba49a9ea6596b"),
+    ((13, 14), "d9cb6f31824332bdd82576be44ab9d68d4ff71d377479201216d8ae6069467d7"),
+]
+
+
+class TestGeneratedBytes:
+    @pytest.mark.parametrize("args, options, digest", RANDOM_DIGESTS)
+    def test_random_keeps_its_bytes(self, args, options, digest):
+        assert _digest(gen_random(*args, **options)) == digest
+
+    @pytest.mark.parametrize("args, digest", WITNESS_RICH_DIGESTS)
+    def test_witness_rich_keeps_its_bytes(self, args, digest):
+        fam, target = gen_witness_rich(*args)
+        assert _digest(fam) == digest
+        assert target == fam.extension_points()
+
+
 class TestProvenance:
     def test_generator_record_round_trips(self):
         fam = gen_intervals(3, 8, seed=21)
