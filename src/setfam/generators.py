@@ -10,11 +10,12 @@ provenance record that survives serialization.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import GenerationError
 from .family import MAX_UNIVERSE, SetFamily, canonical_json, cells, transpose
-from .rng import SplitMix64
+from .rng import SplitMix64, row_lanes
 
 if TYPE_CHECKING:  # fractions loads only on the halfplane path, in _sample_lines
     from fractions import Fraction
@@ -175,33 +176,19 @@ def gen_witness_rich(depth: int, seed: int) -> tuple[SetFamily, tuple[int, ...]]
         label[start : start + block] = chunk
         start += block
 
-    members_abstract: list[set[int]] = [set() for _ in range(depth)]
-    idx = 0
-    for k in range(1, depth + 1):
-        for pattern in range(1 << (k - 1)):
-            members_abstract[k - 1].add(idx)
-            for j in range(1, k):
-                if pattern >> (j - 1) & 1:
-                    members_abstract[j - 1].add(idx)
-            idx += 1
-    for rank in range(n_ext):
-        for k in range(1, depth + 1):
-            if rank >> (k - 1) & 1:
-                members_abstract[k - 1].add(idx + rank)
-
-    extension = sorted(label[idx + rank] for rank in range(n_ext))
-    sets = [
-        (f"S{k + 1}", sorted(label[a] for a in members_abstract[k])) for k in range(depth)
-    ]
+    # Each point's membership column over the sets, bit k-1 for set k, has a
+    # closed form: carrier a (pattern a + 1 - 2**(k-1) of step k) has column
+    # a + 1, and target rank r has column r. The shuffle permutes labels
+    # only inside blocks, so the target is the last 2**depth labels.
+    columns = [0] * universe
+    for point, column in zip(label, chain(range(1, n_base + 1), range(n_ext))):
+        columns[point] = column
+    masks = tuple(int(digits, 2) for digits in transpose(columns, depth))
+    extension = (1 << universe) - (1 << n_base)
     spec = GeneratorSpec("witness_rich", (("depth", depth),), seed)
-    family = SetFamily.from_points(
-        universe,
-        sets,
-        extension=extension,
-        external_target=extension,
-        provenance=spec.provenance(),
-    )
-    return family, tuple(extension)
+    names = tuple(f"S{k}" for k in range(1, depth + 1))
+    family = SetFamily(universe, names, masks, extension, extension, spec.provenance())
+    return family, tuple(range(n_base, universe))
 
 
 def gen_random(
@@ -213,9 +200,11 @@ def gen_random(
 ) -> SetFamily:
     """Independent membership coin flips at the given density; all points base.
 
-    With ``ensure_nonempty`` (the default) a set that comes out empty is
-    redrawn from the same stream; switch it off to allow empty sets, which
-    the piercing solvers reject by design.
+    Each set is one row of ``universe_size`` flips, bit p for point p, drawn
+    at once with ``SplitMix64.chance_row``. With ``ensure_nonempty`` (the
+    default) a set that comes out empty is redrawn as a whole row from the
+    same stream; switch it off to allow empty sets, which the piercing
+    solvers reject by design.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -227,18 +216,20 @@ def gen_random(
         raise ValueError("density must be in (0, 1]")
     threshold = int(density * 2**64)
     rng = SplitMix64(seed)
-    sets = []
-    for i in range(count):
+    lanes = row_lanes(universe_size)
+    masks = []
+    for _ in range(count):
         for _ in range(1000):
-            mask_points = [p for p in range(universe_size) if rng.chance(threshold)]
-            if mask_points or not ensure_nonempty:
+            mask = rng.chance_row(universe_size, threshold, lanes)
+            if mask or not ensure_nonempty:
                 break
         else:
             raise GenerationError(f"could not draw a nonempty set at density {density}")
-        sets.append((f"R{i}", mask_points))
+        masks.append(mask)
     spec = GeneratorSpec(
         "random",
         (("count", count), ("density", density), ("universe_size", universe_size)),
         seed,
     )
-    return SetFamily.from_points(universe_size, sets, provenance=spec.provenance())
+    names = tuple(f"R{i}" for i in range(count))
+    return SetFamily(universe_size, names, tuple(masks), provenance=spec.provenance())
