@@ -188,7 +188,7 @@ def _cmd_disjoint(args, family: SetFamily) -> tuple[dict, list[str], bool]:
     if args.sequence:
         seq = pq.disjoint_sequence_greedy(family, args.avoid)
         return {"sequence": list(seq), "avoid": list(args.avoid)}, [f"sequence: {_fmt(seq)}"], False
-    nu, witness_sets = pq.max_disjoint(family, args.cap)
+    nu, witness_sets = pq.max_disjoint(family, args.cap, args.budget)
     payload = {"nu": nu, "cap": args.cap, "witness": list(witness_sets)}
     return payload, [f"nu={nu}", f"witness: {_fmt(witness_sets)}"], False
 

@@ -1,4 +1,4 @@
-"""Exception types and constants shared across the package."""
+"""Exception types, constants and the node budget rule shared across the package."""
 
 from __future__ import annotations
 
@@ -46,7 +46,22 @@ class ReportFormatError(FamilyFormatError):
 
 
 class BudgetExceededError(SetFamError):
-    """An exact search refused to start, or was cut off, by its node budget."""
+    """An exact search popped more nodes off its stack than its budget allows."""
+
+
+def pops(stack: list, budget: int, search: str):
+    """Pop and yield the entries of a search's explicit stack until it is empty.
+
+    This is the budget rule of every exact search: a node is one popped entry,
+    the root included, and the pop that would take the count past ``budget``
+    raises BudgetExceededError instead. The caller may push onto ``stack``
+    between pops."""
+    for _ in range(budget):
+        if not stack:
+            return
+        yield stack.pop()
+    if stack:
+        raise BudgetExceededError(f"{search} exceeded the budget of {budget} nodes")
 
 
 class EmptySetError(SetFamError):

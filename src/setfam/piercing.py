@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import DEFAULT_BUDGET, EmptySetError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, EmptySetError, pops
 from .family import Check, SetFamily, cells
 from .pq import max_disjoint
 
@@ -105,11 +105,14 @@ def _greedy(m: int, candidates: list[tuple[int, int]]) -> PiercingSolution:
 def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> PiercingSolution:
     """Minimum piercing, proved optimal unless the node budget runs out.
 
-    The packing number supplies the lower bound; when the greedy upper bound
-    already matches it the search is skipped. Otherwise a branch and bound
-    over candidate points runs until its cover has as many points as the
-    packing number, or to completion (optimal), or to the budget (best cover
-    found so far, flagged non-optimal).
+    The packing number supplies the lower bound; its search raises
+    BudgetExceededError if it pops more than ``budget`` nodes. When the
+    greedy upper bound already matches it the branch and bound is skipped.
+    Otherwise a branch and bound over candidate points runs until its cover
+    has as many points as the packing number, or to completion (optimal), or
+    until it would pop more than ``budget`` nodes of its own (best cover
+    found so far, flagged non-optimal, with the packing number as its lower
+    bound).
 
     The search branches on the uncovered set with the fewest covering points
     and tries those points in index order, skipping a point whose newly
@@ -120,7 +123,7 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
     m = family.num_sets
     if m == 0:
         return PiercingSolution(0, (), (), True, 0)
-    nu, _ = max_disjoint(family)
+    nu, _ = max_disjoint(family, budget=budget)
     candidates = _candidate_points(family)
     greedy = _greedy(m, candidates)
     if greedy.tau == nu:
@@ -139,7 +142,6 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
     all_mask = (1 << m) - 1
     best_points: Sequence[int] = greedy.piercing_points
     best_size = greedy.tau
-    nodes = 0
 
     def remaining_lb(uncovered: int) -> int:
         # Greedily collected pairwise-disjoint uncovered sets each need their
@@ -158,29 +160,28 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
     # Each node is its covered sets and chosen points; children are pushed in
     # reverse, so each subtree is finished before its next sibling starts.
     stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-    while stack:
-        covered, chosen = stack.pop()
-        nodes += 1
-        if nodes > budget:
-            return _canonical(family, best_points, False, nu)
-        if covered == all_mask:
-            if len(chosen) < best_size:
-                best_size, best_points = len(chosen), chosen
-                if best_size == nu:
-                    break
-            continue
-        uncovered = all_mask & ~covered
-        if len(chosen) + remaining_lb(uncovered) >= best_size:
-            continue
-        pick = next(i for i in branch_order if uncovered >> i & 1)
-        gains: list[int] = []
-        children = []
-        for pt, col in options[pick]:
-            gain = col & uncovered
-            if all(gain & ~g for g in gains):
-                gains.append(gain)
-                children.append((covered | col, chosen + (pt,)))
-        stack += reversed(children)
+    try:
+        for covered, chosen in pops(stack, budget, "piercing search"):
+            if covered == all_mask:
+                if len(chosen) < best_size:
+                    best_size, best_points = len(chosen), chosen
+                    if best_size == nu:
+                        break
+                continue
+            uncovered = all_mask & ~covered
+            if len(chosen) + remaining_lb(uncovered) >= best_size:
+                continue
+            pick = next(i for i in branch_order if uncovered >> i & 1)
+            gains: list[int] = []
+            children = []
+            for pt, col in options[pick]:
+                gain = col & uncovered
+                if all(gain & ~g for g in gains):
+                    gains.append(gain)
+                    children.append((covered | col, chosen + (pt,)))
+            stack += reversed(children)
+    except BudgetExceededError:
+        return _canonical(family, best_points, False, nu)
     return _canonical(family, best_points, True, best_size)
 
 

@@ -3,18 +3,17 @@
 The q = 2 case is decided through the packing number: a family fails the
 (p,2)-property exactly when it contains p pairwise-disjoint sets, so
 ``has_pq`` calls the exact maximum-independent-set solver on the
-intersection graph (capped at p). General q is an explicit exhaustive check
-over every p-subset and its q-subsets, refused up front when C(m,p) * C(p,q)
-exceeds the budget.
+intersection graph (capped at p). For q > 2 a violation is p sets in which no
+point lies in q of them, found by an include-first search in index order
+that keeps each chosen point's depth below q. Both searches pop at most
+``budget`` nodes (``errors.pops``).
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, pops
 from .family import Check, SetFamily, mask_from_points
 
 
@@ -71,14 +70,17 @@ def _is_clique(vertices: int, conf: list[int]) -> bool:
     return True
 
 
-def max_disjoint(family: SetFamily, cap: int | None = None) -> tuple[int, tuple[int, ...]]:
+def max_disjoint(
+    family: SetFamily, cap: int | None = None, budget: int = DEFAULT_BUDGET
+) -> tuple[int, tuple[int, ...]]:
     """Exact maximum pairwise-disjoint subfamily (packing number and witness).
 
     Branch and bound on the intersection graph, include-branch first in index
     order, so the witness is the lexicographically first optimum. With
     ``cap`` set the search stops as soon as ``cap`` disjoint sets are found
     and returns ``min(packing number, cap)`` with a witness of that size; a
-    negative ``cap`` raises ValueError.
+    negative ``cap`` raises ValueError. BudgetExceededError is raised if the
+    search pops more than ``budget`` nodes.
 
     The exclude branch of the lowest candidate is skipped when its candidate
     neighbours pairwise conflict: some maximum packing of the candidates then
@@ -97,8 +99,7 @@ def max_disjoint(family: SetFamily, cap: int | None = None) -> tuple[int, tuple[
     # Each node is its candidate sets and the number of sets chosen above it;
     # the include child is pushed last, so it and its subtree come first.
     stack = [((1 << m) - 1, 0)]
-    while stack:
-        cand, depth = stack.pop()
+    for cand, depth in pops(stack, budget, "packing search"):
         del chosen[depth:]
         if not cand:
             if depth > best_size:
@@ -118,63 +119,80 @@ def max_disjoint(family: SetFamily, cap: int | None = None) -> tuple[int, tuple[
     return best_size, best
 
 
-def has_pq(family: SetFamily, p: int, q: int, budget: int = DEFAULT_BUDGET) -> PropertyReport:
-    """Decide whether among any p sets of the family some q share a point."""
+def _check_pq(p: int, q: int) -> None:
     if q < 2 or p < q:
         raise ValueError(f"need p >= q >= 2, got p={p}, q={q}")
-    m = family.num_sets
+
+
+def _deepen(layers: tuple[int, ...], mem: int) -> tuple[int, ...] | None:
+    """Point-depth layers after one more set, or None if the set meets the last.
+
+    ``layers[k]`` holds the points in more than k of the sets so far, so with
+    d layers a set may join exactly when no point would lie in more than d
+    sets."""
+    if mem & layers[-1]:
+        return None
+    return (layers[0] | mem, *(hi | lo & mem for lo, hi in zip(layers, layers[1:])))
+
+
+def _within_depth(family: SetFamily, indices: Sequence[int], layers: tuple[int, ...]) -> bool:
+    """Whether the listed sets, none listed twice, join ``layers`` one by one."""
+    for i in indices:
+        layers = _deepen(layers, family.members[i])
+        if layers is None:
+            return False
+    return len(set(indices)) == len(indices)
+
+
+def has_pq(family: SetFamily, p: int, q: int, budget: int = DEFAULT_BUDGET) -> PropertyReport:
+    """Decide whether among any p sets of the family some q share a point.
+
+    A violation is the lexicographically first p sets of which no q share a
+    point. BudgetExceededError is raised if the search pops more than
+    ``budget`` nodes."""
+    _check_pq(p, q)
     if q == 2:
-        size, witness = max_disjoint(family, cap=p)
+        size, witness = max_disjoint(family, p, budget)
         holds = size < p
         return PropertyReport(p, q, holds, None if holds else witness, witness)
-    if math.comb(m, p) * math.comb(p, q) > budget:
-        raise BudgetExceededError(
-            f"(p,q) check over C({m},{p})*C({p},{q}) intersections exceeds the budget of {budget}"
-        )
-    for combo in itertools.combinations(range(m), p):
-        if not any(share_point(family, sub) for sub in itertools.combinations(combo, q)):
-            return PropertyReport(p, q, False, combo, None)
+    m = family.num_sets
+    members = family.members
+    # Each node is the next set to decide, the sets chosen so far and their
+    # point-depth layers; the include child is pushed last, so it comes first.
+    # Every subset of a violation is one too, so no node above the first
+    # violation is ever skipped and the first p chosen sets are the first
+    # violation in lexicographic order. No point lies in more than m sets,
+    # so m layers are enough however large q is.
+    stack = [(0, (), (0,) * min(q - 1, m))]
+    for t, chosen, layers in pops(stack, budget, "(p,q) search"):
+        if len(chosen) == p:
+            return PropertyReport(p, q, False, chosen, None)
+        if len(chosen) + m - t < p:
+            continue
+        stack.append((t + 1, chosen, layers))
+        deeper = _deepen(layers, members[t])
+        if deeper is not None:
+            stack.append((t + 1, (*chosen, t), deeper))
     return PropertyReport(p, q, True, None, None)
-
-
-def share_point(family: SetFamily, indices: Iterable[int]) -> bool:
-    """Whether the listed sets have a point in common."""
-    inter = family.universe_mask
-    for i in indices:
-        inter &= family.members[i]
-        if not inter:
-            return False
-    return bool(inter)
-
-
-def pairwise_disjoint(family: SetFamily, indices: Iterable[int], avoid: Iterable[int] = ()) -> bool:
-    """Whether the listed sets are pairwise disjoint and miss every point of ``avoid``."""
-    seen = mask_from_points(avoid, family.universe_size)
-    for i in indices:
-        if family.members[i] & seen:
-            return False
-        seen |= family.members[i]
-    return True
 
 
 def check_verdict(
     family: SetFamily, p: int, q: int, violation: Sequence[int] | None, disjoint_witness: Sequence[int] | None
 ) -> list[Check]:
     """Re-check a (p,q) verdict's witnesses: a violation lists p sets of which no q
-    share a point (q = 2: p pairwise-disjoint sets); a packing witness is pairwise disjoint."""
+    share a point (q = 2: p pairwise-disjoint sets); a packing witness is pairwise
+    disjoint. A set listed twice fails; p and q breaking p >= q >= 2 raise ValueError."""
+    _check_pq(p, q)
     checks = []
     if violation is not None:
+        ok = len(violation) == p and _within_depth(family, violation, (0,) * (q - 1))
         if q == 2:
-            ok = len(violation) == p and pairwise_disjoint(family, violation)
             detail = "violation re-verifies as pairwise disjoint" if ok else "violation is not pairwise disjoint"
         else:
-            ok = len(violation) == p and not any(
-                share_point(family, sub) for sub in itertools.combinations(violation, q)
-            )
             detail = "violation re-verifies: no q share a point" if ok else "violation has q sets sharing a point"
         checks.append(Check("pq.violation-reverifies", ok, detail))
     if disjoint_witness is not None:
-        ok = pairwise_disjoint(family, disjoint_witness)
+        ok = _within_depth(family, disjoint_witness, (0,))
         checks.append(Check("pq.disjoint-witness-reverifies", ok,
                             "witness is pairwise disjoint" if ok else "witness sets intersect"))
     return checks or [Check("pq.no-witness-to-check", True, "verdict carries no witness")]
@@ -196,8 +214,13 @@ def disjoint_sequence_greedy(family: SetFamily, avoid: Iterable[int] = ()) -> tu
     return tuple(out)
 
 
-def check_disjoint(family: SetFamily, chosen: Sequence[int], avoid: Iterable[int] = ()) -> Check:
-    """Re-check a packing witness or a greedy sequence: pairwise disjoint, missing ``avoid``."""
-    ok = pairwise_disjoint(family, chosen, avoid)
+def check_disjoint(
+    family: SetFamily, chosen: Sequence[int], avoid: Iterable[int] = (), nu: int | None = None
+) -> Check:
+    """Re-check a packing witness of ``nu`` sets or a greedy sequence: pairwise
+    disjoint, missing ``avoid``, no set listed twice."""
+    if nu is not None and nu != len(chosen):
+        return Check("disjoint.witness-reverifies", False, f"nu is {nu} but the witness has {len(chosen)} sets")
+    ok = _within_depth(family, chosen, (mask_from_points(avoid, family.universe_size),))
     return Check("disjoint.witness-reverifies", ok,
                  "chosen sets pairwise disjoint" if ok else "chosen sets intersect")

@@ -60,10 +60,11 @@ _KINDS: dict[str, tuple[str, Any, Any]] = {
     ),
     "disjoint": (
         "pq",
-        lambda _, r: {"sequence": [SET_INDEX], "avoid": [POINT]} if "sequence" in r else {"witness": [SET_INDEX]},
+        lambda _, r: {"sequence": [SET_INDEX], "avoid": [POINT]} if "sequence" in r
+        else {"nu": int, "witness": [SET_INDEX]},
         lambda pq, family, r: [
             pq.check_disjoint(family, r["sequence"], r["avoid"]) if "sequence" in r
-            else pq.check_disjoint(family, r["witness"])
+            else pq.check_disjoint(family, r["witness"], nu=r["nu"])
         ],
     ),
     "pierce": (

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, pops
 from .family import Check, SetFamily, boolean_atoms, cells
 
 MODE_EXACT = "exact"
@@ -92,10 +92,6 @@ def _compress(family: SetFamily) -> tuple[list[int], list[int], int]:
 def _exact(compressed: tuple[list[int], list[int], int], n: int, budget: int) -> ShatterResult:
     members, boundaries, width = compressed
     m = len(members)
-    if math.comb(m, n) > budget:
-        raise BudgetExceededError(
-            f"exact shatter search over C({m},{n}) subfamilies exceeds the budget of {budget}"
-        )
     # reach[t]: the most boundary edges any one set after set t cuts.
     reach = [0] * m
     for t in reversed(range(m - 1)):
@@ -108,8 +104,7 @@ def _exact(compressed: tuple[list[int], list[int], int], n: int, budget: int) ->
     # children are pushed in reverse, so each subtree is finished before its
     # next sibling starts.
     stack = [(0, -1, [(1 << width) - 1] if width else [], 0)]
-    while stack:
-        depth, last, cells, cut = stack.pop()
+    for depth, last, cells, cut in pops(stack, budget, "exact shatter search"):
         remaining = n - depth
         if last >= 0:
             # Cells never outnumber the arcs that the cut edges leave on the
@@ -192,10 +187,11 @@ def dual_shatter(
 ) -> ShatterResult:
     """Maximum number of boolean atoms over subfamilies of size ``n``.
 
-    ``mode="exact"`` returns the true maximum (refusing upfront when the
-    subset count exceeds ``budget``); ``mode="greedy-lower-bound"`` grows one
-    subfamily by repeatedly adding the set that splits the most current
-    atoms, ties to the lowest index, and returns a valid lower bound.
+    ``mode="exact"`` returns the true maximum, raising BudgetExceededError
+    if its search pops more than ``budget`` nodes;
+    ``mode="greedy-lower-bound"`` grows one subfamily by repeatedly adding
+    the set that splits the most current atoms, ties to the lowest index,
+    and returns a valid lower bound.
     """
     if not 1 <= n <= family.num_sets:
         raise ValueError(f"n must be between 1 and {family.num_sets}, got {n}")

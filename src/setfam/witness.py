@@ -18,8 +18,9 @@ that (in this order of blame when none survives)
 3. avoid every probe placed at earlier steps;
 
 and then takes the lowest-index survivor, with the lowest base point as each
-probe. "Live atom" means an atom of the current chain sets that meets B;
-each step splits the live atoms by the new set with the kernel's
+probe; the exhaustive builder backtracks over every survivor in index order
+in the same search. "Live atom" means an atom of the current chain sets that
+meets B; each step splits the live atoms by the new set with the kernel's
 ``split_cells`` and keeps the parts that meet B.
 ``verify_witness`` recomputes every condition from scratch, reading each
 point's trace off the chain sets' own rows rather than the builder's atom
@@ -31,7 +32,7 @@ from __future__ import annotations
 from itertools import compress
 from typing import Any, Iterable, NamedTuple
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, pops
 from .family import POINT, SET_INDEX, Cell, SetFamily, Signature, _check_subfamily, check_shape
 from .family import mask_from_points, point_traces, points_from_mask, split_cells
 
@@ -220,9 +221,8 @@ def _extend(
     ), after
 
 
-def _stuck(
-    splitters: list[int], base_hitters: list[int], full: list[int], chain: WitnessChain
-) -> StuckCertificate:
+def _stuck(chain: WitnessChain, stages: tuple[list[int], list[int], list[int]]) -> StuckCertificate:
+    splitters, base_hitters, full = stages
     if not splitters:
         reason = REASON_NO_SPLIT
     elif not base_hitters:
@@ -246,52 +246,37 @@ def build_quadratic_witness(
 ) -> WitnessChain | StuckCertificate:
     """Grow a witness chain of length ``n_target``, or certify where it stuck.
 
-    The default is greedy with lowest-index tie breaks and no backtracking
-    across steps, so identical inputs always yield the identical chain.
-    ``exhaustive=True`` backtracks over candidate choices within ``budget``
-    search nodes and returns the first chain reaching ``n_target`` in
-    lexicographic order, or a certificate for the deepest chain found.
+    One depth-first search over chains, in lexicographic order of their sets,
+    builds both. The default is greedy: each chain is extended only by its
+    lowest-index candidate, so the search is its own first descent and
+    identical inputs always yield the identical chain. ``exhaustive=True``
+    extends each chain by every candidate and returns the first chain
+    reaching ``n_target``. Otherwise the certificate is for the first deepest
+    chain found. BudgetExceededError is raised if the search pops more than
+    ``budget`` nodes.
     """
     target_mask = _target_mask(family, target, require_nonempty=True)
     if n_target < 1:
         raise ValueError("n_target must be at least 1")
-    if exhaustive:
-        return _build_exhaustive(family, target_mask, n_target, budget)
-    chain, atoms = WitnessChain(), [("", family.universe_mask)]
-    while chain.length < n_target:
-        splitters, base_hitters, full = _candidate_stages(family, target_mask, chain, atoms)
-        if not full:
-            return _stuck(splitters, base_hitters, full, chain)
-        chain, atoms = _extend(family, target_mask, chain, full[0], atoms)
-    return chain
-
-
-def _build_exhaustive(
-    family: SetFamily, target_mask: int, n_target: int, budget: int
-) -> WitnessChain | StuckCertificate:
-    deepest = WitnessChain(), [("", family.universe_mask)]
-    nodes = 0
-
-    def dfs(chain: WitnessChain, atoms: _Atoms) -> WitnessChain | None:
-        nonlocal deepest, nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"witness search exceeded the budget of {budget} nodes")
-        if chain.length > deepest[0].length:
-            deepest = chain, atoms
+    deepest = None
+    # Each node is its parent chain with that chain's live atoms and the set
+    # that extends it (None at the root), extended only when popped; children
+    # are pushed in reverse, so each subtree is finished before its next
+    # sibling starts.
+    stack: list[tuple[WitnessChain, _Atoms, int | None]] = [
+        (WitnessChain(), [("", family.universe_mask)], None)
+    ]
+    for chain, atoms, t in pops(stack, budget, "witness search"):
+        if t is not None:
+            chain, atoms = _extend(family, target_mask, chain, t, atoms)
         if chain.length == n_target:
             return chain
-        for t in _candidate_stages(family, target_mask, chain, atoms)[2]:
-            hit = dfs(*_extend(family, target_mask, chain, t, atoms))
-            if hit is not None:
-                return hit
-        return None
-
-    hit = dfs(*deepest)
-    if hit is not None:
-        return hit
-    splitters, base_hitters, full = _candidate_stages(family, target_mask, *deepest)
-    return _stuck(splitters, base_hitters, full, deepest[0])
+        stages = _candidate_stages(family, target_mask, chain, atoms)
+        if deepest is None or chain.length > deepest[0].length:
+            deepest = chain, stages
+        full = stages[2] if exhaustive else stages[2][:1]
+        stack += [(chain, atoms, s) for s in reversed(full)]
+    return _stuck(*deepest)
 
 
 def verify_witness(family: SetFamily, target: Iterable[int], chain: WitnessChain) -> VerificationReport:

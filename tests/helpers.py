@@ -7,7 +7,9 @@ different routes to the same number.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 from hypothesis import strategies as st
 
@@ -52,6 +54,18 @@ def brute_max_disjoint(family: SetFamily) -> int:
     """Max pairwise-disjoint subfamily size by exhaustive subset search."""
     sizes = range(family.num_sets, 0, -1)
     return next((size for size in sizes if brute_first_packing(family, size)), 0)
+
+
+def brute_pq(family: SetFamily, p: int, q: int) -> tuple[bool, tuple[int, ...] | None]:
+    """Whether the (p,q)-property holds, and if not the first p sets in
+    ``combinations`` order of which no q share a point."""
+    for combo in itertools.combinations(range(family.num_sets), p):
+        if not any(
+            functools.reduce(operator.and_, (family.members[i] for i in sub))
+            for sub in itertools.combinations(combo, q)
+        ):
+            return False, combo
+    return True, None
 
 
 def interval_packing(family: SetFamily) -> int:

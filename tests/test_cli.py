@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from setfam import gen_intervals, parse_family, serialize_family
+from setfam import gen_intervals, gen_random, parse_family, serialize_family
 from setfam.cli import main
 
 
@@ -288,13 +288,12 @@ class TestAtomsShatterDisjoint:
         assert "witness for n=4 has 3 sets" in out
 
     def test_shatter_budget_exit_code(self, capsys, tmp_path):
-        path = tmp_path / "wide.fam"
-        rows = "\n".join("1" * 5 for _ in range(40))
-        path.write_text(f"40 5\n{rows}\n")
-        code, _, err = run(capsys, "shatter", "--in", str(path), "--n", "20",
+        path = tmp_path / "random.fam"
+        path.write_text(serialize_family(gen_random(24, 40, 0.2, 0)))
+        code, _, err = run(capsys, "shatter", "--in", str(path), "--n", "10",
                            "--budget", "1000")
         assert code == 3
-        assert "budget" in err
+        assert err == "budget exceeded: exact shatter search exceeded the budget of 1000 nodes\n"
 
     def test_disjoint_and_sequence(self, capsys, disjoint3_file):
         code, out, _ = run(capsys, "disjoint", "--in", disjoint3_file)
@@ -313,6 +312,15 @@ class TestAtomsShatterDisjoint:
         code, out, _ = run(capsys, "disjoint", "--in", str(path))
         assert code == 0
         assert "nu=1100" in out
+
+    @pytest.mark.parametrize("command, args", [("disjoint", []), ("pq", ["--p", "3", "--q", "2"])])
+    def test_packing_budget_exit_code(self, capsys, tmp_path, command, args):
+        # The packing search pops 1,586 nodes here.
+        path = tmp_path / "random.fam"
+        path.write_text(serialize_family(gen_random(90, 135, 0.03, 0)))
+        code, out, err = run(capsys, command, "--in", str(path), *args, "--budget", "1")
+        assert (code, out) == (3, "")
+        assert err == "budget exceeded: packing search exceeded the budget of 1 nodes\n"
 
     def test_shatter_on_many_singletons(self, capsys, tmp_path):
         # One set per search level: deeper than the recursion limit.

@@ -10,6 +10,7 @@ from helpers import (
     interval_packing,
 )
 from setfam import (
+    BudgetExceededError,
     EmptySetError,
     PiercingSolution,
     SetFamily,
@@ -83,11 +84,16 @@ class TestExact:
         fam = SetFamily.from_points(3, [("A", [0, 1]), ("B", [1, 2]), ("C", [0, 2])])
         full = transversal_exact(fam)
         assert full.tau == 2 and full.optimal
-        capped = transversal_exact(fam, budget=1)
+        # The packing search takes 2 nodes and the branch and bound 3: at a
+        # budget of 2 the branch and bound stops with the greedy cover, and at
+        # 1 the packing search itself raises.
+        capped = transversal_exact(fam, budget=2)
         assert not capped.optimal
         assert capped.lower_bound == max_disjoint(fam)[0] == 1
         assert capped.lower_bound <= full.tau <= capped.tau
         assert_solution_valid(fam, capped)
+        with pytest.raises(BudgetExceededError, match="packing search exceeded the budget of 1 nodes"):
+            transversal_exact(fam, budget=1)
 
     @given(families(nonempty=True))
     def test_matches_partition_oracle(self, fam):

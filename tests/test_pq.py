@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_first_packing, brute_max_disjoint, families
+from helpers import brute_first_packing, brute_max_disjoint, brute_pq, families
 from setfam import (
     BudgetExceededError,
     SetFamily,
     disjoint_sequence_greedy,
+    gen_intervals,
     has_pq,
     max_disjoint,
 )
@@ -128,6 +129,24 @@ class TestHasPq:
         )
         with pytest.raises(BudgetExceededError):
             has_pq(fam, 10, 3, budget=100)
+
+    @settings(max_examples=300)
+    @given(families(max_sets=8, max_points=6), st.integers(3, 4), st.integers(0, 4))
+    def test_general_q_matches_brute_force(self, fam, q, extra):
+        # The first violation in lexicographic order, as combinations finds it.
+        report = has_pq(fam, q + extra, q)
+        assert (report.holds, report.violation) == brute_pq(fam, q + extra, q)
+        assert report.disjoint_witness is None
+
+    def test_general_q_on_intervals(self):
+        # A small violation is found at once, and a property that holds is
+        # proved within the default budget.
+        assert has_pq(gen_intervals(30, 150, 0), 6, 3).violation == tuple(range(6))
+        assert has_pq(gen_intervals(40, 200, 0), 11, 3).holds
+
+    def test_general_q_with_more_layers_than_sets(self):
+        fam = SetFamily.from_points(2, [("A", [0]), ("B", [0])])
+        assert has_pq(fam, 10**9, 10**9).holds
 
     @given(families(), st.integers(2, 6))
     def test_q2_equivalent_to_packing(self, fam, p):

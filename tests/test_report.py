@@ -46,7 +46,7 @@ IGNORED = {
     "shatter": {"mode", "exponent"},
     "pq": {"holds"},
     "pierce": {"mode"},
-    "disjoint": {"nu", "cap"},
+    "disjoint": {"cap"},
     "witness": {"stuck"},
 }
 TOP_IGNORED = {"command", "input_digest", "wall_time_s"}
@@ -124,7 +124,7 @@ def verify(workdir, report):
         ("chain", lambda r: r["witness"]["target"].__setitem__(0, 0),
          "results.witness: target point 0 is a base point; the target must lie in the extension"),
         ("pq-violation", lambda r: r["pq"].__setitem__("q", -1),
-         "results.pq: r must be non-negative"),
+         "results.pq: need p >= q >= 2, got p=3, q=-1"),
     ],
 )
 def test_malformed_report_exits_two_with_its_path(workdir, reports, name, mutate, message):
@@ -132,6 +132,48 @@ def test_malformed_report_exits_two_with_its_path(workdir, reports, name, mutate
     mutate(report["results"])
     code, out, err = verify(workdir, report)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_pq_parameters_out_of_order_exit_two(workdir, reports):
+    # The three star sets share point 0, which no q = 5 can deny.
+    report = copy.deepcopy(reports["pq"])
+    report["results"]["pq"].update(q=5, violation=[0, 1, 2])
+    assert verify(workdir, report) == (2, "", "error: results.pq: need p >= q >= 2, got p=3, q=5\n")
+
+
+def _tamper(kind, empty_set=None, **values):
+    """Set ``values`` in one result, first emptying set ``empty_set`` of its family."""
+    def mutate(results):
+        if empty_set is not None:
+            results[kind]["family"]["sets"][empty_set]["points"] = []
+        results[kind].update(values)
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "name, mutate, failed",
+    [
+        # An empty set listed twice is two sets sharing nothing, but one set.
+        ("pq-violation", _tamper("pq", 2, violation=[2, 2, 2]),
+         "pq.violation-reverifies: FAIL (violation is not pairwise disjoint)"),
+        ("pq-q3", _tamper("pq", 2, violation=[2, 2, 2]),
+         "pq.violation-reverifies: FAIL (violation has q sets sharing a point)"),
+        ("pq-violation", _tamper("pq", 2, disjoint_witness=[0, 1, 2, 2]),
+         "pq.disjoint-witness-reverifies: FAIL (witness sets intersect)"),
+        ("disjoint", _tamper("disjoint", 2, nu=4, witness=[0, 1, 2, 2]),
+         "disjoint.witness-reverifies: FAIL (chosen sets intersect)"),
+        ("sequence", _tamper("disjoint", 2, sequence=[2, 2, 2]),
+         "disjoint.witness-reverifies: FAIL (chosen sets intersect)"),
+        ("disjoint", _tamper("disjoint", nu=99),
+         "disjoint.witness-reverifies: FAIL (nu is 99 but the witness has 3 sets)"),
+    ],
+)
+def test_false_witnesses_fail_verify(workdir, reports, name, mutate, failed):
+    report = copy.deepcopy(reports[name])
+    mutate(report["results"])
+    code, out, err = verify(workdir, report)
+    assert (code, err) == (1, "")
+    assert f"{failed}\n" in out and out.endswith("verdict: FAIL\n")
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from setfam import (
     dual_shatter,
     gen_halfplane_grid,
     gen_intervals,
+    gen_random,
     growth_profile,
 )
 
@@ -56,8 +57,10 @@ class TestDualShatterExact:
             dual_shatter(singletons(), 0)
 
     def test_budget_refusal(self):
-        fam = SetFamily(20, tuple(f"S{i}" for i in range(20)), tuple([1] * 20))
-        with pytest.raises(BudgetExceededError):
+        # A search that needs more than 200,000 nodes stops at the pop that
+        # would exceed the budget.
+        fam = gen_random(24, 40, 0.2, 0)
+        with pytest.raises(BudgetExceededError, match="exact shatter search exceeded the budget of 1000 nodes"):
             dual_shatter(fam, 10, budget=1000)
 
     @given(families())
