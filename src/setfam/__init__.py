@@ -39,7 +39,7 @@ _EXPORTS = {
     "piercing": ("PiercingSolution", "transversal_exact", "transversal_greedy", "verify_partition"),
     "pq": ("PropertyReport", "disjoint_sequence_greedy", "has_pq", "max_disjoint"),
     "rng": ("SplitMix64",),
-    "shatter": ("GrowthProfile", "ShatterResult", "dual_shatter", "growth_profile"),
+    "shatter": ("GrowthProfile", "ShatterResult", "dual_shatter", "dual_vc_dimension", "growth_profile"),
     "witness": (
         "ChainStep",
         "StuckCertificate",

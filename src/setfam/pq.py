@@ -135,13 +135,21 @@ def _deepen(layers: tuple[int, ...], mem: int) -> tuple[int, ...] | None:
     return (layers[0] | mem, *(hi | lo & mem for lo, hi in zip(layers, layers[1:])))
 
 
-def _within_depth(family: SetFamily, indices: Sequence[int], layers: tuple[int, ...]) -> bool:
-    """Whether the listed sets, none listed twice, join ``layers`` one by one."""
+def _depth_check(
+    name: str, family: SetFamily, indices: Sequence[int], layers: tuple[int, ...], passed: str, failed: str
+) -> Check:
+    """Check that the listed sets join ``layers`` one by one: the first set
+    listed twice fails the check by its index, a set meeting the last layer
+    with ``failed``."""
+    seen = set()
     for i in indices:
+        if i in seen:
+            return Check(name, False, f"set {i} listed twice")
+        seen.add(i)
         layers = _deepen(layers, family.members[i])
         if layers is None:
-            return False
-    return len(set(indices)) == len(indices)
+            return Check(name, False, failed)
+    return Check(name, True, passed)
 
 
 def has_pq(family: SetFamily, p: int, q: int, budget: int = DEFAULT_BUDGET) -> PropertyReport:
@@ -185,16 +193,18 @@ def check_verdict(
     _check_pq(p, q)
     checks = []
     if violation is not None:
-        ok = len(violation) == p and _within_depth(family, violation, (0,) * (q - 1))
         if q == 2:
-            detail = "violation re-verifies as pairwise disjoint" if ok else "violation is not pairwise disjoint"
+            passed = "violation re-verifies as pairwise disjoint"
+            failed = "violation is not pairwise disjoint"
         else:
-            detail = "violation re-verifies: no q share a point" if ok else "violation has q sets sharing a point"
-        checks.append(Check("pq.violation-reverifies", ok, detail))
+            passed = "violation re-verifies: no q share a point"
+            failed = "violation has q sets sharing a point"
+        name = "pq.violation-reverifies"
+        checks.append(_depth_check(name, family, violation, (0,) * (q - 1), passed, failed)
+                      if len(violation) == p else Check(name, False, failed))
     if disjoint_witness is not None:
-        ok = _within_depth(family, disjoint_witness, (0,))
-        checks.append(Check("pq.disjoint-witness-reverifies", ok,
-                            "witness is pairwise disjoint" if ok else "witness sets intersect"))
+        checks.append(_depth_check("pq.disjoint-witness-reverifies", family, disjoint_witness, (0,),
+                                   "witness is pairwise disjoint", "witness sets intersect"))
     return checks or [Check("pq.no-witness-to-check", True, "verdict carries no witness")]
 
 
@@ -221,6 +231,6 @@ def check_disjoint(
     disjoint, missing ``avoid``, no set listed twice."""
     if nu is not None and nu != len(chosen):
         return Check("disjoint.witness-reverifies", False, f"nu is {nu} but the witness has {len(chosen)} sets")
-    ok = _within_depth(family, chosen, (mask_from_points(avoid, family.universe_size),))
-    return Check("disjoint.witness-reverifies", ok,
-                 "chosen sets pairwise disjoint" if ok else "chosen sets intersect")
+    blocked = mask_from_points(avoid, family.universe_size)
+    return _depth_check("disjoint.witness-reverifies", family, chosen, (blocked,),
+                        "chosen sets pairwise disjoint", "chosen sets intersect")

@@ -99,7 +99,22 @@ class SplitMix64:
         return int(b"".join(reversed(coins)) or b"0", 2)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle driven by this stream."""
+        """In-place Fisher-Yates shuffle driven by this stream: item i swaps
+        with item ``below(i + 1)``, for i from the last down to 1. The state
+        step, the mix, the rejection test and the modulus of ``below`` are
+        inlined, so the draws are the same."""
+        state = self._state
+        mask, gamma, mix1, mix2, top = _MASK64, _GAMMA, _MIX1, _MIX2, 1 << 64
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            bound = i + 1
+            limit = top - top % bound
+            while True:
+                state = (state + gamma) & mask
+                z = ((state ^ state >> 30) * mix1) & mask
+                z = ((z ^ z >> 27) * mix2) & mask
+                z ^= z >> 31
+                if z < limit:
+                    break
+            j = z % bound
             items[i], items[j] = items[j], items[i]
+        self._state = state

@@ -16,9 +16,20 @@ cannot beat the incumbent (a cell of k columns never yields more than k
 atoms), and at the last set counts each candidate's splits instead of
 building its cells, stopping a count once the candidate cannot beat the
 incumbent. All four keep every count that can win and the visiting order,
-so the witness cannot change. The greedy lower bound counts its candidates
-the same way and builds only the winner's cells; its first k steps are its
-answer for k sets, so a greedy profile takes one pass.
+so the witness cannot change.
+
+The search also ends once its incumbent reaches a bound on every count: 2**n,
+the distinct columns, and the Sauer-Shelah bound, the sum of C(n, j) over
+j <= d, once the dual VC dimension d is proved. Since the incumbent changes
+only on a strict gain, the first leaf to reach such a bound is the
+lexicographically first maximizer. A lone call proves d by asking, for
+k = 1, 2, ..., whether some k sets are shattered (the same search, seeded at
+2**k - 1 and ended by the first k sets with 2**k atoms); the first k that is
+not proves d = k - 1. It asks only while the bound that answer would give is
+below 2**n, the columns and n times the longest boundary, and only for k < n.
+A profile reads d off its own values. The greedy lower bound counts its
+candidates like the last level and builds only the winner's cells; its first
+k steps are its answer for k sets, so a greedy profile takes one pass.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DEFAULT_BUDGET, pops
+from .errors import DEFAULT_BUDGET, BudgetExceededError, pops
 from .family import Check, SetFamily, boolean_atoms, cells
 
 MODE_EXACT = "exact"
@@ -89,14 +100,18 @@ def _compress(family: SetFamily) -> tuple[list[int], list[int], int]:
     return members, [mem ^ (mem >> 1 | (mem & 1) << top) for mem in members], width
 
 
-def _exact(compressed: tuple[list[int], list[int], int], n: int, budget: int) -> ShatterResult:
+def _exact(
+    compressed: tuple[list[int], list[int], int], n: int, budget: int, stop: int, floor: int = -1
+) -> ShatterResult:
+    """The first n sets with the most atoms above ``floor``; the search ends
+    once its incumbent reaches ``stop``, which must bound every count."""
     members, boundaries, width = compressed
     m = len(members)
     # reach[t]: the most boundary edges any one set after set t cuts.
     reach = [0] * m
     for t in reversed(range(m - 1)):
         reach[t] = max(reach[t + 1], boundaries[t + 1].bit_count())
-    best_value = -1
+    best_value = floor
     best_witness: tuple[int, ...] = ()
     chosen: list[int] = []
     # Each node is its depth, its last chosen set (-1 at the root), and its
@@ -130,8 +145,60 @@ def _exact(compressed: tuple[list[int], list[int], int], n: int, budget: int) ->
             value, t = _best_split(len(cells), live, members, range(last + 1, m), best_value)
             if t is not None:
                 best_value, best_witness = value, (*chosen, t)
+                if best_value >= stop:
+                    break
 
     return ShatterResult(n, best_value, best_witness, MODE_EXACT)
+
+
+def _shattered(compressed: tuple[list[int], list[int], int], k: int, budget: int) -> bool:
+    """Whether some k sets make 2**k atoms: the exact search with its
+    incumbent seeded at 2**k - 1, ended by the first such k sets."""
+    return bool(_exact(compressed, k, budget, 1 << k, (1 << k) - 1).witness)
+
+
+def _stop(width: int, n: int, d: int | None) -> int:
+    """The least bound on the atoms of n sets that ends the exact search:
+    2**n, the distinct columns, and with a proved dual VC dimension ``d`` the
+    Sauer-Shelah bound, the sum of C(n, j) for j <= d."""
+    bound = min(1 << n, width)
+    return bound if d is None else min(bound, sum(math.comb(n, j) for j in range(d + 1)))
+
+
+def _proved_dimension(compressed: tuple[list[int], list[int], int], n: int, budget: int) -> int | None:
+    """The dual VC dimension k - 1, proved by the first k < n for which no k
+    sets are shattered; None if no such k is found, or a search runs out of
+    ``budget``. A k is searched only while the bound it would prove for n
+    sets, the sum of C(n, j) over j < k, is below 2**n, the distinct columns
+    and n times the longest boundary. That every k < n is shattered proves
+    nothing: the n sets may be too."""
+    _, boundaries, width = compressed
+    roof = min(1 << n, width, n * max(b.bit_count() for b in boundaries))
+    below = 0
+    for k in range(1, n):
+        below += math.comb(n, k - 1)
+        if below >= roof:
+            return None
+        try:
+            if not _shattered(compressed, k, budget):
+                return k - 1
+        except BudgetExceededError:
+            return None
+    return None
+
+
+def dual_vc_dimension(family: SetFamily, budget: int = DEFAULT_BUDGET) -> int:
+    """The largest k such that some k sets of the family are shattered, that
+    is, make 2**k atoms; 0 if no set splits the points.
+
+    By the Sauer-Shelah lemma any n sets then make at most the sum of C(n, j)
+    over j <= d atoms. Each k is its own exact search, raising
+    BudgetExceededError if it pops more than ``budget`` nodes."""
+    compressed = _compress(family)
+    k = 1
+    while k <= family.num_sets and _shattered(compressed, k, budget):
+        k += 1
+    return k - 1
 
 
 def _best_split(
@@ -188,7 +255,9 @@ def dual_shatter(
     """Maximum number of boolean atoms over subfamilies of size ``n``.
 
     ``mode="exact"`` returns the true maximum, raising BudgetExceededError
-    if its search pops more than ``budget`` nodes;
+    if its search pops more than ``budget`` nodes (each search for the dual
+    VC dimension has its own budget, and one that runs out leaves the
+    Sauer-Shelah stop off);
     ``mode="greedy-lower-bound"`` grows one subfamily by repeatedly adding
     the set that splits the most current atoms, ties to the lowest index,
     and returns a valid lower bound.
@@ -196,7 +265,8 @@ def dual_shatter(
     if not 1 <= n <= family.num_sets:
         raise ValueError(f"n must be between 1 and {family.num_sets}, got {n}")
     if mode == MODE_EXACT:
-        return _exact(_compress(family), n, budget)
+        compressed = _compress(family)
+        return _exact(compressed, n, budget, _stop(compressed[2], n, _proved_dimension(compressed, n, budget)))
     if mode in (MODE_GREEDY, "greedy"):
         return _greedy(family, n)[-1]
     raise ValueError(f"unknown mode {mode!r}")
@@ -215,7 +285,13 @@ def growth_profile(
     top = min(n_max, family.num_sets)
     if mode == MODE_EXACT:
         compressed = _compress(family)
-        results = tuple(_exact(compressed, k, budget) for k in range(1, top + 1))
+        found: list[ShatterResult] = []
+        d = None
+        for k in range(1, top + 1):
+            found.append(_exact(compressed, k, budget, _stop(compressed[2], k, d)))
+            if d is None and found[-1].value < 1 << k:
+                d = k - 1
+        results = tuple(found)
     elif mode in (MODE_GREEDY, "greedy"):
         results = tuple(_greedy(family, top))
     else:

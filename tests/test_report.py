@@ -155,15 +155,15 @@ def _tamper(kind, empty_set=None, **values):
     [
         # An empty set listed twice is two sets sharing nothing, but one set.
         ("pq-violation", _tamper("pq", 2, violation=[2, 2, 2]),
-         "pq.violation-reverifies: FAIL (violation is not pairwise disjoint)"),
+         "pq.violation-reverifies: FAIL (set 2 listed twice)"),
         ("pq-q3", _tamper("pq", 2, violation=[2, 2, 2]),
-         "pq.violation-reverifies: FAIL (violation has q sets sharing a point)"),
+         "pq.violation-reverifies: FAIL (set 2 listed twice)"),
         ("pq-violation", _tamper("pq", 2, disjoint_witness=[0, 1, 2, 2]),
-         "pq.disjoint-witness-reverifies: FAIL (witness sets intersect)"),
+         "pq.disjoint-witness-reverifies: FAIL (set 2 listed twice)"),
         ("disjoint", _tamper("disjoint", 2, nu=4, witness=[0, 1, 2, 2]),
-         "disjoint.witness-reverifies: FAIL (chosen sets intersect)"),
+         "disjoint.witness-reverifies: FAIL (set 2 listed twice)"),
         ("sequence", _tamper("disjoint", 2, sequence=[2, 2, 2]),
-         "disjoint.witness-reverifies: FAIL (chosen sets intersect)"),
+         "disjoint.witness-reverifies: FAIL (set 2 listed twice)"),
         ("disjoint", _tamper("disjoint", nu=99),
          "disjoint.witness-reverifies: FAIL (nu is 99 but the witness has 3 sets)"),
     ],

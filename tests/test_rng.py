@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from setfam.rng import ROW_BLOCK, SplitMix64, row_lanes
+from setfam.rng import _GAMMA, _MIX1, _MIX2, ROW_BLOCK, SplitMix64, row_lanes
 
 EDGE_COUNTS = (0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK, 3 * ROW_BLOCK + 1)
 EDGE_THRESHOLDS = (0, 1, 2**63, 2**64 - 1, 2**64)
@@ -46,3 +46,31 @@ def test_rows_match_single_draws(seed, first, second, threshold, shared):
         assert batched.chance_row(count, threshold, lanes) == _chances(single, count, threshold)
     assert batched.next_u64() == single.next_u64()
 
+
+def _seed_before(output: int) -> int:
+    """The seed whose first output is ``output``: each step of the mix is a
+    bijection on 64-bit words, undone here in reverse."""
+    z = output ^ output >> 31 ^ output >> 62
+    z = z * pow(_MIX2, -1, 2**64) % 2**64
+    z ^= z >> 27 ^ z >> 54
+    z = z * pow(_MIX1, -1, 2**64) % 2**64
+    z ^= z >> 30 ^ z >> 60
+    return (z - _GAMMA) % 2**64
+
+
+def test_seed_before_gives_the_largest_output():
+    assert SplitMix64(_seed_before(2**64 - 1)).next_u64() == 2**64 - 1
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 300))
+@example(_seed_before(2**64 - 1), 3)  # below(3) rejects its first draw, 2**64 - 1
+@example(_seed_before(2**64 - 1), 2)  # below(2) takes it: 2 divides 2**64
+def test_shuffle_matches_one_below_per_item(seed, length):
+    shuffled, reference = list(range(length)), list(range(length))
+    inlined, single = SplitMix64(seed), SplitMix64(seed)
+    inlined.shuffle(shuffled)
+    for i in range(length - 1, 0, -1):
+        j = single.below(i + 1)
+        reference[i], reference[j] = reference[j], reference[i]
+    assert shuffled == reference
+    assert inlined.next_u64() == single.next_u64()

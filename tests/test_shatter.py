@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from setfam import (
     SetFamily,
     boolean_atoms,
     dual_shatter,
+    dual_vc_dimension,
     gen_halfplane_grid,
     gen_intervals,
     gen_random,
@@ -20,6 +22,19 @@ from setfam import (
 
 def singletons():
     return SetFamily.from_points(3, [("A", [0]), ("B", [1]), ("C", [2])])
+
+
+def counted_pops(counts: list):
+    """``shatter.pops`` appending one count per search and adding one per node."""
+    original = shatter_module.pops
+
+    def pops(stack, budget, search):
+        counts.append(0)
+        for node in original(stack, budget, search):
+            counts[-1] += 1
+            yield node
+
+    return pops
 
 
 class TestDualShatterExact:
@@ -218,3 +233,60 @@ class TestGrowthProfile:
         profile = growth_profile(fam, 6)
         assert len(calls) == 1
         assert profile.results == tuple(dual_shatter(fam, n) for n in range(1, 7))
+
+
+class TestSauerShelahStop:
+    @settings(max_examples=200)
+    @given(families(max_sets=6, max_points=10, min_points=0))
+    def test_dual_vc_dimension_matches_brute_force(self, fam):
+        # The largest k such that some k sets make 2^k atoms, 0 if no set splits.
+        shattered = [k for k in range(1, fam.num_sets + 1) if brute_pi_star(fam, k) == 1 << k]
+        assert dual_vc_dimension(fam) == max(shattered, default=0)
+
+    @settings(max_examples=100)
+    @given(st.one_of(
+        run_families(max_sets=7),
+        st.builds(gen_halfplane_grid, st.integers(2, 7), st.just(32), st.integers(0, 2**16)),
+    ))
+    def test_stopped_searches_match_brute_force(self, fam):
+        # Lone calls prove d with their own searches, a profile reads it off
+        # its values; both must keep the lexicographically first maximizer.
+        expected = [brute_first_shatter(fam, n) for n in range(1, fam.num_sets + 1)]
+        results = [dual_shatter(fam, n) for n in range(1, fam.num_sets + 1)]
+        assert [(r.value, r.witness) for r in results] == expected
+        if fam.num_sets >= 2:
+            profile = growth_profile(fam, fam.num_sets)
+            assert [(r.value, r.witness) for r in profile.results] == expected
+
+    @pytest.mark.parametrize("seed", (1, 16))
+    def test_halfplane_searches_pop_under_a_hundred_nodes(self, seed):
+        # d = 2: two lines make 4 cells, no three make 8. So n lines make at
+        # most 1 + n + C(n,2) atoms, which the first descent reaches; without
+        # the stop the searches pop 495, 792 and 924 nodes.
+        fam = gen_halfplane_grid(12, 96, seed)
+        for n in (5, 6, 7):
+            counts: list[int] = []
+            with mock.patch.object(shatter_module, "pops", counted_pops(counts)):
+                assert dual_shatter(fam, n).value == 1 + n + math.comb(n, 2)
+            assert sum(counts) < 100, counts
+
+    def test_exact_profile_runs_no_dimension_search(self):
+        # One search per n: d is the k before the first value below 2^k, so
+        # n = 3 (7 cells) proves d = 2 and each later n stops at node n.
+        counts: list[int] = []
+        with mock.patch.object(shatter_module, "pops", counted_pops(counts)):
+            profile = growth_profile(gen_halfplane_grid(12, 96, 1), 7)
+        assert [r.value for r in profile.results] == [1 + n + math.comb(n, 2) for n in range(1, 8)]
+        assert counts == [1, 2, 66, 4, 5, 6, 7]
+
+    @settings(max_examples=200)
+    @given(families(max_sets=7, max_points=8, min_points=0), st.data())
+    def test_never_raises_where_the_search_without_the_stop_returns(self, fam, data):
+        # A dimension search out of budget leaves the stop off, and the
+        # stopped search pops no more nodes than the search without it.
+        n = data.draw(st.integers(1, fam.num_sets))
+        counts: list[int] = []
+        with mock.patch.object(shatter_module, "pops", counted_pops(counts)):
+            unstopped = shatter_module._exact(shatter_module._compress(fam), n, 10**6, (1 << n) + 1)
+        result = dual_shatter(fam, n, budget=counts[0])
+        assert (result.value, result.witness) == (unstopped.value, unstopped.witness)
