@@ -7,13 +7,15 @@ signature (character k: membership in its k-th set) with the mask of the
 points that carry it. The atom kernel, ``cells``, returns them as one dict
 in ascending signature order: it splits the universe one set at a time with
 ``split_cells``, or reads the signatures off the set rows once splitting
-would cost more. ``boolean_atoms``, the exact shatter search's compression,
-piercing candidates and the halfplane generator read that dict; the witness
-builder refines its live atoms with ``split_cells``. ``transpose`` is the
-one bit-matrix transpose: it joins the rows into one string of digits and
-reads each column as a stride slice of it. The verifiers (``check_atoms``
-and the witness verifier) read traces with ``point_traces``, apart from the
-kernel, so that they check it.
+would cost more. ``boolean_atoms`` and the halfplane generator read that
+dict, and so does ``columns``, the one table of the family's distinct point
+columns by lowest point, from which piercing takes its candidate points and
+the exact shatter search its compressed sets; the witness builder refines
+its live atoms with ``split_cells``. ``transpose`` is the one bit-matrix
+transpose: it joins the rows into one string of digits and reads each
+column as a stride slice of it. The verifiers (``check_atoms`` and the
+witness verifier) read traces with ``point_traces``, apart from the kernel,
+so that they check it.
 
 Two text formats are supported:
 
@@ -298,6 +300,15 @@ def cells(family: SetFamily, subfamily: Iterable[int]) -> dict[Signature, int]:
             return {sig: found[sig] for sig in sorted(found)}
         parts = split_cells(parts, family.members[i])
     return dict(parts)
+
+
+def columns(family: SetFamily) -> list[tuple[int, Signature]]:
+    """The family's distinct point columns: for each, its lowest point and
+    its signature over all sets (character i: membership in set i), in
+    ascending lowest-point order. The zero column, points in no set, is
+    included; a universe of no points has no columns."""
+    found = cells(family, range(family.num_sets))
+    return sorted(((mask & -mask).bit_length() - 1, sig) for sig, mask in found.items())
 
 
 def boolean_atoms(

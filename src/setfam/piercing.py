@@ -3,9 +3,10 @@
 For finite families, partitioning into consistent subfamilies (each with a
 common point) is the same problem as covering the family by point-stars, so
 the minimum partition size equals the piercing number. The exact solver is a
-set-cover branch and bound over candidate points deduplicated by their
-set-membership column; the raw-partition brute force lives in the test suite
-as an independent oracle.
+set-cover branch and bound over candidate points, the lowest point of each
+distinct nonzero column of ``family.columns``, pruned by ``pq.greedy_packing``
+of the sets left to cover; the raw-partition brute force lives in the test
+suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, EmptySetError, pops
-from .family import Check, SetFamily, cells
-from .pq import max_disjoint
+from .family import Check, SetFamily, columns
+from .pq import greedy_packing, max_disjoint
 
 
 class PiercingSolution(NamedTuple):
@@ -41,13 +42,9 @@ def _require_pierceable(family: SetFamily) -> None:
 
 def _candidate_points(family: SetFamily) -> list[tuple[int, int]]:
     # Points with identical set-membership columns are interchangeable; keep
-    # the lowest index of each distinct nonzero column. Over the sets in
-    # reverse order, bit i of a signature's numeral is membership in set i.
-    return sorted(
-        ((mask & -mask).bit_length() - 1, int(sig, 2))
-        for sig, mask in cells(family, reversed(range(family.num_sets))).items()
-        if "1" in sig
-    )
+    # the lowest index of each distinct nonzero column, with bit i of its
+    # numeral meaning membership in set i.
+    return [(pt, int(sig[::-1], 2)) for pt, sig in columns(family) if "1" in sig]
 
 
 def _canonical(
@@ -143,20 +140,6 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
     best_points: Sequence[int] = greedy.piercing_points
     best_size = greedy.tau
 
-    def remaining_lb(uncovered: int) -> int:
-        # Greedily collected pairwise-disjoint uncovered sets each need their
-        # own piercing point.
-        count = 0
-        acc = 0
-        r = uncovered
-        while r:
-            i = (r & -r).bit_length() - 1
-            r &= r - 1
-            if members[i] & acc == 0:
-                count += 1
-                acc |= members[i]
-        return count
-
     # Each node is its covered sets and chosen points; children are pushed in
     # reverse, so each subtree is finished before its next sibling starts.
     stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
@@ -169,7 +152,8 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
                         break
                 continue
             uncovered = all_mask & ~covered
-            if len(chosen) + remaining_lb(uncovered) >= best_size:
+            # Pairwise-disjoint uncovered sets each need their own point.
+            if len(chosen) + len(greedy_packing(members, uncovered)) >= best_size:
                 continue
             pick = next(i for i in branch_order if uncovered >> i & 1)
             gains: list[int] = []

@@ -6,7 +6,9 @@ The q = 2 case is decided through the packing number: a family fails the
 intersection graph (capped at p). For q > 2 a violation is p sets in which no
 point lies in q of them, found by an include-first search in index order
 that keeps each chosen point's depth below q. Both searches pop at most
-``budget`` nodes (``errors.pops``).
+``budget`` nodes (``errors.pops``). ``greedy_packing`` is the one greedy
+packing: ``disjoint_sequence_greedy`` returns it over all sets, and the
+piercing search bounds each node by its length over the uncovered sets.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ def _conflicts(family: SetFamily) -> list[int]:
 
 def _clique_cover_bound(cand: int, conf: list[int]) -> int:
     # Greedy clique cover of the candidate vertices; every clique contributes
-    # at most one vertex to an independent set, so the count is admissible.
+    # at most one vertex to an independent set, so the count is admissible,
+    # and holds at least one, so the count never exceeds the candidates.
     bound = 0
     rest = cand
     while rest:
@@ -105,8 +108,7 @@ def max_disjoint(
             if depth > best_size:
                 best_size, best = depth, tuple(chosen)
             continue
-        room = min(cand.bit_count(), _clique_cover_bound(cand, conf))
-        if depth + room <= best_size:
+        if depth + _clique_cover_bound(cand, conf) <= best_size:
             continue
         v = (cand & -cand).bit_length() - 1
         rest = cand & ~(1 << v)
@@ -185,11 +187,15 @@ def has_pq(family: SetFamily, p: int, q: int, budget: int = DEFAULT_BUDGET) -> P
 
 
 def check_verdict(
-    family: SetFamily, p: int, q: int, violation: Sequence[int] | None, disjoint_witness: Sequence[int] | None
+    family: SetFamily, p: int, q: int, holds: bool, violation: Sequence[int] | None,
+    disjoint_witness: Sequence[int] | None,
 ) -> list[Check]:
     """Re-check a (p,q) verdict's witnesses: a violation lists p sets of which no q
     share a point (q = 2: p pairwise-disjoint sets); a packing witness is pairwise
-    disjoint. A set listed twice fails; p and q breaking p >= q >= 2 raise ValueError."""
+    disjoint. A set listed twice fails; p and q breaking p >= q >= 2 raise ValueError.
+    The verdict must fail exactly when a witness proves it: a re-verified
+    violation, or p or more re-verified pairwise-disjoint sets. A verdict that
+    disagrees adds a failed ``pq.verdict-agrees``."""
     _check_pq(p, q)
     checks = []
     if violation is not None:
@@ -205,32 +211,44 @@ def check_verdict(
     if disjoint_witness is not None:
         checks.append(_depth_check("pq.disjoint-witness-reverifies", family, disjoint_witness, (0,),
                                    "witness is pairwise disjoint", "witness sets intersect"))
+    witnesses = [sets for sets in (violation, disjoint_witness) if sets is not None]
+    if holds == any(check.ok and len(sets) >= p for check, sets in zip(checks, witnesses)):
+        checks.append(Check("pq.verdict-agrees", False, "the property holds, yet a witness proves it fails"
+                            if holds else "the property fails, yet no witness proves it"))
     return checks or [Check("pq.no-witness-to-check", True, "verdict carries no witness")]
 
 
-def disjoint_sequence_greedy(family: SetFamily, avoid: Iterable[int] = ()) -> tuple[int, ...]:
-    """Greedy maximal list of sets disjoint from ``avoid`` and from each other.
+def greedy_packing(members: Sequence[int], sets: int, blocked: int = 0) -> list[int]:
+    """The sets of the index mask ``sets``, in index order, that miss the
+    points of ``blocked`` and every set kept before them; every set left out
+    meets one of those, so the packing cannot be extended within ``sets``."""
+    out = []
+    while sets:
+        i = (sets & -sets).bit_length() - 1
+        sets &= sets - 1
+        if members[i] & blocked == 0:
+            out.append(i)
+            blocked |= members[i]
+    return out
 
-    Scans sets in declaration order, keeping each set that avoids the blocked
-    points accumulated so far; every set left out meets ``avoid`` or a chosen
-    set, so the result cannot be extended.
-    """
+
+def disjoint_sequence_greedy(family: SetFamily, avoid: Iterable[int] = ()) -> tuple[int, ...]:
+    """Greedy maximal list of sets disjoint from ``avoid`` and from each other,
+    scanned in declaration order."""
     blocked = mask_from_points(avoid, family.universe_size)
-    out: list[int] = []
-    for t in range(family.num_sets):
-        if family.members[t] & blocked == 0:
-            out.append(t)
-            blocked |= family.members[t]
-    return tuple(out)
+    return tuple(greedy_packing(family.members, (1 << family.num_sets) - 1, blocked))
 
 
 def check_disjoint(
-    family: SetFamily, chosen: Sequence[int], avoid: Iterable[int] = (), nu: int | None = None
+    family: SetFamily, chosen: Sequence[int], avoid: Iterable[int] = (), nu: int | None = None, cap: int | None = None
 ) -> Check:
-    """Re-check a packing witness of ``nu`` sets or a greedy sequence: pairwise
-    disjoint, missing ``avoid``, no set listed twice."""
+    """Re-check a packing witness of ``nu`` sets, at most ``cap`` if one is
+    given, or a greedy sequence: pairwise disjoint, missing ``avoid``, no set
+    listed twice."""
     if nu is not None and nu != len(chosen):
         return Check("disjoint.witness-reverifies", False, f"nu is {nu} but the witness has {len(chosen)} sets")
+    if cap is not None and len(chosen) > cap:
+        return Check("disjoint.witness-reverifies", False, f"{len(chosen)} sets exceed the cap of {cap}")
     blocked = mask_from_points(avoid, family.universe_size)
     return _depth_check("disjoint.witness-reverifies", family, chosen, (blocked,),
                         "chosen sets pairwise disjoint", "chosen sets intersect")

@@ -61,10 +61,10 @@ _KINDS: dict[str, tuple[str, Any, Any]] = {
     "disjoint": (
         "pq",
         lambda _, r: {"sequence": [SET_INDEX], "avoid": [POINT]} if "sequence" in r
-        else {"nu": int, "witness": [SET_INDEX]},
+        else {"nu": int, "cap": (None, int), "witness": [SET_INDEX]},
         lambda pq, family, r: [
             pq.check_disjoint(family, r["sequence"], r["avoid"]) if "sequence" in r
-            else pq.check_disjoint(family, r["witness"], nu=r["nu"])
+            else pq.check_disjoint(family, r["witness"], nu=r["nu"], cap=r["cap"])
         ],
     ),
     "pierce": (
@@ -75,8 +75,10 @@ _KINDS: dict[str, tuple[str, Any, Any]] = {
     ),
     "pq": (
         "pq",
-        {"p": int, "q": int, "violation": (None, [SET_INDEX]), "disjoint_witness": (None, [SET_INDEX])},
-        lambda pq, family, r: pq.check_verdict(family, r["p"], r["q"], r["violation"], r["disjoint_witness"]),
+        {"p": int, "q": int, "holds": bool, "violation": (None, [SET_INDEX]),
+         "disjoint_witness": (None, [SET_INDEX])},
+        lambda pq, family, r: pq.check_verdict(family, r["p"], r["q"], r["holds"], r["violation"],
+                                               r["disjoint_witness"]),
     ),
     "shatter": (
         "shatter",

@@ -38,7 +38,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, pops
-from .family import Check, SetFamily, boolean_atoms, cells
+from .family import Check, SetFamily, boolean_atoms, columns
 
 MODE_EXACT = "exact"
 MODE_GREEDY = "greedy-lower-bound"
@@ -87,8 +87,7 @@ def _compress(family: SetFamily) -> tuple[list[int], list[int], int]:
     run of consecutive points, wrapping past the last point or not, holds a
     run of columns in this order, so its boundary has at most two bits."""
     m = family.num_sets
-    found = cells(family, range(m))
-    sigs = sorted(found, key=lambda sig: found[sig] & -found[sig])
+    sigs = [sig for _, sig in columns(family)]
     width = len(sigs)
     if not width:
         return [0] * m, [0] * m, 0

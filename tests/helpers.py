@@ -157,6 +157,16 @@ def cells_oracle(family: SetFamily, subfamily: list[int]) -> list[tuple[str, int
     return sorted(cells.items())
 
 
+def columns_oracle(family: SetFamily) -> list[tuple[int, str]]:
+    """(lowest point, signature over every set) of each distinct membership
+    column, the zero column included, by a per-point loop; a column is met
+    first at its lowest point, so the list comes in ascending point order."""
+    first: dict[str, int] = {}
+    for pt in range(family.universe_size):
+        first.setdefault("".join("1" if mem >> pt & 1 else "0" for mem in family.members), pt)
+    return [(pt, sig) for sig, pt in first.items()]
+
+
 def random_target_family(rng, max_sets=6, base_points=8, ext_points=4):
     """Random family over a base block plus an extension block used as target."""
     n = base_points + ext_points

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import candidate_points_oracle, cells_oracle, families
+from helpers import candidate_points_oracle, cells_oracle, columns_oracle, families
 from setfam import (
     AtomDecomposition,
     FamilyFormatError,
@@ -20,7 +20,9 @@ from setfam import (
     serialize_family,
 )
 from setfam import family as family_module
-from setfam.family import MAX_UNIVERSE, cells, check_atoms, family_to_dict, point_traces, split_cells, transpose
+from setfam.family import (
+    MAX_UNIVERSE, cells, check_atoms, columns, family_to_dict, point_traces, split_cells, transpose,
+)
 from setfam.piercing import _candidate_points
 from setfam.rng import SplitMix64
 
@@ -454,7 +456,32 @@ def row_reads(monkeypatch):
 
 class TestColumns:
     """The atom kernel ``cells``: each point's membership column over the
-    subfamily, as a signature, in both regimes."""
+    subfamily, as a signature, in both regimes; and ``columns``, the distinct
+    columns over every set by lowest point."""
+
+    @given(families(min_points=0))
+    @example(SetFamily(3, ("A", "B"), (0b011, 0b011)))
+    def test_columns_match_a_per_point_loop(self, fam):
+        assert columns(fam) == columns_oracle(fam)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("count, reads_rows", [(60, True), (4, False)])
+    def test_columns_in_both_regimes(self, row_reads, seed, count, reads_rows):
+        # 60 sets on 400 points make the kernel read the rows; 4 sets make at
+        # most 8 cells with one set left, so it keeps splitting.
+        fam = gen_random(count, 400, 0.3, seed)
+        assert columns(fam) == columns_oracle(fam)
+        assert bool(row_reads) == reads_rows
+
+    @pytest.mark.parametrize("fam, expect", [
+        (SetFamily(0, ("A", "B"), (0, 0)), []),
+        (SetFamily(0, (), ()), []),
+        (SetFamily(5, (), ()), [(0, "")]),
+        # Points 1 and 3 are in no set: one zero column, kept at point 1.
+        (SetFamily.from_points(4, [("A", [0, 2]), ("B", [2])]), [(0, "10"), (1, "00"), (2, "11")]),
+    ])
+    def test_columns_of_empty_universes_and_families(self, fam, expect):
+        assert columns(fam) == columns_oracle(fam) == expect
 
     @given(families(min_points=0), st.lists(st.integers(0, 5), unique=True, max_size=6))
     @example(SetFamily(0, ("A",), (0,)), [0])

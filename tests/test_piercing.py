@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -20,6 +20,7 @@ from setfam import (
     transversal_greedy,
     verify_partition,
 )
+from setfam import piercing as piercing_module
 
 
 def star():
@@ -112,6 +113,34 @@ class TestExact:
         bigger = SetFamily(fam.universe_size, fam.names + ("EXTRA",), fam.members + (extra,))
         assert transversal_exact(bigger).tau >= transversal_exact(fam).tau
         assert max_disjoint(bigger)[0] >= max_disjoint(fam)[0]
+
+    @settings(max_examples=200)
+    @given(families(max_sets=8, max_points=10, nonempty=True), st.integers(1, 60))
+    # At a budget of 4 the branch and bound proves this cover optimal in
+    # index order, but not with a packing taken highest index first.
+    @example(SetFamily(7, ("S0", "S1", "S2", "S3", "S4"), (98, 104, 17, 10, 116)), 4)
+    def test_node_bound_matches_a_separate_disjoint_count(self, fam, budget):
+        # The per-node bound is the length of pq's greedy packing of the
+        # uncovered sets, in index order. Counting those sets here, apart
+        # from pq, must give the same cover, or the same stop, at every budget.
+        def count(members, uncovered):
+            acc, kept = 0, []
+            for i in range(len(members)):
+                if uncovered >> i & 1 and not members[i] & acc:
+                    acc |= members[i]
+                    kept.append(i)
+            return kept
+
+        def outcome():
+            try:
+                return transversal_exact(fam, budget), transversal_exact(fam)
+            except BudgetExceededError as exc:
+                return str(exc)
+
+        shared = outcome()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(piercing_module, "greedy_packing", count)
+            assert outcome() == shared
 
     def test_solution_as_dict(self):
         solution = transversal_exact(singletons())

@@ -13,6 +13,7 @@ from setfam import (
     has_pq,
     max_disjoint,
 )
+from setfam.pq import check_disjoint, check_verdict
 
 
 def singletons():
@@ -83,6 +84,12 @@ class TestMaxDisjoint:
         assert max_disjoint(fam) == (nu, brute_first_packing(fam, nu))
         size = min(cap, nu)
         assert max_disjoint(fam, cap=cap) == (size, brute_first_packing(fam, size))
+
+    @given(families(max_sets=7, max_points=6), st.integers(0, 7))
+    def test_packing_verifies_within_its_cap_only(self, fam, cap):
+        nu, witness = max_disjoint(fam, cap)
+        assert check_disjoint(fam, witness, nu=nu, cap=cap).ok
+        assert not check_disjoint(fam, witness, nu=nu, cap=nu - 1).ok
 
 
 class TestHasPq:
@@ -160,6 +167,16 @@ class TestHasPq:
             assert pairwise_disjoint(fam, report.violation)
         if report.disjoint_witness is not None:
             assert pairwise_disjoint(fam, report.disjoint_witness)
+
+    @settings(max_examples=200)
+    @given(families(max_sets=7, max_points=6), st.integers(2, 4), st.integers(0, 3))
+    def test_verdicts_verify_and_flipped_ones_fail(self, fam, q, extra):
+        # Every verdict agrees with its witnesses; the same witnesses under the
+        # opposite verdict do not, so verify fails the flipped report.
+        p = q + extra
+        report = has_pq(fam, p, q)
+        assert all(check.ok for check in check_verdict(fam, p, q, *report[2:]))
+        assert not all(check.ok for check in check_verdict(fam, p, q, not report.holds, *report[3:]))
 
 
 class TestDisjointSequence:

@@ -35,6 +35,8 @@ COMMANDS = {
     "pq-q3": ["pq", "--in", "disjoint3.fam", "--p", "3", "--q", "3"],
     "pierce": ["pierce", "--in", "disjoint3.fam"],
     "disjoint": ["disjoint", "--in", "disjoint3.fam"],
+    "pq-intervals": ["pq", "--in", "intervals.fam", "--p", "6", "--q", "2"],
+    "disjoint-intervals": ["disjoint", "--in", "intervals.fam"],
     "sequence": ["disjoint", "--in", "disjoint3.fam", "--sequence", "--avoid", "0"],
     "chain": ["witness", "--in", "rich.fam", "--B-from-file", "--n", "3"],
     "stuck": ["witness", "--in", "one.fam", "--target", "8,9", "--n", "2"],
@@ -44,9 +46,9 @@ COMMANDS = {
 IGNORED = {
     "atoms": set(),
     "shatter": {"mode", "exponent"},
-    "pq": {"holds"},
+    "pq": set(),
     "pierce": {"mode"},
-    "disjoint": {"cap"},
+    "disjoint": set(),
     "witness": {"stuck"},
 }
 TOP_IGNORED = {"command", "input_digest", "wall_time_s"}
@@ -66,6 +68,8 @@ def reports(workdir):
     """Report name -> parsed report, all written by the command line."""
     assert run(["generate", "--kind", "witness_rich", "--depth", "3", "--seed", "5",
                 "--out", str(workdir / "rich.fam")])[0] == 0
+    assert run(["generate", "--kind", "intervals", "--count", "12", "--universe", "40", "--seed", "3",
+                "--out", str(workdir / "intervals.fam")])[0] == 0
     out = {}
     for name, argv in COMMANDS.items():
         path = workdir / f"{name}.json"
@@ -166,6 +170,18 @@ def _tamper(kind, empty_set=None, **values):
          "disjoint.witness-reverifies: FAIL (set 2 listed twice)"),
         ("disjoint", _tamper("disjoint", nu=99),
          "disjoint.witness-reverifies: FAIL (nu is 99 but the witness has 3 sets)"),
+        # The verdict must agree with its witnesses. The 12 intervals hold
+        # (6,2) with the packing witness [1, 3, 4, 6], so they fail (3,2).
+        ("pq-intervals", _tamper("pq", holds=False, disjoint_witness=None),
+         "pq.verdict-agrees: FAIL (the property fails, yet no witness proves it)"),
+        ("pq-intervals", _tamper("pq", p=3),
+         "pq.verdict-agrees: FAIL (the property holds, yet a witness proves it fails)"),
+        ("pq-violation", _tamper("pq", holds=True),
+         "pq.verdict-agrees: FAIL (the property holds, yet a witness proves it fails)"),
+        ("pq-q3", _tamper("pq", holds=True),
+         "pq.verdict-agrees: FAIL (the property holds, yet a witness proves it fails)"),
+        ("disjoint-intervals", _tamper("disjoint", cap=2),
+         "disjoint.witness-reverifies: FAIL (4 sets exceed the cap of 2)"),
     ],
 )
 def test_false_witnesses_fail_verify(workdir, reports, name, mutate, failed):

@@ -227,8 +227,8 @@ class TestGrowthProfile:
     def test_exact_profile_compresses_once(self, monkeypatch):
         # The distinct point columns are built once per profile, not once per n.
         calls = []
-        original = shatter_module.cells
-        monkeypatch.setattr(shatter_module, "cells", lambda *a: calls.append(a) or original(*a))
+        original = shatter_module.columns
+        monkeypatch.setattr(shatter_module, "columns", lambda *a: calls.append(a) or original(*a))
         fam = gen_intervals(10, 30, seed=0)
         profile = growth_profile(fam, 6)
         assert len(calls) == 1
