@@ -241,6 +241,25 @@ WITNESS_RICH_DIGESTS = [
     ((11, 3), "7d117eb3a4f745804438ca69c5470bcf17ea5a8f45cbd1eddd87564f7c6657f9"),
     ((13, 1), "474d45a607b27d1148c262a4f912eb9e261d6e48ead341f12f1ba49a9ea6596b"),
     ((13, 14), "d9cb6f31824332bdd82576be44ab9d68d4ff71d377479201216d8ae6069467d7"),
+    # The four families of the atoms benchmark.
+    ((11, 1011), "354ed4f26798d88665f34ee15269d0e9cbbf5b61f2f9a27f056068395156b106"),
+    ((13, 1013), "4eca7684dd07ba40a78525d6949ff6fe154b829f69ba30eb43f93351df1518de"),
+    ((11, 2011), "cca237a38ce3b9662ad5c5152e14431c64e8b8e88c9ba4fe7b9c83b951376f77"),
+    ((13, 2013), "8a25dc8c149d2aadf9884b566779bff091d0f3f14a8680386496d0d81632226e"),
+]
+
+# The benchmarked grids, (12, 96, 1) and (12, 96, 16) for atoms and
+# (6, 32, 15) for cli, and draws that an empty arrangement cell rejects:
+# (12, 96, 16) and (6, 32, 15) reject two each, (5, 17, 1) two, (12, 96, 25)
+# three, and (8, 33, 13) rejects 13 draws for an empty cell and two for a
+# line through a grid point before it accepts its 16th.
+HALFPLANE_DIGESTS = [
+    ((12, 96, 1), "e302549e4d5cdcad22e0b599f8118f9c74fb525588206f385ea709934d8050ec"),
+    ((12, 96, 16), "dd4154506ef212d1e8eedba59fb32ec75675397f81192cabb22747ab8ca01b22"),
+    ((6, 32, 15), "087acc68f6c756a7c626607d096fa865e298f9d33ef8f2dfadf8e51763ad7343"),
+    ((5, 17, 1), "1a701f4d60ee62fc1c31f1ac41333e102e8d4654e849cb2c5a0718625c8ac7ba"),
+    ((12, 96, 25), "26db68a013a1673fd5ecc7f50ccbae8d601cd105253ae8cd9ca5b057b10cc4a6"),
+    ((8, 33, 13), "a9647d9726a95cfc53cc1d3f996c7f51258e16ae895f6308b9d30db609e170f0"),
 ]
 
 
@@ -254,6 +273,10 @@ class TestGeneratedBytes:
         fam, target = gen_witness_rich(*args)
         assert _digest(fam) == digest
         assert target == fam.extension_points()
+
+    @pytest.mark.parametrize("args, digest", HALFPLANE_DIGESTS)
+    def test_halfplane_grid_keeps_its_bytes(self, args, digest):
+        assert _digest(gen_halfplane_grid(*args)) == digest
 
 
 class TestProvenance:
