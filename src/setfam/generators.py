@@ -2,23 +2,23 @@
 
 Every generator is a pure function of its parameters and a 64-bit seed: the
 randomness comes from the package's portable splitmix64 stream and the
-halfplane geometry is done in exact rational arithmetic, so instances are
-bit-identical across platforms. Each family carries a ``generator``
-provenance record that survives serialization.
+halfplane geometry is exact integer arithmetic (each line over one common
+denominator), so instances are bit-identical across platforms. Sets are
+built from whole rows, runs or bit planes, never point by point. Each family
+carries a ``generator`` provenance record that survives serialization.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import GenerationError
-from .family import MAX_UNIVERSE, SetFamily, canonical_json, cells, transpose
+from .family import MAX_UNIVERSE, SetFamily, canonical_json, cells
 from .rng import SplitMix64, row_lanes
-
-if TYPE_CHECKING:  # fractions loads only on the halfplane path, in _sample_lines
-    from fractions import Fraction
 
 
 class GeneratorSpec(NamedTuple):
@@ -63,38 +63,52 @@ def gen_intervals(count: int, universe_size: int, seed: int) -> SetFamily:
 _DEFAULT_ATTEMPTS = 400
 
 
-def _sample_lines(rng: SplitMix64, count: int, side: int) -> list[tuple[Fraction, Fraction]]:
-    from fractions import Fraction
-
+def _sample_lines(rng: SplitMix64, count: int, side: int) -> list[tuple[int, int, int]]:
     # Tangents to a downward parabola with apex at the grid center, at
     # increasing abscissas a strictly inside (0.1, 0.9)*span, so no two
     # slopes are equal. Tangents at a and b cross at x = (a+b)/2 and
     # y = mid - (a-mid)(b-mid)/width, both strictly inside (0.1, 0.9)*span,
     # and no point of the plane lies on three tangents of a parabola.
+    #
+    # With mid = span/2, width = 2*span/5 and a jitter of (200 + r)/1000,
+    # r drawn below 601, the tangent point is x0 = span*(1/10 + 4/5*(i +
+    # jitter)/count) = X/D with D = 10000*count and X = span*(1000*count +
+    # 8*(1000*i + 200 + r)). With U = X - span*D/2 = D*(x0 - mid), the
+    # tangent is y = (a*x + b)/q with a = -10*U*D, b = span**2*D**2 - 5*U**2
+    # + 10*U*X and q = 2*span*D**2: exact, in integers.
     span = side - 1
-    mid = Fraction(span, 2)
-    width = Fraction(2 * span, 5)
+    d = 10000 * count
+    q = 2 * span * d * d
     lines = []
     for i in range(count):
-        jitter = Fraction(200 + rng.below(601), 1000)  # in [0.2, 0.8]
-        x0 = span * (Fraction(1, 10) + Fraction(4, 5) * (i + jitter) / count)
-        slope = -2 * (x0 - mid) / width
-        y0 = mid - (x0 - mid) ** 2 / width
-        lines.append((slope, y0 - slope * x0))
+        x0d = span * (1000 * count + 8 * (1000 * i + 200 + rng.below(601)))
+        u = x0d - span * d // 2
+        lines.append((-10 * u * d, span * span * d * d - 5 * u * u + 10 * u * x0d, q))
     return lines
 
 
-def _below_mask(slope: Fraction, intercept: Fraction, side: int) -> int | None:
-    # One exact pass over the grid columns: a line through a grid point is
-    # rejected (None); otherwise each column contributes the run of rows
-    # strictly below the line, and the runs are transposed into rows.
-    runs = []
-    for x in range(side):
-        y = slope * x + intercept
-        if y.denominator == 1 and 0 <= y.numerator < side:
+def _below_mask(a: int, b: int, q: int, side: int) -> int | None:
+    # One exact pass over the grid rows: a line through a grid point is
+    # rejected (None); otherwise row r holds the columns x where the line
+    # y = (a*x + b) / q is at or above r. The line is monotone, so for a < 0
+    # these are the prefix x <= (b - r*q) / -a. A rising line (a > 0) is
+    # taken as its mirror image x -> side - 1 - x, whose rows read the other
+    # way round, and a level one (a = 0) holds every column or none.
+    mirror = a > 0
+    if mirror:
+        a, b = -a, b + a * (side - 1)
+    rows = []
+    for r in range(side):
+        if a:
+            x, rem = divmod(b - r * q, -a)  # the last column in the row
+        else:
+            x, rem = side - 1 if b >= r * q else -1, b - r * q
+        if rem == 0 and 0 <= x < side:
             return None
-        runs.append((1 << max(0, min(math.floor(y) + 1, side))) - 1)
-    return int("".join(reversed(list(transpose(runs, side)))), 2)
+        width = max(0, min(x + 1, side))
+        ones, zeros = "1" * width, "0" * (side - width)
+        rows.append(ones + zeros if mirror else zeros + ones)
+    return int("".join(reversed(rows)), 2)
 
 
 # 1,448**2 = 2,096,704 points, just under MAX_UNIVERSE.
@@ -129,7 +143,7 @@ def gen_halfplane_grid(
     rng = SplitMix64(seed)
     spec = GeneratorSpec("halfplane_grid", (("count", count), ("grid_side", grid_side)), seed)
     for _ in range(attempts):
-        masks = [_below_mask(a, b, grid_side) for a, b in _sample_lines(rng, count, grid_side)]
+        masks = [_below_mask(*line, grid_side) for line in _sample_lines(rng, count, grid_side)]
         if None in masks:
             continue
         family = SetFamily(
@@ -143,6 +157,11 @@ def gen_halfplane_grid(
     raise GenerationError(
         f"resampling budget exhausted after {attempts} attempts; use a finer grid"
     )
+
+
+def _bit_digits(bit: int) -> bytes:
+    """The translate table from a byte to "1" if its bit ``bit`` is set, else "0"."""
+    return (b"0" * (1 << bit) + b"1" * (1 << bit)) * (128 >> bit)
 
 
 # 2**(depth+1) - 1 points: MAX_UNIVERSE at the largest depth.
@@ -180,10 +199,17 @@ def gen_witness_rich(depth: int, seed: int) -> tuple[SetFamily, tuple[int, ...]]
     # closed form: carrier a (pattern a + 1 - 2**(k-1) of step k) has column
     # a + 1, and target rank r has column r. The shuffle permutes labels
     # only inside blocks, so the target is the last 2**depth labels.
-    columns = [0] * universe
+    columns = array("L", [0]) * universe
     for point, column in zip(label, chain(range(1, n_base + 1), range(n_ext))):
         columns[point] = column
-    masks = tuple(int(digits, 2) for digits in transpose(columns, depth))
+    # Set k is bit plane k-1 of the columns: byte (k-1) // 8 of every column,
+    # one bytes object for all points, read as digits by one translate.
+    if sys.byteorder == "big":
+        columns.byteswap()
+    raw, size = columns.tobytes(), columns.itemsize
+    masks = tuple(
+        int(raw[bit // 8 :: size].translate(_bit_digits(bit % 8))[::-1], 2) for bit in range(depth)
+    )
     extension = (1 << universe) - (1 << n_base)
     spec = GeneratorSpec("witness_rich", (("depth", depth),), seed)
     names = tuple(f"S{k}" for k in range(1, depth + 1))

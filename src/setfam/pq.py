@@ -243,12 +243,24 @@ def check_disjoint(
     family: SetFamily, chosen: Sequence[int], avoid: Iterable[int] = (), nu: int | None = None, cap: int | None = None
 ) -> Check:
     """Re-check a packing witness of ``nu`` sets, at most ``cap`` if one is
-    given, or a greedy sequence: pairwise disjoint, missing ``avoid``, no set
-    listed twice."""
+    given, or, with no ``nu``, a greedy sequence: pairwise disjoint, missing
+    ``avoid``, no set listed twice, and a sequence must then be the one
+    ``disjoint_sequence_greedy`` writes."""
+    name = "disjoint.witness-reverifies"
     if nu is not None and nu != len(chosen):
-        return Check("disjoint.witness-reverifies", False, f"nu is {nu} but the witness has {len(chosen)} sets")
+        return Check(name, False, f"nu is {nu} but the witness has {len(chosen)} sets")
     if cap is not None and len(chosen) > cap:
-        return Check("disjoint.witness-reverifies", False, f"{len(chosen)} sets exceed the cap of {cap}")
-    blocked = mask_from_points(avoid, family.universe_size)
-    return _depth_check("disjoint.witness-reverifies", family, chosen, (blocked,),
-                        "chosen sets pairwise disjoint", "chosen sets intersect")
+        return Check(name, False, f"{len(chosen)} sets exceed the cap of {cap}")
+    avoid = tuple(avoid)
+    check = _depth_check(name, family, chosen, (mask_from_points(avoid, family.universe_size),),
+                         "chosen sets pairwise disjoint", "chosen sets intersect")
+    if nu is not None or not check.ok:
+        return check
+    # A disjoint sequence that misses ``avoid`` cannot run past the greedy one,
+    # which no set left out of it could extend.
+    greedy = disjoint_sequence_greedy(family, avoid)
+    k = next((k for k, (i, j) in enumerate(zip(chosen, greedy)) if i != j), len(chosen))
+    if k == len(greedy):
+        return check
+    listed = f"is set {chosen[k]}" if k < len(chosen) else "is missing"
+    return Check(name, False, f"sequence[{k}] {listed}, where the greedy sequence has set {greedy[k]}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -126,6 +127,39 @@ def brute_min_consistent_partition(family: SetFamily) -> int:
 
     grow(0, [])
     return best
+
+
+def fraction_lines(rng: SplitMix64, count: int, side: int) -> list[tuple[Fraction, Fraction]]:
+    """(slope, intercept) of the halfplane generator's ``count`` tangent
+    lines, drawn from ``rng`` as the generator draws them and worked out in
+    exact rationals: tangents to the parabola with apex (mid, mid) and width
+    2*span/5, at x0 = span*(1/10 + 4/5*(i + jitter)/count), jitter in
+    [0.2, 0.8] in steps of 1/1000."""
+    span = side - 1
+    mid = Fraction(span, 2)
+    width = Fraction(2 * span, 5)
+    lines = []
+    for i in range(count):
+        jitter = Fraction(200 + rng.below(601), 1000)
+        x0 = span * (Fraction(1, 10) + Fraction(4, 5) * (i + jitter) / count)
+        slope = -2 * (x0 - mid) / width
+        y0 = mid - (x0 - mid) ** 2 / width
+        lines.append((slope, y0 - slope * x0))
+    return lines
+
+
+def fraction_below_mask(slope: Fraction, intercept: Fraction, side: int) -> int | None:
+    """The grid points (row * side + column) strictly below the line, one at
+    a time, or None when the line passes through a grid point."""
+    mask = 0
+    for x in range(side):
+        y = slope * x + intercept
+        if y.denominator == 1 and 0 <= y.numerator < side:
+            return None
+        for row in range(side):
+            if row < y:
+                mask |= 1 << (row * side + x)
+    return mask
 
 
 def random_family(

@@ -1,10 +1,13 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from helpers import brute_pi_star
+from helpers import brute_pi_star, fraction_below_mask, fraction_lines
 from setfam import (
     GenerationError,
     WitnessChain,
@@ -24,6 +27,7 @@ from setfam import (
 from setfam import generators
 from setfam.family import MAX_UNIVERSE
 from setfam.generators import MAX_GRID_SIDE, MAX_WITNESS_DEPTH
+from setfam.rng import SplitMix64
 
 
 class TestIntervals:
@@ -117,6 +121,32 @@ class TestHalfplaneGrid:
             assert len(boolean_atoms(fam, range(count))) == 1 + count + math.comb(count, 2)
         with pytest.raises(GenerationError, match="after 60 attempts"):
             gen_halfplane_grid(5, 7, 0, attempts=60)
+
+
+# Seed 140 draws jitter 0.5 first, so a single line is the level tangent at
+# the apex, y = span/2: through a grid point on an odd side, none on an even.
+LEVEL_SEED = 140
+
+
+def test_level_seed_draws_a_level_line():
+    assert SplitMix64(LEVEL_SEED).below(601) == 300
+    assert generators._sample_lines(SplitMix64(LEVEL_SEED), 1, 4)[0][0] == 0
+
+
+@given(st.integers(1, 14), st.integers(3, 40), st.integers(0, 2**64 - 1), st.integers(0, 3))
+@example(8, 33, 7, 2)  # its first line passes through a grid point
+@example(1, 5, LEVEL_SEED, 0)
+@example(1, 4, LEVEL_SEED, 0)
+def test_integer_lines_match_the_fraction_oracle(count, side, seed, draw):
+    # Draw ``draw`` of the sampler, in integers and in exact rationals.
+    ours, oracle = SplitMix64(seed), SplitMix64(seed)
+    for _ in range(draw + 1):
+        lines = generators._sample_lines(ours, count, side)
+        exact = fraction_lines(oracle, count, side)
+    for (a, b, q), (slope, intercept) in zip(lines, exact, strict=True):
+        assert (Fraction(a, q), Fraction(b, q)) == (slope, intercept)
+        assert generators._below_mask(a, b, q, side) == fraction_below_mask(slope, intercept, side)
+    assert ours.next_u64() == oracle.next_u64()
 
 
 class TestWitnessRich:

@@ -17,8 +17,9 @@ SUBMODULES = ("cli", "errors", "family", "generators", "piercing", "pq", "report
 # The submodules every subcommand loads: the CLI, its errors and the family
 # parser. Only verify loads the report checks.
 BASE = {"cli", "errors", "family"}
-# Standard-library modules only some paths need: the exponent fit and the
-# exact-rational halfplane sampling.
+# Standard-library modules only some paths need: the exponent fit, whose
+# statistics module loads fractions. The generators do exact geometry in
+# integers, so no generate run loads either.
 OPTIONAL_STDLIB = {"statistics", "fractions"}
 # Standard-library modules no subcommand loads: the result records are named
 # tuples, and dataclasses would bring in inspect, ast, dis and tokenize.
@@ -68,8 +69,8 @@ CASES = [
     (["disjoint", "--in", "rich.fam"], {"pq"}, set()),
     (["witness", "--in", "rich.fam", "--n", "3", "--target-from-file"], {"witness"}, set()),
     (["generate", "--kind", "intervals", "--count", "3", "--universe", "8"], {"generators", "rng"}, set()),
-    (["generate", "--kind", "halfplane_grid", "--count", "2", "--grid-side", "8"],
-     {"generators", "rng"}, {"fractions"}),
+    (["generate", "--kind", "halfplane_grid", "--count", "2", "--grid-side", "8"], {"generators", "rng"}, set()),
+    (["generate", "--kind", "witness_rich", "--depth", "3"], {"generators", "rng"}, set()),
     (["verify", "--report", "atoms.report"], {"report"}, set()),
     (["verify", "--report", "pierce.report"], {"report", "piercing", "pq"}, set()),
     (["verify", "--report", "witness.report"], {"report", "witness"}, set()),

@@ -211,3 +211,16 @@ class TestDisjointSequence:
         for t in range(fam.num_sets):
             if t not in seq:
                 assert fam.members[t] & union != 0
+
+    @given(families(), st.data())
+    def test_only_the_greedy_sequence_verifies(self, fam, data):
+        from setfam import points_from_mask
+
+        avoid = points_from_mask(data.draw(st.integers(0, fam.universe_mask)))
+        seq = disjoint_sequence_greedy(fam, avoid)
+        assert check_disjoint(fam, seq, avoid).ok
+        # Every other disjoint sequence missing ``avoid``: a proper prefix, or
+        # a reordering of a subset.
+        for size in range(len(seq) + 1):
+            for other in itertools.permutations(seq, size):
+                assert check_disjoint(fam, other, avoid).ok == (other == seq)

@@ -182,6 +182,11 @@ def _tamper(kind, empty_set=None, **values):
          "pq.verdict-agrees: FAIL (the property holds, yet a witness proves it fails)"),
         ("disjoint-intervals", _tamper("disjoint", cap=2),
          "disjoint.witness-reverifies: FAIL (4 sets exceed the cap of 2)"),
+        # The greedy sequence avoiding point 0 is [1, 2]: cut short, or reordered.
+        ("sequence", _tamper("disjoint", sequence=[1]),
+         "disjoint.witness-reverifies: FAIL (sequence[1] is missing, where the greedy sequence has set 2)"),
+        ("sequence", _tamper("disjoint", sequence=[2, 1]),
+         "disjoint.witness-reverifies: FAIL (sequence[0] is set 2, where the greedy sequence has set 1)"),
     ],
 )
 def test_false_witnesses_fail_verify(workdir, reports, name, mutate, failed):

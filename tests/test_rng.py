@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from setfam.rng import _GAMMA, _MIX1, _MIX2, ROW_BLOCK, SplitMix64, row_lanes
+from setfam.rng import _GAMMA, _MIX1, _MIX2, ROW_BLOCK, SHUFFLE_BLOCK, SplitMix64, row_lanes
 
 EDGE_COUNTS = (0, 1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK, 3 * ROW_BLOCK + 1)
 EDGE_THRESHOLDS = (0, 1, 2**63, 2**64 - 1, 2**64)
@@ -47,30 +47,59 @@ def test_rows_match_single_draws(seed, first, second, threshold, shared):
     assert batched.next_u64() == single.next_u64()
 
 
-def _seed_before(output: int) -> int:
-    """The seed whose first output is ``output``: each step of the mix is a
-    bijection on 64-bit words, undone here in reverse."""
+def _seed_before(output: int, draw: int = 0) -> int:
+    """The seed whose output ``draw`` (from 0) is ``output``: each step of the
+    mix is a bijection on 64-bit words, undone here in reverse, and the
+    state before draw k is the seed plus k gammas."""
     z = output ^ output >> 31 ^ output >> 62
     z = z * pow(_MIX2, -1, 2**64) % 2**64
     z ^= z >> 27 ^ z >> 54
     z = z * pow(_MIX1, -1, 2**64) % 2**64
     z ^= z >> 30 ^ z >> 60
-    return (z - _GAMMA) % 2**64
+    return (z - (draw + 1) * _GAMMA) % 2**64
 
 
 def test_seed_before_gives_the_largest_output():
-    assert SplitMix64(_seed_before(2**64 - 1)).next_u64() == 2**64 - 1
+    for draw in (0, 1, SHUFFLE_BLOCK, 3 * SHUFFLE_BLOCK + 7):
+        rng = SplitMix64(_seed_before(2**64 - 1, draw))
+        assert [rng.next_u64() for _ in range(draw + 1)][draw] == 2**64 - 1
 
 
-@given(st.integers(0, 2**64 - 1), st.integers(0, 300))
-@example(_seed_before(2**64 - 1), 3)  # below(3) rejects its first draw, 2**64 - 1
-@example(_seed_before(2**64 - 1), 2)  # below(2) takes it: 2 divides 2**64
-def test_shuffle_matches_one_below_per_item(seed, length):
+def _fisher_yates(rng: SplitMix64, items: list) -> None:
+    """One draw at a time, as ``below`` draws: item i swaps with item
+    u % (i + 1), u the first output below 2**64 - 2**64 % (i + 1)."""
+    for i in range(len(items) - 1, 0, -1):
+        u = rng.next_u64()
+        while u >= 2**64 - 2**64 % (i + 1):
+            u = rng.next_u64()
+        j = u % (i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def _check_shuffle(seed: int, length: int) -> None:
     shuffled, reference = list(range(length)), list(range(length))
-    inlined, single = SplitMix64(seed), SplitMix64(seed)
-    inlined.shuffle(shuffled)
-    for i in range(length - 1, 0, -1):
-        j = single.below(i + 1)
-        reference[i], reference[j] = reference[j], reference[i]
+    blocked, single = SplitMix64(seed), SplitMix64(seed)
+    blocked.shuffle(shuffled)
+    _fisher_yates(single, reference)
     assert shuffled == reference
-    assert inlined.next_u64() == single.next_u64()
+    assert blocked.next_u64() == single.next_u64()
+
+
+lengths = st.one_of(st.integers(0, 40), st.integers(0, 3 * SHUFFLE_BLOCK + 2))
+
+
+@given(st.integers(0, 2**64 - 1), lengths)
+def test_shuffle_matches_one_below_per_item(seed, length):
+    _check_shuffle(seed, length)
+
+
+@given(lengths, st.integers(0, 3 * SHUFFLE_BLOCK))
+@example(3, 0)  # draw 0 is for bound 3, which rejects 2**64 - 1
+@example(2, 0)  # bound 2 divides 2**64, so it takes 2**64 - 1
+@example(SHUFFLE_BLOCK + 2, SHUFFLE_BLOCK - 1)  # the last output of the first block, bound 3
+@example(SHUFFLE_BLOCK + 5, SHUFFLE_BLOCK)  # the first output of the second block, bound 5
+@example(3 * SHUFFLE_BLOCK + 2, 700)
+def test_shuffle_draws_again_after_the_largest_output(length, draw):
+    # Output ``draw`` (taken below the number of draws) is 2**64 - 1, drawn
+    # for bound length - draw, which rejects it unless that is a power of two.
+    _check_shuffle(_seed_before(2**64 - 1, draw % max(length - 1, 1)), length)
