@@ -4,8 +4,10 @@ Subcommands: atoms, shatter, pq, pierce, disjoint, witness, generate,
 verify. Results go to standard output as text; ``--out`` additionally writes
 a JSON report (schema version "v1") that embeds the input family, so
 ``verify`` can replay the cheap checks on any report without the original
-file. Exit codes: 0 success, 1 negative analysis verdict under ``--strict``
-(and any failed ``verify`` check), 2 input errors and malformed reports,
+file. Family files and reports are written by ``family.json_text`` and
+read by ``family.load_json``. Exit codes: 0 success, 1 negative analysis
+verdict under ``--strict`` (and any failed ``verify`` check), 2 input errors
+and malformed reports (a JSON syntax error names its line and column),
 3 budget exceeded.
 
 Reports are byte-stable for fixed inputs and flags except for the
@@ -15,7 +17,6 @@ Reports are byte-stable for fixed inputs and flags except for the
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -23,7 +24,9 @@ from pathlib import Path
 from typing import Any
 
 from .errors import DEFAULT_BUDGET, SCHEMA_VERSION, BudgetExceededError, SetFamError
-from .family import SetFamily, boolean_atoms, family_to_dict, parse_family, points_from_mask, serialize_family
+from .family import (
+    SetFamily, boolean_atoms, family_to_dict, json_text, load_json, parse_family, points_from_mask, serialize_family,
+)
 
 
 def _int_list(text: str) -> list[int]:
@@ -271,10 +274,7 @@ def _cmd_generate(args, _family) -> tuple[dict, list[str], bool]:
 def _cmd_verify(args, _family) -> tuple[dict, list[str], bool]:
     from .report import verify_report
 
-    try:
-        report = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    except RecursionError:
-        raise ValueError("report nests too deeply to parse") from None
+    report = load_json(Path(args.report).read_text(encoding="utf-8"), "report")
     checks = [check._asdict() for check in verify_report(report)]
     all_ok = all(c["ok"] for c in checks) and bool(checks)
     lines = [f"{c['kind']}: {'OK' if c['ok'] else 'FAIL'} ({c['detail']})" for c in checks]
@@ -336,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
             "results": {args.command: payload},
             "wall_time_s": round(wall, 6),
         }
-        Path(out).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        Path(out).write_text(json_text(report) + "\n", encoding="utf-8")
         print(f"report written to {out}")
     if negative and (args.strict or args.command == "verify"):
         return 1

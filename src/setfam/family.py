@@ -29,11 +29,15 @@ Two text formats are supported:
   the extension) and ``generator`` (provenance of a generated instance).
 
 Serialization is canonical: the same family always produces the same bytes.
+``json_text`` is the one JSON writer, of structured family files and of
+reports, and ``load_json`` the one JSON loader, of both; a syntax error is
+located by line and column.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import FamilyFormatError, ReportFormatError
@@ -422,6 +426,46 @@ def check_shape(value: Any, shape: Any, where: str, family: SetFamily | None = N
 
 
 # --------------------------------------------------------------------------
+# JSON text: the one writer and the one loader of every file setfam writes or
+# reads as JSON, family files and reports alike
+
+
+def json_text(value: Any, pad: str = "") -> str:
+    """Exactly ``json.dumps(value, indent=2, sort_keys=True)``, for a value
+    whose dicts have string keys, at indentation ``pad``.
+
+    An indent selects json's pure-Python encoder, one step per item. Here a
+    nonempty list or tuple of plain ints, or of strings, is joined in one
+    step, and dicts and other lists recurse; every other value goes to
+    ``json.dumps``."""
+    if value and isinstance(value, (dict, list, tuple)):
+        inner = pad + "  "
+        if isinstance(value, dict):
+            items = [f"{encode_basestring_ascii(key)}: {json_text(value[key], inner)}" for key in sorted(value)]
+            return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = map(str, value)
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, value)
+        else:
+            items = [json_text(item, inner) for item in value]
+        return "[\n" + inner + f",\n{inner}".join(items) + f"\n{pad}]"
+    return json.dumps(value)
+
+
+def load_json(text: str, what: str) -> Any:
+    """The value of JSON ``text``; FamilyFormatError gives a syntax error
+    its line and column, and names ``what`` if it nests too deeply to parse."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FamilyFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+    except RecursionError:
+        raise FamilyFormatError(f"{what} nests too deeply to parse") from None
+
+
+# --------------------------------------------------------------------------
 # parsing / serialization
 
 
@@ -431,9 +475,8 @@ _SET_KEYS = {"name", "points"}
 
 def parse_family(text: str) -> SetFamily:
     """Parse either supported format, sniffing structured JSON by a leading '{'."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _parse_structured(text)
+    if text.lstrip().startswith("{"):
+        return family_from_dict(load_json(text, "family file"))
     return _parse_incidence(text)
 
 
@@ -470,16 +513,6 @@ def _parse_incidence(text: str) -> SetFamily:
         names.append(f"S{i}")
         members.append(int(row[::-1], 2))  # the last digit is point 0
     return SetFamily(n, tuple(names), tuple(members))
-
-
-def _parse_structured(text: str) -> SetFamily:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FamilyFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
-    except RecursionError:
-        raise FamilyFormatError("family file nests too deeply to parse") from None
-    return family_from_dict(obj)
 
 
 def _expect_point_list(value: Any, where: str, universe: int) -> int:
@@ -575,13 +608,6 @@ def family_to_dict(family: SetFamily) -> dict[str, Any]:
     return obj
 
 
-def _json_list(items: Iterable[Any], pad: str) -> str:
-    """The items, written with ``str``, as a JSON list laid out as
-    ``json.dumps(..., indent=2)`` lays one out at indentation ``pad``."""
-    items = list(map(str, items))
-    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]" if items else "[]"
-
-
 def serialize_family(family: SetFamily, fmt: str = "structured") -> str:
     """Canonical text for a family; ``parse_family`` round-trips it exactly.
 
@@ -589,20 +615,7 @@ def serialize_family(family: SetFamily, fmt: str = "structured") -> str:
     refused for families that carry extension points or an external target.
     """
     if fmt == "structured":
-        # The bytes of json.dumps(obj, indent=2, sort_keys=True), whose indent
-        # selects the pure-Python encoder, one step per point; only names and
-        # the generator record go through json.
-        obj = family_to_dict(family)
-        fields = {key: _json_list(obj[key], "  ") for key in ("extension", "external_target") if key in obj}
-        fields["sets"] = _json_list([
-            f'{{\n      "name": {json.dumps(entry["name"])},\n'
-            f'      "points": {_json_list(entry["points"], "      ")}\n    }}'
-            for entry in obj["sets"]
-        ], "  ")
-        fields["universe"] = str(obj["universe"])
-        if "generator" in obj:
-            fields["generator"] = json.dumps(obj["generator"], indent=2, sort_keys=True).replace("\n", "\n  ")
-        return "{\n" + ",\n".join(f'  "{key}": {fields[key]}' for key in sorted(fields)) + "\n}\n"
+        return json_text(family_to_dict(family)) + "\n"
     if fmt == "incidence":
         if family.extension_mask or family.external_target is not None:
             raise ValueError("incidence format cannot carry extension points")

@@ -47,9 +47,10 @@ def _candidate_points(family: SetFamily) -> list[tuple[int, int]]:
     return [(pt, int(sig[::-1], 2)) for pt, sig in columns(family) if "1" in sig]
 
 
-def _canonical(
-    family: SetFamily, points: Sequence[int], optimal: bool, lower_bound: int | None
-) -> PiercingSolution:
+def _canonical(family: SetFamily, points: Sequence[int], lower_bound: int) -> PiercingSolution:
+    """The cover as a solution: points ascending, each set in the class of its
+    lowest point, unused points dropped; optimal when it meets ``lower_bound``,
+    a proved lower bound."""
     pts = sorted(set(points))
     assignment = []
     for mem in family.members:
@@ -64,7 +65,7 @@ def _canonical(
         remap = {old: new for new, old in enumerate(used)}
         pts = [pts[old] for old in used]
         assignment = [remap[a] for a in assignment]
-    return PiercingSolution(len(pts), tuple(pts), tuple(assignment), optimal, lower_bound)
+    return PiercingSolution(len(pts), tuple(pts), tuple(assignment), len(pts) == lower_bound, lower_bound)
 
 
 def transversal_greedy(family: SetFamily) -> PiercingSolution:
@@ -108,8 +109,8 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
     Otherwise a branch and bound over candidate points runs until its cover
     has as many points as the packing number, or to completion (optimal), or
     until it would pop more than ``budget`` nodes of its own (best cover
-    found so far, flagged non-optimal, with the packing number as its lower
-    bound).
+    found so far, with the packing number as its lower bound; optimal only if
+    the cover, once its redundant points are dropped, meets that bound).
 
     The search branches on the uncovered set with the fewest covering points
     and tries those points in index order, skipping a point whose newly
@@ -124,7 +125,7 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
     candidates = _candidate_points(family)
     greedy = _greedy(m, candidates)
     if greedy.tau == nu:
-        return _canonical(family, greedy.piercing_points, True, nu)
+        return _canonical(family, greedy.piercing_points, nu)
 
     # The candidate points covering each set, in candidate order, and the
     # sets by how few there are (ties to the lower index).
@@ -165,8 +166,8 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
                     children.append((covered | col, chosen + (pt,)))
             stack += reversed(children)
     except BudgetExceededError:
-        return _canonical(family, best_points, False, nu)
-    return _canonical(family, best_points, True, best_size)
+        return _canonical(family, best_points, nu)
+    return _canonical(family, best_points, best_size)
 
 
 def verify_partition(

@@ -301,12 +301,19 @@ def growth_profile(
     if len(tail) < 2 or any(r.value < 1 for r in tail):
         exponent = 0.0
     else:
-        xs = [math.log(r.n) for r in tail]
-        ys = [math.log(r.value) for r in tail]
-        import statistics  # only a fit needs it; it loads fractions, decimal and random
-
-        exponent = statistics.linear_regression(xs, ys).slope
+        exponent = _slope([math.log(r.n) for r in tail], [math.log(r.value) for r in tail])
     return GrowthProfile(results, exponent)
+
+
+def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """The least-squares slope of ys on xs, summed as Python 3.10 and 3.11's
+    ``statistics.linear_regression`` sums it: ``math.fsum`` rounds exactly
+    on every version, and the statistics module would load fractions,
+    decimal and random for one division."""
+    x_bar = math.fsum(xs) / len(xs)
+    y_bar = math.fsum(ys) / len(ys)
+    sxy = math.fsum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+    return sxy / math.fsum((x - x_bar) * (x - x_bar) for x in xs)
 
 
 def check_values(family: SetFamily, entries: Iterable[tuple[int, int, Sequence[int]]]) -> Check:

@@ -21,7 +21,8 @@ from setfam import (
 )
 from setfam import family as family_module
 from setfam.family import (
-    MAX_UNIVERSE, cells, check_atoms, columns, family_to_dict, point_traces, split_cells, transpose,
+    MAX_UNIVERSE, cells, check_atoms, columns, family_from_dict, family_to_dict, json_text, point_traces, split_cells,
+    transpose,
 )
 from setfam.piercing import _candidate_points
 from setfam.rng import SplitMix64
@@ -113,6 +114,22 @@ class TestParsing:
             parse_family('{"universe": 3,,}')
         assert info.value.line is not None
 
+    @pytest.mark.parametrize("obj, message", [
+        ([], "top level must be an object"),
+        ({"universe": "3", "sets": []}, "universe: 'universe' must be an integer point count"),
+        ({"universe": -1, "sets": []}, "universe: 'universe' must be nonnegative"),
+        ({"universe": 3, "extension": [0, "1"], "sets": []}, "extension: expected a list of point indices"),
+        ({"universe": 3, "sets": {}}, "sets: 'sets' must be a list"),
+        ({"universe": 3, "sets": [["A", [0]]]}, "sets[0]: set entry must be an object"),
+        ({"universe": 3, "sets": [{"name": "A", "pts": [0]}]}, "sets[0]: unknown key 'pts'"),
+        ({"universe": 3, "sets": [{"name": "", "points": [0]}]}, "sets[0]: set entry needs a nonempty 'name'"),
+        ({"universe": 3, "sets": [], "generator": "intervals"}, "generator: 'generator' must be an object"),
+    ])
+    def test_malformed_structured_family_names_its_fault(self, obj, message):
+        with pytest.raises(FamilyFormatError) as info:
+            family_from_dict(obj)
+        assert str(info.value) == message
+
     def test_unknown_key_rejected(self):
         with pytest.raises(FamilyFormatError, match="unknown key"):
             parse_family(json.dumps({"universe": 2, "sets": [], "extra": 1}))
@@ -172,6 +189,25 @@ class TestSerialization:
         fam = SetFamily(fam.universe_size, tuple(names), fam.members[:m], ext, target,
                         None if generator is None else json.dumps(generator, sort_keys=True, separators=(",", ":")))
         assert serialize_family(fam) == json.dumps(family_to_dict(fam), indent=2, sort_keys=True) + "\n"
+
+
+# JSON trees: dicts with string keys, lists and tuples, ints as large as
+# 10**30, floats with NaN, the infinities and -0.0, and non-ASCII strings.
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**30), 10**30) | st.sampled_from([10**30, -0.0])
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.integers(), max_size=4) | st.lists(st.text(max_size=3), max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    @given(JSON_TREES)
+    @example({"é": [[], {}, (), ("☃", "\n"), (1, True)], "": [float("nan"), float("inf"), -float("inf"), -0.0]})
+    def test_matches_the_indented_json_encoder(self, value):
+        assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 class TestInvariants:

@@ -17,13 +17,11 @@ SUBMODULES = ("cli", "errors", "family", "generators", "piercing", "pq", "report
 # The submodules every subcommand loads: the CLI, its errors and the family
 # parser. Only verify loads the report checks.
 BASE = {"cli", "errors", "family"}
-# Standard-library modules only some paths need: the exponent fit, whose
-# statistics module loads fractions. The generators do exact geometry in
-# integers, so no generate run loads either.
-OPTIONAL_STDLIB = {"statistics", "fractions"}
 # Standard-library modules no subcommand loads: the result records are named
-# tuples, and dataclasses would bring in inspect, ast, dis and tokenize.
-NEVER = {"dataclasses", "inspect"}
+# tuples, and dataclasses would bring in inspect, ast, dis and tokenize; the
+# exponent fit sums with math.fsum, and statistics would bring in fractions,
+# decimal and random; the generators do exact geometry in integers.
+NEVER = {"dataclasses", "inspect", "statistics", "fractions"}
 
 
 def loaded_modules(code: str, *argv: str, cwd: Path | None = None) -> set[str]:
@@ -59,30 +57,29 @@ def interpreter_modules():
     return loaded_modules("import sys")
 
 
-# (argv, setfam modules beyond BASE, OPTIONAL_STDLIB modules it loads)
+# (argv, setfam modules beyond BASE)
 CASES = [
-    (["atoms", "--in", "rich.fam"], set(), set()),
-    (["shatter", "--in", "rich.fam", "--n", "2"], {"shatter"}, set()),
-    (["shatter", "--in", "rich.fam", "--n", "3", "--profile"], {"shatter"}, {"statistics", "fractions"}),
-    (["pq", "--in", "rich.fam", "--p", "2", "--q", "2"], {"pq"}, set()),
-    (["pierce", "--in", "rich.fam"], {"piercing", "pq"}, set()),
-    (["disjoint", "--in", "rich.fam"], {"pq"}, set()),
-    (["witness", "--in", "rich.fam", "--n", "3", "--target-from-file"], {"witness"}, set()),
-    (["generate", "--kind", "intervals", "--count", "3", "--universe", "8"], {"generators", "rng"}, set()),
-    (["generate", "--kind", "halfplane_grid", "--count", "2", "--grid-side", "8"], {"generators", "rng"}, set()),
-    (["generate", "--kind", "witness_rich", "--depth", "3"], {"generators", "rng"}, set()),
-    (["verify", "--report", "atoms.report"], {"report"}, set()),
-    (["verify", "--report", "pierce.report"], {"report", "piercing", "pq"}, set()),
-    (["verify", "--report", "witness.report"], {"report", "witness"}, set()),
+    (["atoms", "--in", "rich.fam"], set()),
+    (["shatter", "--in", "rich.fam", "--n", "2"], {"shatter"}),
+    (["shatter", "--in", "rich.fam", "--n", "3", "--profile"], {"shatter"}),
+    (["pq", "--in", "rich.fam", "--p", "2", "--q", "2"], {"pq"}),
+    (["pierce", "--in", "rich.fam"], {"piercing", "pq"}),
+    (["disjoint", "--in", "rich.fam"], {"pq"}),
+    (["witness", "--in", "rich.fam", "--n", "3", "--target-from-file"], {"witness"}),
+    (["generate", "--kind", "intervals", "--count", "3", "--universe", "8"], {"generators", "rng"}),
+    (["generate", "--kind", "halfplane_grid", "--count", "2", "--grid-side", "8"], {"generators", "rng"}),
+    (["generate", "--kind", "witness_rich", "--depth", "3"], {"generators", "rng"}),
+    (["verify", "--report", "atoms.report"], {"report"}),
+    (["verify", "--report", "pierce.report"], {"report", "piercing", "pq"}),
+    (["verify", "--report", "witness.report"], {"report", "witness"}),
 ]
 
 
-@pytest.mark.parametrize("argv, solvers, stdlib", CASES, ids=[" ".join(case[0]) for case in CASES])
-def test_subcommand_loads_only_its_modules(workdir, interpreter_modules, argv, solvers, stdlib):
+@pytest.mark.parametrize("argv, solvers", CASES, ids=[" ".join(case[0]) for case in CASES])
+def test_subcommand_loads_only_its_modules(workdir, interpreter_modules, argv, solvers):
     code = "import sys\nfrom setfam.cli import main\nmain(sys.argv[1:])"
     names = loaded_modules(code, *argv, cwd=workdir)
     assert setfam_modules(names) == BASE | solvers
-    assert (names - interpreter_modules) & OPTIONAL_STDLIB == stdlib - interpreter_modules
     assert not (names - interpreter_modules) & NEVER
 
 

@@ -15,6 +15,7 @@ from setfam import (
     PiercingSolution,
     SetFamily,
     gen_intervals,
+    gen_random,
     max_disjoint,
     transversal_exact,
     transversal_greedy,
@@ -95,6 +96,16 @@ class TestExact:
         assert_solution_valid(fam, capped)
         with pytest.raises(BudgetExceededError, match="packing search exceeded the budget of 1 nodes"):
             transversal_exact(fam, budget=1)
+
+    def test_budget_stopped_cover_meeting_its_bound_is_optimal(self):
+        # At a budget of 6 the branch and bound stops holding a 5-point cover
+        # with a redundant point; dropped, the cover meets the packing number.
+        fam = gen_random(15, 25, 0.25, 322)
+        full = transversal_exact(fam)
+        capped = transversal_exact(fam, budget=6)
+        assert (capped.tau, capped.optimal, capped.lower_bound) == (4, True, 4)
+        assert (full.tau, full.optimal, full.lower_bound) == (4, True, 4)
+        assert_solution_valid(fam, capped)
 
     @given(families(nonempty=True))
     def test_matches_partition_oracle(self, fam):

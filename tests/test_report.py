@@ -111,6 +111,8 @@ def verify(workdir, report):
         ("pq", lambda r: r["pq"].pop("family"), "results.pq: missing key 'family'"),
         ("pierce", lambda r: r["pierce"]["family"]["sets"][0].__setitem__("points", [7]),
          "results.pierce.family: sets[0] ('S0').points[0]: point 7 out of range for universe 3"),
+        ("atoms", lambda r: r["atoms"]["family"].__setitem__("universe", -1),
+         "results.atoms.family: universe: 'universe' must be nonnegative"),
         ("sequence", lambda r: r["disjoint"].__setitem__("avoid", [-1]),
          "results.disjoint.avoid[0]: point -1 out of range for 3 points"),
         # Faults of the right shape that a check finds name the result. The
@@ -168,6 +170,9 @@ def _tamper(kind, empty_set=None, **values):
          "disjoint.witness-reverifies: FAIL (set 2 listed twice)"),
         ("sequence", _tamper("disjoint", 2, sequence=[2, 2, 2]),
          "disjoint.witness-reverifies: FAIL (set 2 listed twice)"),
+        # The star's atoms are 001 -> [3], 010 -> [2], 100 -> [1], 111 -> [0].
+        ("atoms", lambda r: r["atoms"]["atoms"][1].__setitem__("points", [3]),
+         "atoms.decomposition-reverifies: FAIL (cells overlap)"),
         ("disjoint", _tamper("disjoint", nu=99),
          "disjoint.witness-reverifies: FAIL (nu is 99 but the witness has 3 sets)"),
         # The verdict must agree with its witnesses. The 12 intervals hold
@@ -214,6 +219,18 @@ def test_deeply_nested_report(workdir):
     (workdir / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     assert run(["verify", "--report", str(workdir / "deep.json")]) == (
         2, "", "error: report nests too deeply to parse\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"a": 1,}', "line 1, column 9: invalid JSON: Expecting property name enclosed in double quotes"),
+        ("", "line 1, column 1: invalid JSON: Expecting value"),
+    ],
+)
+def test_unparsable_report_is_located(workdir, text, message):
+    (workdir / "unparsable.json").write_text(text)
+    assert run(["verify", "--report", str(workdir / "unparsable.json")]) == (2, "", f"error: {message}\n")
 
 
 def test_chain_from_dict_validates_its_input():

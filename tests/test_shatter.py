@@ -1,4 +1,6 @@
 import math
+import statistics
+import sys
 from unittest import mock
 
 import pytest
@@ -198,6 +200,14 @@ class TestGrowthProfile:
         profile = growth_profile(fam, 4)
         assert all(r.value <= 2 for r in profile.results)
         assert profile.exponent == 0.0
+
+    @pytest.mark.skipif(sys.version_info[:2] not in ((3, 10), (3, 11)),
+                        reason="3.12's linear_regression sums with math.sumprod")
+    @given(st.lists(st.tuples(st.integers(1, 10**6), st.floats(-1e6, 1e6)), min_size=2, unique_by=lambda p: p[0]))
+    def test_slope_is_the_statistics_slope(self, pairs):
+        # As in a profile: x the log of a distinct n, y any finite value.
+        xs, ys = [math.log(n) for n, _ in pairs], [y for _, y in pairs]
+        assert shatter_module._slope(xs, ys) == statistics.linear_regression(xs, ys).slope
 
     def test_n_max_validation(self):
         with pytest.raises(ValueError):

@@ -215,6 +215,36 @@ class TestVerifier:
         report = verify_witness(fam, target, mutated)
         assert not report.target_counts_ok
 
+    @pytest.mark.parametrize("fam, chain, message", [
+        # Both target points 1 and 2 lie in the one chain set: one live atom.
+        pytest.param(
+            SetFamily.from_points(3, [("A", [0, 1, 2])], extension=[1, 2]),
+            WitnessChain((ChainStep(0, (0,)),), (("1",),), (1,)),
+            "live-atom count 1 at step 1 is below the floor 2",
+            id="below-the-floor",
+        ),
+        # Probes 0..5 carry the six traces 100, 110, 010, 001, 011, 101; the
+        # target points 6..9 are four live atoms after two sets, which C,
+        # holding none of them, cannot split again.
+        pytest.param(
+            SetFamily.from_points(10, [("A", [0, 1, 5, 8, 9]), ("B", [1, 2, 4, 7, 9]), ("C", [3, 4, 5])],
+                                  extension=range(6, 10)),
+            WitnessChain(
+                (ChainStep(0, (0,)), ChainStep(1, (1, 2)), ChainStep(2, (3, 4, 5))),
+                (("0", "1"), ("00", "01", "10", "11"), ("000", "010", "100", "110")),
+                (2, 4, 4),
+            ),
+            "live-atom counts fail to increase at step 3",
+            id="fails-to-increase",
+        ),
+    ])
+    def test_stalled_live_atoms_fail_only_the_counts(self, fam, chain, message):
+        report = verify_witness(fam, fam.extension_points(), chain)
+        assert report.step_separation_ok and report.within_step_distinct_ok
+        assert report.all_traces_distinct_ok and report.quadratic_bound_ok
+        assert not report.target_counts_ok and not report.ok
+        assert report.failures == (message,)
+
     @pytest.mark.parametrize("seed", [0, 6])
     @pytest.mark.parametrize("tamper, message", [
         pytest.param(
