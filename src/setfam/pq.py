@@ -9,6 +9,9 @@ that keeps each chosen point's depth below q. Both searches pop at most
 ``budget`` nodes (``errors.pops``). ``greedy_packing`` is the one greedy
 packing: ``disjoint_sequence_greedy`` returns it over all sets, and the
 piercing search bounds each node by its length over the uncovered sets.
+The packing search runs on the sets relabelled by rank fewest points first,
+so that its greedy clique cover starts from the smallest sets, while it
+branches in the same order as on the family's own indices.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ class PropertyReport(NamedTuple):
     disjoint_witness: tuple[int, ...] | None = None
 
 
-def _conflicts(family: SetFamily) -> list[int]:
-    members = family.members
+def _conflicts(members: Sequence[int]) -> list[int]:
     m = len(members)
     conf = [0] * m
     for i in range(m):
@@ -47,9 +49,10 @@ def _conflicts(family: SetFamily) -> list[int]:
 
 
 def _clique_cover_bound(cand: int, conf: list[int]) -> int:
-    # Greedy clique cover of the candidate vertices; every clique contributes
-    # at most one vertex to an independent set, so the count is admissible,
-    # and holds at least one, so the count never exceeds the candidates.
+    # Greedy clique cover of the candidate vertices, each clique seeded and
+    # grown by the lowest label; every clique contributes at most one vertex
+    # to an independent set, so the count is admissible, and holds at least
+    # one, so the count never exceeds the candidates.
     bound = 0
     rest = cand
     while rest:
@@ -79,7 +82,9 @@ def max_disjoint(
     """Exact maximum pairwise-disjoint subfamily (packing number and witness).
 
     Branch and bound on the intersection graph, include-branch first in index
-    order, so the witness is the lexicographically first optimum. With
+    order, so the witness is the lexicographically first optimum. A node is
+    pruned when its chosen sets plus a greedy clique cover of its candidates,
+    seeded and grown fewest points first, cannot beat the best found. With
     ``cap`` set the search stops as soon as ``cap`` disjoint sets are found
     and returns ``min(packing number, cap)`` with a witness of that size; a
     negative ``cap`` raises ValueError. BudgetExceededError is raised if the
@@ -95,14 +100,26 @@ def max_disjoint(
     m = family.num_sets
     if m == 0 or cap == 0:
         return 0, ()
-    conf = _conflicts(family)
+    # The search runs on the sets relabelled by rank in order of point count
+    # (ties to the lower index), so the greedy clique cover that bounds each
+    # node seeds and grows its cliques from the smallest sets. It still
+    # branches in index order: each node carries the lowest index not yet
+    # decided, from which the set to branch on is the first still a candidate.
+    members = family.members
+    counts = [mem.bit_count() for mem in members]
+    order = sorted(range(m), key=counts.__getitem__)
+    rank = [0] * m
+    for r, i in enumerate(order):
+        rank[i] = r
+    conf = _conflicts([members[i] for i in order])
     best_size = 0
     best: tuple[int, ...] = ()
     chosen: list[int] = []
-    # Each node is its candidate sets and the number of sets chosen above it;
-    # the include child is pushed last, so it and its subtree come first.
-    stack = [((1 << m) - 1, 0)]
-    for cand, depth in pops(stack, budget, "packing search"):
+    # Each node is its candidate ranks, that index and the number of sets
+    # chosen above it; the include child is pushed last, so it and its
+    # subtree come first.
+    stack = [((1 << m) - 1, 0, 0)]
+    for cand, v, depth in pops(stack, budget, "packing search"):
         del chosen[depth:]
         if not cand:
             if depth > best_size:
@@ -110,14 +127,16 @@ def max_disjoint(
             continue
         if depth + _clique_cover_bound(cand, conf) <= best_size:
             continue
-        v = (cand & -cand).bit_length() - 1
-        rest = cand & ~(1 << v)
-        if not _is_clique(conf[v] & rest, conf):
-            stack.append((rest, depth))
+        while not cand >> rank[v] & 1:
+            v += 1
+        r = rank[v]
+        rest = cand & ~(1 << r)
+        if not _is_clique(conf[r] & rest, conf):
+            stack.append((rest, v + 1, depth))
         chosen.append(v)
         if cap is not None and depth + 1 >= cap:
             return depth + 1, tuple(chosen)
-        stack.append((rest & ~conf[v], depth + 1))
+        stack.append((rest & ~conf[r], v + 1, depth + 1))
     return best_size, best
 
 

@@ -51,9 +51,15 @@ def row_lanes(longest: int) -> tuple[int, int, int, int]:
     most ROW_BLOCK), and integers holding in lane i a one, 2**64 - 1, and
     (i+1) gammas modulo 2**64."""
     width = min(max(longest, 1), ROW_BLOCK)
-    ones = int.from_bytes((b"\x01" + bytes(15)) * width, "little")
+    # Both are built by doubling: n lanes are copied n lanes up, and the ramp
+    # copy holds n more in each lane, until there are at least width lanes.
+    ones = ramp = n = 1
+    while n < width:
+        ramp |= (ramp + n * ones) << 128 * n
+        ones |= ones << 128 * n
+        n *= 2
+    ones &= (1 << 128 * width) - 1
     low = ones * _MASK64
-    ramp = int.from_bytes(b"".join([i.to_bytes(16, "little") for i in range(1, width + 1)]), "little")
     return width, ones, low, ramp * _GAMMA & low
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -315,7 +316,7 @@ class TestAtomsShatterDisjoint:
 
     @pytest.mark.parametrize("command, args", [("disjoint", []), ("pq", ["--p", "3", "--q", "2"])])
     def test_packing_budget_exit_code(self, capsys, tmp_path, command, args):
-        # The packing search pops 1,586 nodes here.
+        # The packing search pops 416 nodes here.
         path = tmp_path / "random.fam"
         path.write_text(serialize_family(gen_random(90, 135, 0.03, 0)))
         code, out, err = run(capsys, command, "--in", str(path), *args, "--budget", "1")
@@ -460,6 +461,15 @@ class TestDeterminism:
             reports.append(strip_wall_time(report.read_text()))
         assert outs[0] == outs[1]
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("command, args", [("atoms", []), ("pierce", []), ("shatter", ["--n", "2"])])
+    def test_input_digest_is_the_sha256_of_the_input_bytes(self, capsys, rich_file, tmp_path, command, args):
+        report = tmp_path / f"{command}.report"
+        code, _, _ = run(capsys, command, "--in", rich_file, *args, "--out", str(report))
+        assert code == 0
+        with open(rich_file, "rb") as f:
+            expected = "sha256:" + hashlib.sha256(f.read()).hexdigest()
+        assert json.loads(report.read_text())["input_digest"] == expected
 
     def test_generate_byte_identical(self, capsys, tmp_path):
         texts = []

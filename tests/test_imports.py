@@ -2,6 +2,7 @@
 resolves its exported names and submodules on first use."""
 
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -20,8 +21,11 @@ BASE = {"cli", "errors", "family"}
 # Standard-library modules no subcommand loads: the result records are named
 # tuples, and dataclasses would bring in inspect, ast, dis and tokenize; the
 # exponent fit sums with math.fsum, and statistics would bring in fractions,
-# decimal and random; the generators do exact geometry in integers.
-NEVER = {"dataclasses", "inspect", "statistics", "fractions"}
+# decimal and random; the generators do exact geometry in integers. The input
+# digest uses the interpreter's built-in SHA-256, so OpenSSL's _hashlib stays
+# unloaded, except on an interpreter built without one.
+BUILTIN_SHA256 = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+NEVER = {"dataclasses", "inspect", "statistics", "fractions"} | ({"_hashlib"} if BUILTIN_SHA256 else set())
 
 
 def loaded_modules(code: str, *argv: str, cwd: Path | None = None) -> set[str]:

@@ -47,6 +47,16 @@ def test_rows_match_single_draws(seed, first, second, threshold, shared):
     assert batched.next_u64() == single.next_u64()
 
 
+@pytest.mark.parametrize("longest", (0, 1, 2, 3, 5, 511, 512, 513, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1))
+def test_row_lanes_hold_their_constants_lane_by_lane(longest):
+    width, ones, low, steps = row_lanes(longest)
+    assert width == min(max(longest, 1), ROW_BLOCK)
+    lane = 2**128 - 1
+    lanes = [(ones >> 128 * i & lane, low >> 128 * i & lane, steps >> 128 * i & lane) for i in range(width)]
+    assert lanes == [(1, 2**64 - 1, (i + 1) * _GAMMA % 2**64) for i in range(width)]
+    assert max(ones, low, steps) < 1 << 128 * width
+
+
 def _seed_before(output: int, draw: int = 0) -> int:
     """The seed whose output ``draw`` (from 0) is ``output``: each step of the
     mix is a bijection on 64-bit words, undone here in reverse, and the
