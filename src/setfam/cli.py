@@ -31,8 +31,6 @@ from .family import (
 
 def _int_list(text: str) -> list[int]:
     text = text.strip()
-    if not text:
-        return []
     try:
         return [int(tok) for tok in text.replace(",", " ").split()]
     except ValueError:
@@ -276,7 +274,7 @@ def _cmd_verify(args, _family) -> tuple[dict, list[str], bool]:
 
     report = load_json(Path(args.report).read_text(encoding="utf-8"), "report")
     checks = [check._asdict() for check in verify_report(report)]
-    all_ok = all(c["ok"] for c in checks) and bool(checks)
+    all_ok = all(c["ok"] for c in checks)
     lines = [f"{c['kind']}: {'OK' if c['ok'] else 'FAIL'} ({c['detail']})" for c in checks]
     lines.append(f"verdict: {'PASS' if all_ok else 'FAIL'}")
     return {"source": args.report, "checks": checks, "all_ok": all_ok}, lines, not all_ok

@@ -125,7 +125,9 @@ def max_disjoint(
             if depth > best_size:
                 best_size, best = depth, tuple(chosen)
             continue
-        if depth + _clique_cover_bound(cand, conf) <= best_size:
+        # Before the first leaf best_size is 0 and the bound at least 1, so
+        # the bound cannot prune until a packing has been found.
+        if best_size and depth + _clique_cover_bound(cand, conf) <= best_size:
             continue
         while not cand >> rank[v] & 1:
             v += 1

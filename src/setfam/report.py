@@ -3,14 +3,15 @@
 ``verify_report`` checks the shape of a whole report before it runs any
 check: every key a check reads must be present with its JSON type, and every
 set or point index must be in range for the family embedded in its result.
-The first fault raises ReportFormatError naming its path. The checks live
-beside the solvers whose answers they re-check; a well-formed report whose
-claim is false yields a failed Check, not an error.
+The first fault raises ReportFormatError naming its path. ``_KINDS`` maps
+each result kind to its shape and its check function; each check function
+calls the checks that live beside the solver whose answer they re-check,
+except the witness row's, which are written here. A well-formed report whose
+claim is false, or that holds no result, yields a failed Check, not an error.
 """
 
 from __future__ import annotations
 
-import importlib
 from typing import Any
 
 from .errors import SCHEMA_VERSION, FamilyFormatError, ReportFormatError
@@ -18,10 +19,52 @@ from .family import POINT, SET_INDEX, Check, SetFamily, check_atoms, check_shape
 
 _SHATTER = {"n": int, "value": int, "witness": [SET_INDEX]}
 
+# Each check function imports its solver module in its own body, so that
+# ``verify`` loads only the modules of the kinds a report holds.
 
-def _check_witness(witness: Any, family: SetFamily, r: dict) -> list[Check]:
+
+def _check_atoms(family: SetFamily, r: dict) -> list[Check]:
+    return [check_atoms(family, r["subfamily"], [(a["signature"], a["points"]) for a in r["atoms"]],
+                        r["include_zero_cell"], r["atom_count"])]
+
+
+def _check_disjoint(family: SetFamily, r: dict) -> list[Check]:
+    from .pq import check_disjoint
+
+    return [check_disjoint(family, r["sequence"], r["avoid"]) if "sequence" in r
+            else check_disjoint(family, r["witness"], nu=r["nu"], cap=r["cap"])]
+
+
+def _check_pierce(family: SetFamily, r: dict) -> list[Check]:
+    from .piercing import check_solution
+
+    return check_solution(family, r["tau"], r["piercing_points"], r["assignment"], r["optimal"], r["lower_bound"])
+
+
+def _check_pq(family: SetFamily, r: dict) -> list[Check]:
+    from .pq import check_verdict
+
+    return check_verdict(family, r["p"], r["q"], r["holds"], r["violation"], r["disjoint_witness"])
+
+
+def _check_shatter(family: SetFamily, r: dict) -> list[Check]:
+    from .shatter import check_values
+
+    return [check_values(family, [(e["n"], e["value"], e["witness"]) for e in r.get("profile", [r])])]
+
+
+def _witness_shape(r: dict) -> dict:
+    from .witness import CHAIN_SHAPE
+
+    return {"target": [POINT], "n_target": int, "status": str, "chain": CHAIN_SHAPE,
+            **({"verification": {"ok": bool}} if r.get("status") == "chain" else {})}
+
+
+def _check_witness(family: SetFamily, r: dict) -> list[Check]:
     """A chain must re-verify, reach ``n_target`` and match its recorded
     verdict; a stuck chain must be final and valid."""
+    from . import witness
+
     target, chain = r["target"], witness.chain_from_dict(r["chain"])
     if r["status"] == "chain":
         report, recorded_ok = witness.verify_witness(family, target, chain), r["verification"]["ok"]
@@ -44,59 +87,23 @@ def _check_witness(witness: Any, family: SetFamily, r: dict) -> list[Check]:
     return checks
 
 
-# Result kind -> (the module that holds its checks; the shape of what they
-# read beside "family", or a function of that module and the payload that
-# picks the shape; the checks, given that module, the family and the
-# payload). A kind's module is imported only to verify a result of that kind.
-_KINDS: dict[str, tuple[str, Any, Any]] = {
-    "atoms": (
-        "family",
-        {"subfamily": [SET_INDEX], "include_zero_cell": bool, "atom_count": int,
-         "atoms": [{"signature": str, "points": [POINT]}]},
-        lambda _, family, r: [
-            check_atoms(family, r["subfamily"], [(a["signature"], a["points"]) for a in r["atoms"]],
-                        r["include_zero_cell"], r["atom_count"])
-        ],
-    ),
-    "disjoint": (
-        "pq",
-        lambda _, r: {"sequence": [SET_INDEX], "avoid": [POINT]} if "sequence" in r
-        else {"nu": int, "cap": (None, int), "witness": [SET_INDEX]},
-        lambda pq, family, r: [
-            pq.check_disjoint(family, r["sequence"], r["avoid"]) if "sequence" in r
-            else pq.check_disjoint(family, r["witness"], nu=r["nu"], cap=r["cap"])
-        ],
-    ),
-    "pierce": (
-        "piercing",
-        {"tau": int, "piercing_points": [POINT], "assignment": [int], "optimal": bool, "lower_bound": (None, int)},
-        lambda piercing, family, r: piercing.check_solution(
-            family, r["tau"], r["piercing_points"], r["assignment"], r["optimal"], r["lower_bound"]),
-    ),
-    "pq": (
-        "pq",
-        {"p": int, "q": int, "holds": bool, "violation": (None, [SET_INDEX]),
-         "disjoint_witness": (None, [SET_INDEX])},
-        lambda pq, family, r: pq.check_verdict(family, r["p"], r["q"], r["holds"], r["violation"],
-                                               r["disjoint_witness"]),
-    ),
-    "shatter": (
-        "shatter",
-        lambda _, r: {"profile": [_SHATTER]} if "profile" in r else _SHATTER,
-        lambda shatter, family, r: [
-            shatter.check_values(family, [(e["n"], e["value"], e["witness"]) for e in r.get("profile", [r])])
-        ],
-    ),
-    "witness": (
-        "witness",
-        lambda witness, r: {"target": [POINT], "n_target": int, "status": str, "chain": witness.CHAIN_SHAPE,
-                            **({"verification": {"ok": bool}} if r.get("status") == "chain" else {})},
-        _check_witness,
-    ),
+# Result kind -> (the shape of what its checks read beside "family", or a
+# function of the payload that picks the shape; its check function).
+_KINDS: dict[str, tuple[Any, Any]] = {
+    "atoms": ({"subfamily": [SET_INDEX], "include_zero_cell": bool, "atom_count": int,
+               "atoms": [{"signature": str, "points": [POINT]}]}, _check_atoms),
+    "disjoint": (lambda r: {"sequence": [SET_INDEX], "avoid": [POINT]} if "sequence" in r
+                 else {"nu": int, "cap": (None, int), "witness": [SET_INDEX]}, _check_disjoint),
+    "pierce": ({"tau": int, "piercing_points": [POINT], "assignment": [int], "optimal": bool,
+                "lower_bound": (None, int)}, _check_pierce),
+    "pq": ({"p": int, "q": int, "holds": bool, "violation": (None, [SET_INDEX]),
+            "disjoint_witness": (None, [SET_INDEX])}, _check_pq),
+    "shatter": (lambda r: {"profile": [_SHATTER]} if "profile" in r else _SHATTER, _check_shatter),
+    "witness": (_witness_shape, _check_witness),
 }
 
 
-def _result_family(kind: str, module: Any, payload: Any) -> SetFamily:
+def _result_family(kind: str, payload: Any) -> SetFamily:
     """Check the shape of one result and return the family it embeds."""
     where = f"results.{kind}"
     check_shape(payload, {"family": dict}, where)
@@ -104,28 +111,29 @@ def _result_family(kind: str, module: Any, payload: Any) -> SetFamily:
         family = family_from_dict(payload["family"])
     except FamilyFormatError as exc:
         raise ReportFormatError(str(exc), where=f"{where}.family") from None
-    shape = _KINDS[kind][1]
-    check_shape(payload, shape(module, payload) if callable(shape) else shape, where, family)
+    shape = _KINDS[kind][0]
+    check_shape(payload, shape(payload) if callable(shape) else shape, where, family)
     return family
 
 
 def verify_report(report: Any) -> list[Check]:
     """Check the shape of a parsed report, then replay each result's checks in sorted kind order.
 
-    A kind with no checks yields one failed Check; a malformed report raises ReportFormatError."""
+    A report with no results, or a kind with no checks, yields one failed
+    Check; a malformed report raises ReportFormatError."""
     check_shape(report, {"schema_version": str, "results": dict}, "")
     if report["schema_version"] != SCHEMA_VERSION:
         raise ReportFormatError(f"unsupported report schema {report['schema_version']!r}",
                                 where="schema_version")
     results = report["results"]
-    modules = {kind: importlib.import_module(f"{__package__}.{_KINDS[kind][0]}")
-               for kind in sorted(results) if kind in _KINDS}
-    families = {kind: _result_family(kind, module, results[kind]) for kind, module in modules.items()}
+    if not results:
+        return [Check("report.no-results", False, "report has no results")]
+    families = {kind: _result_family(kind, results[kind]) for kind in sorted(results) if kind in _KINDS}
     checks: list[Check] = []
     for kind in sorted(results):
         if kind in _KINDS:
             try:
-                checks += _KINDS[kind][2](modules[kind], families[kind], results[kind])
+                checks += _KINDS[kind][1](families[kind], results[kind])
             except ValueError as exc:  # a fault the shape check cannot see, found by a check
                 raise ReportFormatError(str(exc), where=f"results.{kind}") from None
         else:

@@ -9,7 +9,7 @@ import itertools
 import json
 import time
 
-from helpers import brute_min_consistent_partition, random_family
+from helpers import brute_min_consistent_partition, random_family, random_target_family
 from setfam import (
     ChainStep,
     SetFamily,
@@ -62,7 +62,7 @@ def test_criterion_2_first_step_count_is_two():
     rng = SplitMix64(77)
     checked = 0
     while checked < 50:
-        family, target = _random_target_family(rng)
+        family, target = random_target_family(rng)
         outcome = build_quadratic_witness(family, target, 2)
         chain = outcome if isinstance(outcome, WitnessChain) else outcome.chain
         if chain.length >= 1:
@@ -72,17 +72,6 @@ def test_criterion_2_first_step_count_is_two():
     _verdict(2, ok, f"first-step live-atom count equals 2 on {len(counts)} successful chains")
 
 
-def _random_target_family(rng, max_sets=6, base_points=8, ext_points=4):
-    n = base_points + ext_points
-    m = 1 + rng.below(max_sets)
-    sets = []
-    for i in range(m):
-        members = [p for p in range(n) if rng.below(100) < 45]
-        sets.append((f"S{i}", members))
-    family = SetFamily.from_points(n, sets, extension=range(base_points, n))
-    return family, tuple(range(base_points, n))
-
-
 def test_criterion_3_conditions_imply_distinct_traces():
     rng = SplitMix64(4242)
     passing = 0
@@ -90,7 +79,7 @@ def test_criterion_3_conditions_imply_distinct_traces():
     mutants_checked = 0
     while passing < 1000:
         if rng.below(2):
-            family, target = _random_target_family(rng)
+            family, target = random_target_family(rng)
             outcome = build_quadratic_witness(family, target, 1 + rng.below(3))
             chain = outcome if isinstance(outcome, WitnessChain) else outcome.chain
             if chain.length == 0:

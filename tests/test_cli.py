@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import setfam
 from setfam import gen_intervals, gen_random, parse_family, serialize_family
 from setfam.cli import main
 
@@ -479,3 +484,36 @@ class TestDeterminism:
                 "--density", "0.3", "--seed", "11", "--out", str(path))
             texts.append(path.read_text())
         assert texts[0] == texts[1]
+
+
+class TestInputEdges:
+    def test_empty_sets_option_gives_one_atom(self, capsys, disjoint3_file):
+        assert run(capsys, "atoms", "--in", disjoint3_file, "--sets", "") == (
+            0, "subfamily: []\natoms: 1\n   -> [0, 1, 2]\n", "")
+
+    def test_sets_option_must_hold_integers(self, capsys, disjoint3_file):
+        code, out, err = run(capsys, "atoms", "--in", disjoint3_file, "--sets", "a,b")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --sets: expected comma-separated integers, got 'a,b'\n")
+
+    def test_target_from_file_needs_an_external_target(self, capsys, disjoint3_file):
+        assert run(capsys, "witness", "--in", disjoint3_file, "--n", "1", "--target-from-file") == (
+            2, "", "error: family file carries no external_target\n")
+
+    @pytest.mark.parametrize("args, message", [
+        (["--count", "0", "--universe", "5", "--density", "0.5"], "count must be at least 1"),
+        (["--count", "2", "--universe", "0", "--density", "0.5"], "universe_size must be at least 1"),
+        (["--count", "2", "--universe", "5", "--density", "1e-300"],
+         "could not draw a nonempty set at density 1e-300"),
+    ])
+    def test_random_kind_input_errors(self, capsys, args, message):
+        assert run(capsys, "generate", "--kind", "random", *args) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("module", ["setfam", "setfam.cli"])
+    def test_module_runs_main(self, disjoint3_file, module):
+        src = str(Path(setfam.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", module, "atoms", "--in", disjoint3_file, "--sets", "0"],
+                              env=env, capture_output=True, text=True, timeout=60, check=False)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, "subfamily: [0]\natoms: 2\n  0 -> [1, 2]\n  1 -> [0]\n", "")

@@ -636,3 +636,17 @@ class TestColumns:
             )
         # Both calls read the signatures off the rows.
         assert sorted(row_reads) == sorted(2 * fam.members)
+
+
+def test_extension_outside_the_universe_is_refused():
+    with pytest.raises(ValueError, match="^extension points lie outside the universe$"):
+        SetFamily(3, ("A",), (0b1,), extension_mask=0b1000)
+
+
+def test_unknown_serialization_format_is_refused():
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        serialize_family(SetFamily.from_points(2, [("A", [0])]), "xml")
+
+
+def test_len_counts_the_sets():
+    assert len(SetFamily.from_points(3, [("A", [0]), ("B", []), ("C", [1, 2])])) == 3

@@ -116,3 +116,8 @@ def test_dir_lists_exports_and_submodules():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         setfam.no_such_name  # noqa: B018
+
+
+def test_submodule_loads_on_first_attribute_access():
+    names = loaded_modules("import sys, setfam\nassert setfam.shatter is sys.modules['setfam.shatter']")
+    assert setfam_modules(names) == {"errors", "family", "shatter"}

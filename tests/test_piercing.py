@@ -234,3 +234,7 @@ class TestVerifyPartition:
         ok, failing = verify_partition(fam, [5, 5, 3, 3])
         assert not ok
         assert failing == 3
+
+
+def test_greedy_on_no_sets_is_optimal_and_empty():
+    assert transversal_greedy(SetFamily.from_points(3, [])) == PiercingSolution(0, (), (), True, 0)

@@ -313,3 +313,8 @@ def test_mutated_reports_never_trace_back(workdir, reports, baselines, data):
             assert "missing key" in err
     else:
         assert out.rstrip().endswith("verdict: FAIL")
+
+
+def test_report_with_no_results_fails_by_name(workdir):
+    assert verify(workdir, {"schema_version": "v1", "results": {}}) == (
+        1, "report.no-results: FAIL (report has no results)\nverdict: FAIL\n", "")

@@ -113,3 +113,8 @@ def test_shuffle_draws_again_after_the_largest_output(length, draw):
     # Output ``draw`` (taken below the number of draws) is 2**64 - 1, drawn
     # for bound length - draw, which rejects it unless that is a power of two.
     _check_shuffle(_seed_before(2**64 - 1, draw % max(length - 1, 1)), length)
+
+
+def test_below_needs_a_positive_bound():
+    with pytest.raises(ValueError, match=r"^below\(\) needs a positive bound$"):
+        SplitMix64(0).below(0)

@@ -42,3 +42,41 @@ def test_script_stdout(script, args, expected):
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == expected
+
+
+# Eight code lines: the docstrings, the comments and the blank lines are left
+# out, and a string or bracket spanning two lines counts both.
+SOURCE = '''\
+"""Module docstring,
+over two lines."""
+
+import os  # a comment
+
+# a comment line
+
+
+def f(x):
+    """Function docstring."""
+    s = """a string
+that is code"""
+    return (x +
+            1)
+
+
+class C:
+    """Class docstring."""
+
+    y = 1
+'''
+
+
+def test_code_line_count(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(SOURCE)
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\n")
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"), "pkg"],
+        capture_output=True, text=True, cwd=tmp_path, check=False,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "     8  pkg/a.py\n     1  pkg/b.py\n     9  total\n"

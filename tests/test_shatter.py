@@ -300,3 +300,18 @@ class TestSauerShelahStop:
             unstopped = shatter_module._exact(shatter_module._compress(fam), n, 10**6, (1 << n) + 1)
         result = dual_shatter(fam, n, budget=counts[0])
         assert (result.value, result.witness) == (unstopped.value, unstopped.witness)
+
+
+def test_dimension_search_out_of_budget_leaves_the_stop_off():
+    # No natural instance is known where a dimension search pops more nodes
+    # than the main search, so the budget fallback is forced: the search then
+    # runs to the end without the Sauer-Shelah stop (924 nodes, not 76).
+    fam = gen_halfplane_grid(12, 96, 1)
+    counts: list[int] = []
+    out_of_budget = mock.Mock(side_effect=BudgetExceededError("dimension search"))
+    with mock.patch.object(shatter_module, "_shattered", out_of_budget), \
+            mock.patch.object(shatter_module, "pops", counted_pops(counts)):
+        result = dual_shatter(fam, 7)
+    assert (out_of_budget.call_count, counts) == (1, [924])
+    assert result == dual_shatter(fam, 7)
+    assert result.value == 1 + 7 + math.comb(7, 2)

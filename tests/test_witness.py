@@ -432,3 +432,18 @@ class TestLiveAtoms:
         for prefix, atoms in seen:
             prefix_atoms = boolean_atoms(fam, prefix).cells
             assert atoms == [(sig, mask) for sig, mask in prefix_atoms.items() if mask & target_mask]
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda c: c._replace(target_atom_counts=c.target_atom_counts[:1]),
+     "^chain bookkeeping out of sync with its steps$"),
+    (lambda c: c._replace(steps=(c.steps[0]._replace(set_index=99), *c.steps[1:])),
+     "^step 1 names set 99, out of range$"),
+    (lambda c: c._replace(steps=(c.steps[0]._replace(probes=(-1,)), *c.steps[1:])),
+     "^probe -1 out of range$"),
+])
+def test_malformed_chain_raises(tamper, message):
+    fam, target = gen_witness_rich(2, seed=4)
+    chain = build_quadratic_witness(fam, target, 2)
+    with pytest.raises(ValueError, match=message):
+        verify_witness(fam, target, tamper(chain))
