@@ -144,14 +144,13 @@ def _cmd_atoms(args, family: SetFamily) -> tuple[dict, list[str], bool]:
 def _cmd_shatter(args, family: SetFamily) -> tuple[dict, list[str], bool]:
     from . import shatter
 
-    mode = shatter.MODE_EXACT if args.mode == "exact" else shatter.MODE_GREEDY
     if args.profile:
-        profile = shatter.growth_profile(family, args.n, mode, args.budget)
+        profile = shatter.growth_profile(family, args.n, args.mode, args.budget)
         payload = {"profile": [r._asdict() for r in profile.results], "exponent": profile.exponent}
         lines = [f"n={r.n} value={r.value} witness={_fmt(r.witness)}" for r in profile.results]
         lines.append(f"fitted exponent: {profile.exponent:.4f}")
         return payload, lines, False
-    result = shatter.dual_shatter(family, args.n, mode, args.budget)
+    result = shatter.dual_shatter(family, args.n, args.mode, args.budget)
     lines = [f"n={result.n} mode={result.mode} value={result.value} witness={_fmt(result.witness)}"]
     return result._asdict(), lines, False
 
@@ -216,11 +215,7 @@ def _cmd_witness(args, family: SetFamily) -> tuple[dict, list[str], bool]:
         "n_target": args.n,
         "status": "stuck" if stuck else "chain",
         "chain": witness.chain_to_dict(chain),
-        "stuck": None if not stuck else {
-            "reached_length": outcome.reached_length,
-            "reason": outcome.reason,
-            "candidate_trace": {stage: list(sets) for stage, sets in outcome.candidate_trace},
-        },
+        "stuck": witness.stuck_to_dict(outcome) if stuck else None,
         "verification": None if verification is None else {
             **verification._asdict(), "ok": verification.ok
         },

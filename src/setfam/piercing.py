@@ -119,8 +119,6 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
     """
     _require_pierceable(family)
     m = family.num_sets
-    if m == 0:
-        return PiercingSolution(0, (), (), True, 0)
     nu, _ = max_disjoint(family, budget=budget)
     candidates = _candidate_points(family)
     greedy = _greedy(m, candidates)

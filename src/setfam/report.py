@@ -54,18 +54,19 @@ def _check_shatter(family: SetFamily, r: dict) -> list[Check]:
 
 
 def _witness_shape(r: dict) -> dict:
-    from .witness import CHAIN_SHAPE
+    from .witness import CHAIN_SHAPE, STUCK_SHAPE
 
     return {"target": [POINT], "n_target": int, "status": str, "chain": CHAIN_SHAPE,
-            **({"verification": {"ok": bool}} if r.get("status") == "chain" else {})}
+            **({"verification": {"ok": bool}} if r.get("status") == "chain" else {"stuck": STUCK_SHAPE})}
 
 
 def _check_witness(family: SetFamily, r: dict) -> list[Check]:
     """A chain must re-verify, reach ``n_target`` and match its recorded
-    verdict; a stuck chain must be final and valid."""
+    verdict; a stuck chain must be final and valid, and its certificate the
+    one the builder gives it."""
     from . import witness
 
-    target, chain = r["target"], witness.chain_from_dict(r["chain"])
+    target, chain = r["target"], witness.chain_from_checked(r["chain"])
     if r["status"] == "chain":
         report, recorded_ok = witness.verify_witness(family, target, chain), r["verification"]["ok"]
         failures = list(report.failures)
@@ -76,9 +77,12 @@ def _check_witness(family: SetFamily, r: dict) -> list[Check]:
             Check("witness.verdict-agrees", report.ok == recorded_ok,
                   f"recomputed ok={report.ok}, recorded ok={recorded_ok}"),
         ]
-    remaining = witness.candidate_sets(family, target, chain)
-    checks = [Check("witness.stuck-state-final", not remaining,
+    certificate = witness.stuck_certificate(family, target, chain)
+    remaining, recomputed = certificate.candidate_trace[-1][1], witness.stuck_to_dict(certificate)
+    differs = next((key for key in recomputed if r["stuck"][key] != recomputed[key]), None)
+    checks = [Check("witness.stuck-state-final", not remaining and differs is None,
                     f"candidates {list(remaining)} still extend the chain" if remaining
+                    else f"recorded {differs} differs from the recomputed certificate" if differs
                     else "no candidates extend the final state")]
     if chain.length:
         report = witness.verify_witness(family, target, chain)

@@ -18,18 +18,19 @@ building its cells, stopping a count once the candidate cannot beat the
 incumbent. All four keep every count that can win and the visiting order,
 so the witness cannot change.
 
-The search also ends once its incumbent reaches a bound on every count: 2**n,
-the distinct columns, and the Sauer-Shelah bound, the sum of C(n, j) over
+The search also ends once its incumbent reaches ``_upper``, a bound on every
+count: the least of 2**n, the distinct columns, max(1, the sum of the n
+longest boundaries), and the Sauer-Shelah bound, the sum of C(n, j) over
 j <= d, once the dual VC dimension d is proved. Since the incumbent changes
 only on a strict gain, the first leaf to reach such a bound is the
 lexicographically first maximizer. A lone call proves d by asking, for
 k = 1, 2, ..., whether some k sets are shattered (the same search, seeded at
 2**k - 1 and ended by the first k sets with 2**k atoms); the first k that is
-not proves d = k - 1. It asks only while the bound that answer would give is
-below 2**n, the columns and n times the longest boundary, and only for k < n.
-A profile reads d off its own values. The greedy lower bound counts its
-candidates like the last level and builds only the winner's cells; its first
-k steps are its answer for k sets, so a greedy profile takes one pass.
+not proves d = k - 1. It asks only while ``_upper`` with d = k - 1 is below
+``_upper`` without d, and only for k < n. A profile reads d off its own
+values. The greedy lower bound counts its candidates like the last level and
+builds only the winner's cells; its first k steps are its answer for k sets,
+so a greedy profile takes one pass.
 """
 
 from __future__ import annotations
@@ -156,11 +157,17 @@ def _shattered(compressed: tuple[list[int], list[int], int], k: int, budget: int
     return bool(_exact(compressed, k, budget, 1 << k, (1 << k) - 1).witness)
 
 
-def _stop(width: int, n: int, d: int | None) -> int:
-    """The least bound on the atoms of n sets that ends the exact search:
-    2**n, the distinct columns, and with a proved dual VC dimension ``d`` the
-    Sauer-Shelah bound, the sum of C(n, j) for j <= d."""
-    bound = min(1 << n, width)
+def _upper(compressed: tuple[list[int], list[int], int], n: int, d: int | None) -> int:
+    """The least bound on the atoms of n sets: 2**n, the distinct columns,
+    max(1, the sum of the n longest boundaries), and with a proved dual VC
+    dimension ``d`` the Sauer-Shelah bound, the sum of C(n, j) for j <= d.
+
+    n sets cut no more edges of the column cycle than their boundaries sum
+    to; k >= 1 cut edges leave k arcs, none leave one, and every cell is a
+    union of arcs."""
+    _, boundaries, width = compressed
+    cuts = sum(sorted((b.bit_count() for b in boundaries), reverse=True)[:n])
+    bound = min(1 << n, width, max(1, cuts))
     return bound if d is None else min(bound, sum(math.comb(n, j) for j in range(d + 1)))
 
 
@@ -168,15 +175,11 @@ def _proved_dimension(compressed: tuple[list[int], list[int], int], n: int, budg
     """The dual VC dimension k - 1, proved by the first k < n for which no k
     sets are shattered; None if no such k is found, or a search runs out of
     ``budget``. A k is searched only while the bound it would prove for n
-    sets, the sum of C(n, j) over j < k, is below 2**n, the distinct columns
-    and n times the longest boundary. That every k < n is shattered proves
+    sets is below the bound without it. That every k < n is shattered proves
     nothing: the n sets may be too."""
-    _, boundaries, width = compressed
-    roof = min(1 << n, width, n * max(b.bit_count() for b in boundaries))
-    below = 0
+    roof = _upper(compressed, n, None)
     for k in range(1, n):
-        below += math.comb(n, k - 1)
-        if below >= roof:
+        if _upper(compressed, n, k - 1) >= roof:
             return None
         try:
             if not _shattered(compressed, k, budget):
@@ -265,7 +268,7 @@ def dual_shatter(
         raise ValueError(f"n must be between 1 and {family.num_sets}, got {n}")
     if mode == MODE_EXACT:
         compressed = _compress(family)
-        return _exact(compressed, n, budget, _stop(compressed[2], n, _proved_dimension(compressed, n, budget)))
+        return _exact(compressed, n, budget, _upper(compressed, n, _proved_dimension(compressed, n, budget)))
     if mode in (MODE_GREEDY, "greedy"):
         return _greedy(family, n)[-1]
     raise ValueError(f"unknown mode {mode!r}")
@@ -287,7 +290,7 @@ def growth_profile(
         found: list[ShatterResult] = []
         d = None
         for k in range(1, top + 1):
-            found.append(_exact(compressed, k, budget, _stop(compressed[2], k, d)))
+            found.append(_exact(compressed, k, budget, _upper(compressed, k, d)))
             if d is None and found[-1].value < 1 << k:
                 d = k - 1
         results = tuple(found)

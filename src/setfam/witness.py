@@ -192,12 +192,19 @@ def candidate_sets(
     A set qualifies when it avoids all prior probes, meets every live atom in
     at least one base point, and splits the target inside some live atom.
     """
+    return stuck_certificate(family, target, chain).candidate_trace[-1][1]
+
+
+def stuck_certificate(family: SetFamily, target: Iterable[int], chain: WitnessChain) -> StuckCertificate:
+    """The certificate the builder gives ``chain`` if it stops there: the
+    candidate stages of the chain, its live atoms rebuilt from its sets, and
+    the reason the first empty stage names."""
     mask = _target_mask(family, target, require_nonempty=False)
     _validate_chain(family, chain)
     atoms = [("", family.universe_mask)]
     for i in _check_subfamily(family, chain.set_indices()):
         atoms = _refine(atoms, family.members[i], mask)
-    return tuple(_candidate_stages(family, mask, chain, atoms)[2])
+    return _stuck(chain, _candidate_stages(family, mask, chain, atoms))
 
 
 def _extend(
@@ -389,17 +396,30 @@ def chain_to_dict(chain: WitnessChain) -> dict[str, Any]:
     }
 
 
-# The report-file form of a chain, for ``check_shape``.
+def stuck_to_dict(certificate: StuckCertificate) -> dict[str, Any]:
+    """A certificate's report-file form, its chain left out."""
+    return {"reached_length": certificate.reached_length, "reason": certificate.reason,
+            "candidate_trace": {stage: list(sets) for stage, sets in certificate.candidate_trace}}
+
+
+# The report-file forms of a chain and of a stuck certificate, for ``check_shape``.
 CHAIN_SHAPE = {
     "steps": [{"set_index": SET_INDEX, "probes": [POINT]}],
     "atom_history": [[str]],
     "target_atom_counts": [int],
 }
+STUCK_SHAPE = {"reached_length": int, "reason": str,
+               "candidate_trace": {stage: [SET_INDEX] for stage in (_STAGE_SPLIT, _STAGE_BASE, _STAGE_AVOID)}}
 
 
 def chain_from_dict(obj: Any) -> WitnessChain:
     """Rebuild a chain from ``chain_to_dict`` output; ReportFormatError if malformed."""
     check_shape(obj, CHAIN_SHAPE, "chain")
+    return chain_from_checked(obj)
+
+
+def chain_from_checked(obj: dict) -> WitnessChain:
+    """Rebuild a chain from a dict already checked against ``CHAIN_SHAPE``."""
     steps = tuple(ChainStep(s["set_index"], tuple(s["probes"])) for s in obj["steps"])
     history = tuple(tuple(sigs) for sigs in obj["atom_history"])
     return WitnessChain(steps, history, tuple(obj["target_atom_counts"]))

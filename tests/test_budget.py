@@ -38,7 +38,7 @@ def rich():
 
 # Search name -> (the search at a given budget, the nodes it pops).
 CASES = {
-    "exact shatter search": (lambda b: dual_shatter(gen_intervals(100, 500, 0), 5, budget=b), 385),
+    "exact shatter search": (lambda b: dual_shatter(gen_intervals(100, 500, 0), 5, budget=b), 5),
     "packing search": (lambda b: max_disjoint(gen_random(90, 135, 0.03, 0), budget=b), 416),
     # Singletons on three points: at most six sets leave each point in at
     # most two of them, so no ten do and (10,3) holds.

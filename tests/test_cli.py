@@ -195,6 +195,34 @@ class TestWitnessAndVerify:
         assert "status=stuck reached=1 of 2" in out
         assert "no splitting set" in out
 
+    @pytest.mark.parametrize("edits, named", [
+        ({"reached_length": 1}, "reached_length"),
+        ({"reason": "no set avoiding prior probe points"}, "reason"),
+        ({"candidate_trace": [0]}, "candidate_trace"),
+        ({"reached_length": 1, "reason": "no set avoiding prior probe points", "candidate_trace": [0]},
+         "reached_length"),
+    ])
+    def test_edited_stuck_certificate_fails_verify(self, capsys, tmp_path, edits, named):
+        # The chain gets stuck at length 4 with no splitting set; verify
+        # recomputes its certificate and names the first field that differs.
+        fam, report_path = tmp_path / "rich.fam", tmp_path / "stuck.json"
+        assert run(capsys, "generate", "--kind", "witness_rich", "--depth", "4", "--seed", "0",
+                   "--out", str(fam))[0] == 0
+        code, out, _ = run(capsys, "witness", "--in", str(fam), "--B-from-file", "--n", "6",
+                           "--out", str(report_path))
+        assert (code, out.splitlines()[:2]) == (0, ["status=stuck reached=4 of 6", "reason: no splitting set"])
+        assert run(capsys, "verify", "--report", str(report_path))[0] == 0
+        report = json.loads(report_path.read_text())
+        stuck = report["results"]["witness"]["stuck"]
+        for key, value in edits.items():
+            stuck[key] = {stage: value for stage in stuck[key]} if key == "candidate_trace" else value
+        report_path.write_text(json.dumps(report))
+        code, out, _ = run(capsys, "verify", "--report", str(report_path))
+        assert code == 1
+        assert (f"witness.stuck-state-final: FAIL (recorded {named} differs from the recomputed certificate)"
+                in out.splitlines())
+        assert out.endswith("verdict: FAIL\n")
+
     def test_missing_target_is_input_error(self, capsys, rich_file):
         code, _, err = run(capsys, "witness", "--in", rich_file, "--n", "2")
         assert code == 2

@@ -42,14 +42,15 @@ COMMANDS = {
     "stuck": ["witness", "--in", "one.fam", "--target", "8,9", "--n", "2"],
 }
 
-# Keys no check reads, by result kind; "verification" is read on chain reports only.
+# Keys no check reads, by result kind; "verification" is read on chain reports
+# only, and "stuck" on stuck reports only.
 IGNORED = {
     "atoms": set(),
     "shatter": {"mode", "exponent"},
     "pq": set(),
     "pierce": {"mode"},
     "disjoint": set(),
-    "witness": {"stuck"},
+    "witness": set(),
 }
 TOP_IGNORED = {"command", "input_digest", "wall_time_s"}
 
@@ -263,6 +264,8 @@ def _ignored(report, path):
     kind = keys[1]
     if keys[2] == "verification":
         return report["results"][kind]["status"] != "chain" or keys[3:] not in ([], ["ok"])
+    if keys[2] == "stuck":
+        return report["results"][kind]["status"] != "stuck"
     return any(k in IGNORED[kind] for k in keys[2:])
 
 

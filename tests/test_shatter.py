@@ -301,6 +301,20 @@ class TestSauerShelahStop:
         result = dual_shatter(fam, n, budget=counts[0])
         assert (result.value, result.witness) == (unstopped.value, unstopped.witness)
 
+    @settings(max_examples=200)
+    @given(st.one_of(
+        families(max_sets=6, max_points=10, min_points=0),
+        run_families(max_sets=7),
+        st.builds(gen_halfplane_grid, st.integers(2, 6), st.just(32), st.integers(0, 2**16)),
+    ))
+    def test_upper_bound_never_falls_below_a_value(self, fam):
+        # The stop and the dimension proof's roof both read this bound, so
+        # at the proved dimension it must hold for every n.
+        compressed = shatter_module._compress(fam)
+        d = dual_vc_dimension(fam)
+        for n in range(1, fam.num_sets + 1):
+            assert shatter_module._upper(compressed, n, d) >= brute_first_shatter(fam, n)[0]
+
 
 def test_dimension_search_out_of_budget_leaves_the_stop_off():
     # No natural instance is known where a dimension search pops more nodes
