@@ -35,7 +35,7 @@ _EXPORTS = {
         "points_from_mask",
         "serialize_family",
     ),
-    "generators": ("GeneratorSpec", "gen_halfplane_grid", "gen_intervals", "gen_random", "gen_witness_rich"),
+    "generators": ("gen_halfplane_grid", "gen_intervals", "gen_random", "gen_witness_rich"),
     "piercing": ("PiercingSolution", "transversal_exact", "transversal_greedy", "verify_partition"),
     "pq": ("PropertyReport", "disjoint_sequence_greedy", "has_pq", "max_disjoint"),
     "rng": ("SplitMix64",),

@@ -311,13 +311,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     start = time.perf_counter()
     family = digest = None
+    report_path = None if args.command == "generate" else args.out  # generate --out names its family file
     try:
         for option in ("budget", "cap"):
             if (getattr(args, option, None) or 0) < 0:
                 raise ValueError(f"--{option} must be nonnegative")
         if hasattr(args, "input"):  # every command that analyses a family file
             data = Path(args.input).read_bytes()
-            digest = "sha256:" + _sha256_hex(data)
+            digest = "sha256:" + _sha256_hex(data) if report_path else None
             family = parse_family(data.decode("utf-8"))
         payload, lines, negative = _COMMANDS[args.command](args, family)
     except BudgetExceededError as exc:
@@ -326,13 +327,12 @@ def main(argv: list[str] | None = None) -> int:
     except (SetFamError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if family is not None:
+    if report_path and family is not None:
         payload["family"] = family_to_dict(family)
     wall = time.perf_counter() - start
     for line in lines:
         print(line)
-    out = getattr(args, "out", None)
-    if out and args.command != "generate":
+    if report_path:
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": argv,
@@ -340,8 +340,8 @@ def main(argv: list[str] | None = None) -> int:
             "results": {args.command: payload},
             "wall_time_s": round(wall, 6),
         }
-        Path(out).write_text(json_text(report) + "\n", encoding="utf-8")
-        print(f"report written to {out}")
+        Path(report_path).write_text(json_text(report) + "\n", encoding="utf-8")
+        print(f"report written to {report_path}")
     if negative and (args.strict or args.command == "verify"):
         return 1
     return 0

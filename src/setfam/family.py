@@ -398,8 +398,8 @@ def check_shape(value: Any, shape: Any, where: str, family: SetFamily | None = N
     A shape is a JSON type (``int``, ``str``, ``bool``, or ``dict`` for any
     object), ``SET_INDEX`` or ``POINT`` (an integer, in range for ``family``
     when one is given), ``[shape]`` for a list, ``(None, shape)`` for null or
-    ``shape``, or a dict of required keys and their shapes. ``where`` is
-    the path of ``value``.
+    ``shape``, a frozenset of the strings allowed, or a dict of required keys
+    and their shapes. ``where`` is the path of ``value``.
     """
     if isinstance(shape, tuple):
         if value is None:
@@ -421,6 +421,10 @@ def check_shape(value: Any, shape: Any, where: str, family: SetFamily | None = N
             size = family.num_sets if shape == SET_INDEX else family.universe_size
             if not 0 <= value < size:
                 raise ReportFormatError(f"{shape} {value} out of range for {size} {shape}s", where=where)
+    elif isinstance(shape, frozenset):
+        check_shape(value, str, where)
+        if value not in shape:
+            raise ReportFormatError(f"expected {' or '.join(map(repr, sorted(shape)))}, got {value!r}", where=where)
     elif not isinstance(value, shape) or isinstance(value, bool) != (shape is bool):
         raise ReportFormatError(f"expected {_TYPE_NAMES[shape]}", where=where)
 

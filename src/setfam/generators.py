@@ -6,6 +6,8 @@ halfplane geometry is exact integer arithmetic (each line over one common
 denominator), so instances are bit-identical across platforms. Sets are
 built from whole rows, runs or bit planes, never point by point. Each family
 carries a ``generator`` provenance record that survives serialization.
+One function, ``_family``, builds every generated family, and one helper,
+``_check_size``, refuses a size before anything is drawn.
 """
 
 from __future__ import annotations
@@ -14,24 +16,44 @@ import math
 import sys
 from array import array
 from itertools import chain
-from typing import NamedTuple
 
 from .errors import GenerationError
 from .family import MAX_UNIVERSE, SetFamily, canonical_json, cells
 from .rng import SplitMix64, row_lanes
 
+# 2**(depth+1) - 1 points: MAX_UNIVERSE at the largest depth.
+MAX_WITNESS_DEPTH = 20
 
-class GeneratorSpec(NamedTuple):
-    """What produced a family: kind, kind-specific sizes, and the seed."""
+# Sets times points of the largest family generated, gen_witness_rich at
+# MAX_WITNESS_DEPTH: no generator builds a larger one.
+MAX_INCIDENCES = MAX_WITNESS_DEPTH * MAX_UNIVERSE
 
-    kind: str
-    parameters: tuple[tuple[str, int | float], ...]
-    seed: int
 
-    def provenance(self) -> str:
-        return canonical_json(
-            {"kind": self.kind, "parameters": dict(self.parameters), "seed": self.seed}
-        )
+def _check_size(count: int, universe_size: int, *faults: tuple[bool, str]) -> None:
+    """Raise ValueError on the first fault, before anything is drawn: ``count``
+    below 1, then the generator's own ``(fault, message)`` pairs in order,
+    then a universe above MAX_UNIVERSE, then more than MAX_INCIDENCES sets
+    times points."""
+    incidences = count * universe_size
+    for fault, message in (
+        (count < 1, "count must be at least 1"),
+        *faults,
+        (universe_size > MAX_UNIVERSE, f"universe_size must be at most {MAX_UNIVERSE}, got {universe_size}"),
+        (incidences > MAX_INCIDENCES, f"count {count} times {universe_size} points makes {incidences}"
+                                      f" incidences; a generated family holds at most {MAX_INCIDENCES}"),
+    ):
+        if fault:
+            raise ValueError(message)
+
+
+def _family(kind: str, parameters: dict, seed: int, universe_size: int, masks, prefix: str,
+            first: int = 0, extension: int = 0) -> SetFamily:
+    """A generated family: set i named ``prefix`` + (``first`` + i), the
+    ``extension`` points (if any) also its external target, and the
+    ``generator`` provenance of ``kind``, its ``parameters`` and ``seed``."""
+    names = tuple(f"{prefix}{i}" for i in range(first, first + len(masks)))
+    provenance = canonical_json({"kind": kind, "parameters": parameters, "seed": seed})
+    return SetFamily(universe_size, names, tuple(masks), extension, extension or None, provenance)
 
 
 def gen_intervals(count: int, universe_size: int, seed: int) -> SetFamily:
@@ -40,12 +62,7 @@ def gen_intervals(count: int, universe_size: int, seed: int) -> SetFamily:
     Any n of them induce at most 2n+1 atoms on the line, so these families
     populate the linear-growth regime.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if universe_size < 2 * count:
-        raise ValueError("universe_size must be at least 2*count")
-    if universe_size > MAX_UNIVERSE:
-        raise ValueError(f"universe_size must be at most {MAX_UNIVERSE}, got {universe_size}")
+    _check_size(count, universe_size, (universe_size < 2 * count, "universe_size must be at least 2*count"))
     rng = SplitMix64(seed)
     masks = []
     for _ in range(count):
@@ -53,9 +70,8 @@ def gen_intervals(count: int, universe_size: int, seed: int) -> SetFamily:
         b = rng.below(universe_size)
         lo, hi = (a, b) if a <= b else (b, a)
         masks.append((2 << hi) - (1 << lo))  # the points lo..hi
-    spec = GeneratorSpec("intervals", (("count", count), ("universe_size", universe_size)), seed)
-    names = tuple(f"I{i}" for i in range(count))
-    return SetFamily(universe_size, names, tuple(masks), provenance=spec.provenance())
+    parameters = {"count": count, "universe_size": universe_size}
+    return _family("intervals", parameters, seed, universe_size, masks, "I")
 
 
 # --- halfplanes below lines over a square grid ----------------------------
@@ -132,26 +148,20 @@ def gen_halfplane_grid(
     above MAX_GRID_SIDE, or one with fewer points than the closed form has
     cells, raises ValueError before anything is sampled.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if not 3 <= grid_side <= MAX_GRID_SIDE:
-        raise ValueError(f"grid_side must be between 3 and {MAX_GRID_SIDE}, got {grid_side}")
-    want = 1 + count + count * (count - 1) // 2
-    if want > grid_side * grid_side:
-        raise ValueError(f"count {count} makes {want} cells, each needing a grid point; "
-                         f"grid_side must be at least {math.isqrt(want - 1) + 1}, got {grid_side}")
+    want = 1 + count + count * (count - 1) // 2  # 1 + n(n+1)/2 >= 1 for any integer n: isqrt stays defined
+    _check_size(
+        count, grid_side * grid_side,
+        (not 3 <= grid_side <= MAX_GRID_SIDE, f"grid_side must be between 3 and {MAX_GRID_SIDE}, got {grid_side}"),
+        (want > grid_side * grid_side, f"count {count} makes {want} cells, each needing a grid point; "
+                                       f"grid_side must be at least {math.isqrt(want - 1) + 1}, got {grid_side}"),
+    )
     rng = SplitMix64(seed)
-    spec = GeneratorSpec("halfplane_grid", (("count", count), ("grid_side", grid_side)), seed)
+    parameters = {"count": count, "grid_side": grid_side}
     for _ in range(attempts):
         masks = [_below_mask(*line, grid_side) for line in _sample_lines(rng, count, grid_side)]
         if None in masks:
             continue
-        family = SetFamily(
-            grid_side * grid_side,
-            tuple(f"H{i}" for i in range(count)),
-            tuple(masks),
-            provenance=spec.provenance(),
-        )
+        family = _family("halfplane_grid", parameters, seed, grid_side * grid_side, masks, "H")
         if len(cells(family, range(count))) == want:
             return family
     raise GenerationError(
@@ -162,10 +172,6 @@ def gen_halfplane_grid(
 def _bit_digits(bit: int) -> bytes:
     """The translate table from a byte to "1" if its bit ``bit`` is set, else "0"."""
     return (b"0" * (1 << bit) + b"1" * (1 << bit)) * (128 >> bit)
-
-
-# 2**(depth+1) - 1 points: MAX_UNIVERSE at the largest depth.
-MAX_WITNESS_DEPTH = 20
 
 
 def gen_witness_rich(depth: int, seed: int) -> tuple[SetFamily, tuple[int, ...]]:
@@ -211,9 +217,7 @@ def gen_witness_rich(depth: int, seed: int) -> tuple[SetFamily, tuple[int, ...]]
         int(raw[bit // 8 :: size].translate(_bit_digits(bit % 8))[::-1], 2) for bit in range(depth)
     )
     extension = (1 << universe) - (1 << n_base)
-    spec = GeneratorSpec("witness_rich", (("depth", depth),), seed)
-    names = tuple(f"S{k}" for k in range(1, depth + 1))
-    family = SetFamily(universe, names, masks, extension, extension, spec.provenance())
+    family = _family("witness_rich", {"depth": depth}, seed, universe, masks, "S", 1, extension)
     return family, tuple(range(n_base, universe))
 
 
@@ -232,12 +236,7 @@ def gen_random(
     same stream; switch it off to allow empty sets, which the piercing
     solvers reject by design.
     """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if universe_size < 1:
-        raise ValueError("universe_size must be at least 1")
-    if universe_size > MAX_UNIVERSE:
-        raise ValueError(f"universe_size must be at most {MAX_UNIVERSE}, got {universe_size}")
+    _check_size(count, universe_size, (universe_size < 1, "universe_size must be at least 1"))
     if not 0 < density <= 1:
         raise ValueError("density must be in (0, 1]")
     threshold = int(density * 2**64)
@@ -252,10 +251,5 @@ def gen_random(
         else:
             raise GenerationError(f"could not draw a nonempty set at density {density}")
         masks.append(mask)
-    spec = GeneratorSpec(
-        "random",
-        (("count", count), ("density", density), ("universe_size", universe_size)),
-        seed,
-    )
-    names = tuple(f"R{i}" for i in range(count))
-    return SetFamily(universe_size, names, tuple(masks), provenance=spec.provenance())
+    parameters = {"count": count, "density": density, "universe_size": universe_size}
+    return _family("random", parameters, seed, universe_size, masks, "R")

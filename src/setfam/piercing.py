@@ -201,20 +201,26 @@ def check_solution(
     lower_bound: int | None,
 ) -> list[Check]:
     """Re-check a reported partition: classes consistent, set ``i`` containing
-    ``points[assignment[i]]``, ``tau`` counting the points, and the lower
-    bound, if any, at most ``tau`` and equal to it when ``optimal``."""
+    ``points[assignment[i]]``, ``tau`` counting the points, the lower bound,
+    if any, at most ``tau`` and equal to it when ``optimal``, then no point
+    listed twice and no class that no set uses."""
     consistent, failing = verify_partition(family, assignment)
     covered = all(
         0 <= cls < len(points) and family.members[i] >> points[cls] & 1
         for i, cls in enumerate(assignment)
     )
     bounded = (lower_bound is None or lower_bound <= tau) and (not optimal or lower_bound == tau)
+    repeat = (next(p for i, p in enumerate(points) if p in points[:i])
+              if len(set(points)) < len(points) else None)
+    unused = sorted(set(range(len(points))).difference(assignment))
+    fault = ("a set misses its class point" if not covered
+             else f"tau {tau} but {len(points)} piercing points" if tau != len(points)
+             else f"lower bound {lower_bound} does not fit tau {tau} with optimal={optimal}" if not bounded
+             else f"point {repeat} listed twice" if repeat is not None
+             else f"class {unused[0]} holds no set" if unused
+             else None)
     return [
         Check("pierce.partition-consistent", consistent,
               "all classes consistent" if consistent else f"class {failing} empty"),
-        Check("pierce.classes-pierced", tau == len(points) and covered and bounded,
-              "a set misses its class point" if not covered
-              else f"tau {tau} but {len(points)} piercing points" if tau != len(points)
-              else "every set contains its class point" if bounded
-              else f"lower bound {lower_bound} does not fit tau {tau} with optimal={optimal}"),
+        Check("pierce.classes-pierced", fault is None, fault or "every set contains its class point"),
     ]

@@ -56,7 +56,7 @@ def _check_shatter(family: SetFamily, r: dict) -> list[Check]:
 def _witness_shape(r: dict) -> dict:
     from .witness import CHAIN_SHAPE, STUCK_SHAPE
 
-    return {"target": [POINT], "n_target": int, "status": str, "chain": CHAIN_SHAPE,
+    return {"target": [POINT], "n_target": int, "status": frozenset(("chain", "stuck")), "chain": CHAIN_SHAPE,
             **({"verification": {"ok": bool}} if r.get("status") == "chain" else {"stuck": STUCK_SHAPE})}
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import setfam
-from setfam import gen_intervals, gen_random, parse_family, serialize_family
+from setfam import cli, gen_intervals, gen_random, generators, parse_family, serialize_family
 from setfam.cli import main
 
 
@@ -99,6 +99,27 @@ class TestPierce:
         code, out, _ = run(capsys, "verify", "--report", str(report))
         assert code == 1
         assert "pierce.classes-pierced: FAIL (tau 5 but 3 piercing points)" in out
+
+    @pytest.mark.parametrize("points, detail", [
+        ([2, 7, 12, 30, 2], "point 2 listed twice"),
+        ([2, 7, 12, 30, 31], "class 4 holds no set"),
+    ])
+    def test_padded_cover_fails_verify(self, capsys, tmp_path, points, detail):
+        # An optimal cover of four points, padded with a fifth: tau and the
+        # lower bound count five, and every set still holds its class point.
+        fam, report = tmp_path / "intervals.fam", tmp_path / "pierce.report"
+        assert run(capsys, "generate", "--kind", "intervals", "--count", "12", "--universe", "40",
+                   "--seed", "3", "--out", str(fam))[0] == 0
+        assert run(capsys, "pierce", "--in", str(fam), "--out", str(report))[0] == 0
+        payload = json.loads(report.read_text())
+        result = payload["results"]["pierce"]
+        assert (result["piercing_points"], result["tau"], result["optimal"]) == ([2, 7, 12, 30], 4, True)
+        result.update(piercing_points=points, tau=5, lower_bound=5)
+        report.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", "--report", str(report))
+        assert code == 1
+        assert out.splitlines() == ["pierce.partition-consistent: OK (all classes consistent)",
+                                    f"pierce.classes-pierced: FAIL ({detail})", "verdict: FAIL"]
 
 
 class TestPq:
@@ -222,6 +243,20 @@ class TestWitnessAndVerify:
         assert (f"witness.stuck-state-final: FAIL (recorded {named} differs from the recomputed certificate)"
                 in out.splitlines())
         assert out.endswith("verdict: FAIL\n")
+
+    def test_unknown_status_is_malformed(self, capsys, tmp_path):
+        # Only "chain" and "stuck" are statuses; any other is not read as stuck.
+        fam, report_path = tmp_path / "rich.fam", tmp_path / "stuck.json"
+        assert run(capsys, "generate", "--kind", "witness_rich", "--depth", "4", "--seed", "0",
+                   "--out", str(fam))[0] == 0
+        assert run(capsys, "witness", "--in", str(fam), "--B-from-file", "--n", "6",
+                   "--out", str(report_path))[0] == 0
+        report = json.loads(report_path.read_text())
+        assert report["results"]["witness"]["status"] == "stuck"
+        report["results"]["witness"]["status"] = "bogus"
+        report_path.write_text(json.dumps(report))
+        assert run(capsys, "verify", "--report", str(report_path)) == (
+            2, "", "error: results.witness.status: expected 'chain' or 'stuck', got 'bogus'\n")
 
     def test_missing_target_is_input_error(self, capsys, rich_file):
         code, _, err = run(capsys, "witness", "--in", rich_file, "--n", "2")
@@ -460,6 +495,14 @@ class TestErrorPaths:
         assert run(capsys, "generate", "--kind", kind, "--count", "3", "--universe", "2097152", *args) == (
             2, "", "error: universe_size must be at most 2097151, got 2097152\n")
 
+    def test_generate_incidences_above_maximum(self, capsys, monkeypatch):
+        # A million intervals over two million points would take over 100 GB
+        # of masks; the size is refused before the stream is even seeded.
+        monkeypatch.setattr(generators, "SplitMix64", None)
+        assert run(capsys, "generate", "--kind", "intervals", "--count", "1000000", "--universe", "2000000") == (
+            2, "", "error: count 1000000 times 2000000 points makes 2000000000000 incidences; "
+            "a generated family holds at most 41943020\n")
+
     @pytest.mark.parametrize("text, where", [
         ("0 2097152\n", "line 1"),
         ('{"universe": 2097152, "sets": []}', "universe"),
@@ -503,6 +546,14 @@ class TestDeterminism:
         with open(rich_file, "rb") as f:
             expected = "sha256:" + hashlib.sha256(f.read()).hexdigest()
         assert json.loads(report.read_text())["input_digest"] == expected
+
+    def test_no_report_neither_hashes_nor_embeds(self, capsys, monkeypatch, rich_file):
+        # Without --out the digest and the embedded family have no reader.
+        monkeypatch.setattr(cli, "_sha256_hex", None)
+        monkeypatch.setattr(cli, "family_to_dict", None)
+        code, out, err = run(capsys, "pierce", "--in", rich_file)
+        assert (code, err) == (0, "")
+        assert out.startswith("tau=")
 
     def test_generate_byte_identical(self, capsys, tmp_path):
         texts = []

@@ -26,7 +26,7 @@ from setfam import (
 )
 from setfam import generators
 from setfam.family import MAX_UNIVERSE
-from setfam.generators import MAX_GRID_SIDE, MAX_WITNESS_DEPTH
+from setfam.generators import MAX_GRID_SIDE, MAX_INCIDENCES, MAX_WITNESS_DEPTH
 from setfam.rng import SplitMix64
 
 
@@ -197,6 +197,23 @@ def test_universe_above_maximum_refused():
         gen_intervals(3, MAX_UNIVERSE + 1, seed=0)
     with pytest.raises(ValueError, match=message):
         gen_random(3, MAX_UNIVERSE + 1, 0.5, seed=0)
+
+
+def test_incidences_above_maximum_refused(monkeypatch):
+    # The cap is the largest family generated, gen_witness_rich at its
+    # largest depth. Sizes far past any memory are refused before the stream
+    # is seeded, so nothing is drawn or built.
+    assert MAX_INCIDENCES == MAX_WITNESS_DEPTH * (2 ** (MAX_WITNESS_DEPTH + 1) - 1)
+    generators._check_size(MAX_WITNESS_DEPTH, MAX_UNIVERSE)
+    monkeypatch.setattr(generators, "SplitMix64", None)
+    message = f"incidences; a generated family holds at most {MAX_INCIDENCES}$"
+    with pytest.raises(ValueError, match=f"^count 1000000 times 2000000 points makes 2000000000000 {message}"):
+        gen_intervals(10**6, 2 * 10**6, seed=0)
+    with pytest.raises(ValueError, match=f"^count 21 times {MAX_UNIVERSE} points makes .* {message}"):
+        gen_random(MAX_WITNESS_DEPTH + 1, MAX_UNIVERSE, 0.5, seed=0)
+    # 2,000 lines make 2,001,001 cells, which fit on the largest grid.
+    with pytest.raises(ValueError, match=f"^count 2000 times {MAX_GRID_SIDE**2} points makes .* {message}"):
+        gen_halfplane_grid(2000, MAX_GRID_SIDE, seed=0)
 
 
 class TestRandom:

@@ -164,7 +164,7 @@ class TestExact:
 
 
 class TestIntervalsAtScale:
-    @pytest.mark.parametrize("m, seed", [(200, s) for s in range(5)] + [(400, 0)])
+    @pytest.mark.parametrize("m, seed", [(200, s) for s in range(5)] + [(400, 0)] + [(800, s) for s in range(3)])
     def test_gallai_tau_equals_nu(self, m, seed):
         # Intervals have the Helly property in dimension one, so the piercing
         # number equals the packing number (Gallai).
