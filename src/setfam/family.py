@@ -306,12 +306,12 @@ def cells(family: SetFamily, subfamily: Iterable[int]) -> dict[Signature, int]:
     return dict(parts)
 
 
-def columns(family: SetFamily) -> list[tuple[int, Signature]]:
+def columns(family: SetFamily, order: Sequence[int] | None = None) -> list[tuple[int, Signature]]:
     """The family's distinct point columns: for each, its lowest point and
-    its signature over all sets (character i: membership in set i), in
-    ascending lowest-point order. The zero column, points in no set, is
-    included; a universe of no points has no columns."""
-    found = cells(family, range(family.num_sets))
+    its signature over all sets (character k: membership in set ``order[k]``,
+    set k by default), in ascending lowest-point order. The zero column,
+    points in no set, is included; a universe of no points has no columns."""
+    found = cells(family, range(family.num_sets) if order is None else order)
     return sorted(((mask & -mask).bit_length() - 1, sig) for sig, mask in found.items())
 
 

@@ -5,8 +5,11 @@ common point) is the same problem as covering the family by point-stars, so
 the minimum partition size equals the piercing number. The exact solver is a
 set-cover branch and bound over candidate points, the lowest point of each
 distinct nonzero column of ``family.columns``, pruned by ``pq.greedy_packing``
-of the sets left to cover; the raw-partition brute force lives in the test
-suite as an independent oracle.
+of the sets left to cover. It runs on the sets relabelled fewest points first
+(``pq.fewest_points_first``), so that packing keeps the smallest sets, and
+skips a node whose covered sets a table of up to ``MAX_COVERED_MASKS`` masks
+shows were reached with no more points; neither changes the cover found. The
+raw-partition brute force lives in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +18,12 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, EmptySetError, pops
 from .family import Check, SetFamily, columns
-from .pq import greedy_packing, max_disjoint
+from .pq import fewest_points_first, greedy_packing, max_disjoint
+
+
+# The most covered masks the exact search remembers; a full table takes no
+# new masks, so it bounds memory and every skip it makes stays exact.
+MAX_COVERED_MASKS = 1 << 14
 
 
 class PiercingSolution(NamedTuple):
@@ -40,11 +48,11 @@ def _require_pierceable(family: SetFamily) -> None:
             raise EmptySetError(f"set {name!r} is empty and cannot be pierced")
 
 
-def _candidate_points(family: SetFamily) -> list[tuple[int, int]]:
+def _candidate_points(family: SetFamily, order: Sequence[int] | None = None) -> list[tuple[int, int]]:
     # Points with identical set-membership columns are interchangeable; keep
-    # the lowest index of each distinct nonzero column, with bit i of its
-    # numeral meaning membership in set i.
-    return [(pt, int(sig[::-1], 2)) for pt, sig in columns(family) if "1" in sig]
+    # the lowest index of each distinct nonzero column, with bit k of its
+    # numeral meaning membership in set order[k] (set k by default).
+    return [(pt, int(sig[::-1], 2)) for pt, sig in columns(family, order) if "1" in sig]
 
 
 def _canonical(family: SetFamily, points: Sequence[int], lower_bound: int) -> PiercingSolution:
@@ -113,34 +121,47 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
     the cover, once its redundant points are dropped, meets that bound).
 
     The search branches on the uncovered set with the fewest covering points
-    and tries those points in index order, skipping a point whose newly
-    covered sets an earlier sibling also covers: the earlier sibling's
-    subtree has already reached a cover no larger than any through it.
+    (ties to the lower index) and tries those points in index order,
+    skipping a point whose newly covered sets an earlier sibling also
+    covers: the earlier sibling's subtree has already reached a cover no
+    larger than any through it. A node is pruned when its points plus a
+    greedy packing of its uncovered sets, taken fewest points first, reach
+    the best cover, and skipped when its covered sets were already reached
+    with no more points: everything below a node depends only on those.
+    Neither rule changes the cover a completed search finds.
     """
     _require_pierceable(family)
     m = family.num_sets
     nu, _ = max_disjoint(family, budget=budget)
-    candidates = _candidate_points(family)
+    # The search runs on the sets relabelled by rank fewest points first, so
+    # that the greedy packing bounding each node keeps the smallest sets; the
+    # greedy cover's points do not depend on the labels.
+    order, _ = fewest_points_first(family.members)
+    candidates = _candidate_points(family, order)
     greedy = _greedy(m, candidates)
     if greedy.tau == nu:
         return _canonical(family, greedy.piercing_points, nu)
 
-    # The candidate points covering each set, in candidate order, and the
-    # sets by how few there are (ties to the lower index).
+    # The candidate points covering each rank, in candidate order, and the
+    # ranks by how few there are (ties to the lower original index).
     options: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     for pt, col in candidates:
         r = col
         while r:
             options[(r & -r).bit_length() - 1].append((pt, col))
             r &= r - 1
-    branch_order = sorted(range(m), key=lambda i: len(options[i]))
-    members = family.members
+    branch_order = sorted(range(m), key=lambda r: (len(options[r]), order[r]))
+    members = [family.members[i] for i in order]
     all_mask = (1 << m) - 1
     best_points: Sequence[int] = greedy.piercing_points
     best_size = greedy.tau
+    # Covered mask -> the fewest points with which a node reached it, for at
+    # most MAX_COVERED_MASKS masks. Each point of a node short of a cover
+    # covered a new set, so it holds fewer than m points: m reads as unseen.
+    reached: dict[int, int] = {}
 
-    # Each node is its covered sets and chosen points; children are pushed in
-    # reverse, so each subtree is finished before its next sibling starts.
+    # Each node is its covered ranks and chosen points; children are pushed
+    # in reverse, so each subtree is finished before its next sibling starts.
     stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     try:
         for covered, chosen in pops(stack, budget, "piercing search"):
@@ -150,11 +171,15 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
                     if best_size == nu:
                         break
                 continue
+            if reached.get(covered, m) <= len(chosen):
+                continue
+            if covered in reached or len(reached) < MAX_COVERED_MASKS:
+                reached[covered] = len(chosen)
             uncovered = all_mask & ~covered
             # Pairwise-disjoint uncovered sets each need their own point.
             if len(chosen) + len(greedy_packing(members, uncovered)) >= best_size:
                 continue
-            pick = next(i for i in branch_order if uncovered >> i & 1)
+            pick = next(r for r in branch_order if uncovered >> r & 1)
             gains: list[int] = []
             children = []
             for pt, col in options[pick]:

@@ -9,9 +9,10 @@ that keeps each chosen point's depth below q. Both searches pop at most
 ``budget`` nodes (``errors.pops``). ``greedy_packing`` is the one greedy
 packing: ``disjoint_sequence_greedy`` returns it over all sets, and the
 piercing search bounds each node by its length over the uncovered sets.
-The packing search runs on the sets relabelled by rank fewest points first,
-so that its greedy clique cover starts from the smallest sets, while it
-branches in the same order as on the family's own indices.
+The packing search, like piercing's, runs on the sets relabelled by their
+rank in ``fewest_points_first``, so that its greedy bound starts from the
+smallest sets, while it branches in the same order as on the family's own
+indices.
 """
 
 from __future__ import annotations
@@ -46,6 +47,17 @@ def _conflicts(members: Sequence[int]) -> list[int]:
                 conf[i] |= 1 << j
                 conf[j] |= 1 << i
     return conf
+
+
+def fewest_points_first(members: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The set indices sorted by point count, ties to the lower index, and
+    each index's rank in that order."""
+    counts = [mem.bit_count() for mem in members]
+    order = sorted(range(len(counts)), key=counts.__getitem__)
+    rank = [0] * len(counts)
+    for r, i in enumerate(order):
+        rank[i] = r
+    return order, rank
 
 
 def _clique_cover_bound(cand: int, conf: list[int]) -> int:
@@ -105,13 +117,8 @@ def max_disjoint(
     # node seeds and grows its cliques from the smallest sets. It still
     # branches in index order: each node carries the lowest index not yet
     # decided, from which the set to branch on is the first still a candidate.
-    members = family.members
-    counts = [mem.bit_count() for mem in members]
-    order = sorted(range(m), key=counts.__getitem__)
-    rank = [0] * m
-    for r, i in enumerate(order):
-        rank[i] = r
-    conf = _conflicts([members[i] for i in order])
+    order, rank = fewest_points_first(family.members)
+    conf = _conflicts([family.members[i] for i in order])
     best_size = 0
     best: tuple[int, ...] = ()
     chosen: list[int] = []

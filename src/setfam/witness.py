@@ -145,6 +145,7 @@ def _validate_chain(family: SetFamily, chain: WitnessChain) -> None:
                 raise ValueError(f"probe {p} out of range")
             if not family.base_mask >> p & 1:
                 raise ValueError(f"probe {p} is not a base point")
+    _check_subfamily(family, chain.set_indices())
 
 
 # The live atoms of a chain: (signature, points) of each atom of its sets that
@@ -202,7 +203,7 @@ def stuck_certificate(family: SetFamily, target: Iterable[int], chain: WitnessCh
     mask = _target_mask(family, target, require_nonempty=False)
     _validate_chain(family, chain)
     atoms = [("", family.universe_mask)]
-    for i in _check_subfamily(family, chain.set_indices()):
+    for i in chain.set_indices():
         atoms = _refine(atoms, family.members[i], mask)
     return _stuck(chain, _candidate_stages(family, mask, chain, atoms))
 
@@ -294,7 +295,7 @@ def verify_witness(family: SetFamily, target: Iterable[int], chain: WitnessChain
     traces, each level built from the level after it. The verifier calls
     none of the builder's atom code (``cells``, ``split_cells``,
     ``transpose``). Structural defects (wrong probe counts, non-base probes,
-    bad indices) raise instead of reporting.
+    bad indices, a set listed twice) raise instead of reporting.
     """
     target_mask = _target_mask(family, target, require_nonempty=True)
     _validate_chain(family, chain)

@@ -2,7 +2,9 @@
 
 Every oracle here recomputes its answer by straight enumeration, independent
 of the package's search/pruning code paths, so tests compare two genuinely
-different routes to the same number.
+different routes to the same number. ``plain_transversal_exact`` is the one
+reference search: the piercing branch and bound without its skip rules, to
+show that they change no cover.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from setfam import SetFamily
+from setfam.errors import DEFAULT_BUDGET, BudgetExceededError, pops
+from setfam.piercing import PiercingSolution, _candidate_points, _canonical, _greedy
+from setfam.pq import greedy_packing, max_disjoint
 from setfam.rng import SplitMix64
 
 
@@ -127,6 +132,52 @@ def brute_min_consistent_partition(family: SetFamily) -> int:
 
     grow(0, [])
     return best
+
+
+def plain_transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> PiercingSolution:
+    """``transversal_exact``'s branch and bound on the sets' own indices, with
+    no table of covered masks: every node not pruned by the greedy packing of
+    its uncovered sets, in index order, is expanded. Relabelling changes only
+    the bound and the table skips only nodes that cannot improve the cover, so
+    a completed search must return this cover."""
+    m = family.num_sets
+    nu, _ = max_disjoint(family, budget=budget)
+    candidates = _candidate_points(family)
+    greedy = _greedy(m, candidates)
+    if greedy.tau == nu:
+        return _canonical(family, greedy.piercing_points, nu)
+    options: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for pt, col in candidates:
+        for i in range(m):
+            if col >> i & 1:
+                options[i].append((pt, col))
+    branch_order = sorted(range(m), key=lambda i: len(options[i]))
+    all_mask = (1 << m) - 1
+    best_points, best_size = greedy.piercing_points, greedy.tau
+    stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    try:
+        for covered, chosen in pops(stack, budget, "piercing search"):
+            if covered == all_mask:
+                if len(chosen) < best_size:
+                    best_size, best_points = len(chosen), chosen
+                    if best_size == nu:
+                        break
+                continue
+            uncovered = all_mask & ~covered
+            if len(chosen) + len(greedy_packing(family.members, uncovered)) >= best_size:
+                continue
+            pick = next(i for i in branch_order if uncovered >> i & 1)
+            gains: list[int] = []
+            children = []
+            for pt, col in options[pick]:
+                gain = col & uncovered
+                if all(gain & ~g for g in gains):
+                    gains.append(gain)
+                    children.append((covered | col, chosen + (pt,)))
+            stack += reversed(children)
+    except BudgetExceededError:
+        return _canonical(family, best_points, nu)
+    return _canonical(family, best_points, best_size)
 
 
 def fraction_lines(rng: SplitMix64, count: int, side: int) -> list[tuple[Fraction, Fraction]]:

@@ -78,15 +78,15 @@ def test_q2_and_greedy_witness_obey_the_budget():
 
 
 def test_piercing_stops_with_its_best_cover():
-    # The packing search pops 38 nodes and the branch and bound 198. Past its
+    # The packing search pops 38 nodes and the branch and bound 99. Past its
     # own budget the branch and bound returns its best cover, flagged
     # non-optimal with the packing number as lower bound; the packing search
     # raises like every other search.
     fam = gen_random(30, 60, 0.1, 0)
     full = transversal_exact(fam)
     assert (full.tau, full.optimal, full.lower_bound) == (9, True, 9)
-    assert transversal_exact(fam, budget=198) == full
-    capped = transversal_exact(fam, budget=197)
+    assert transversal_exact(fam, budget=99) == full
+    capped = transversal_exact(fam, budget=98)
     assert (capped.optimal, capped.lower_bound) == (False, 8)
     assert capped.tau >= full.tau
     assert transversal_exact(fam, budget=38).lower_bound == 8
@@ -99,10 +99,10 @@ def test_piercing_stops_with_its_best_cover():
 # search, or None where the benchmark runs no piercing).
 LADDER = {
     "intervals(100,500,9)": (lambda: gen_intervals(100, 500, 9), 51, 11),
-    "intervals(80,400,38)": (lambda: gen_intervals(80, 400, 38), 83, 28),
-    "random(40,80,0.1,1)": (lambda: gen_random(40, 80, 0.1, 1), 104, 5174),
-    "random(40,80,0.1,12)": (lambda: gen_random(40, 80, 0.1, 12), 45, 2596),
-    "random(40,80,0.1,18)": (lambda: gen_random(40, 80, 0.1, 18), 47, 4312),
+    "intervals(80,400,38)": (lambda: gen_intervals(80, 400, 38), 83, 22),
+    "random(40,80,0.1,1)": (lambda: gen_random(40, 80, 0.1, 1), 104, 1059),
+    "random(40,80,0.1,12)": (lambda: gen_random(40, 80, 0.1, 12), 45, 1155),
+    "random(40,80,0.1,18)": (lambda: gen_random(40, 80, 0.1, 18), 47, 664),
     "random(90,135,0.03,0)": (lambda: gen_random(90, 135, 0.03, 0), 416, None),
     "random(90,135,0.03,5)": (lambda: gen_random(90, 135, 0.03, 5), 406, None),
 }

@@ -244,6 +244,22 @@ class TestWitnessAndVerify:
                 in out.splitlines())
         assert out.endswith("verdict: FAIL\n")
 
+    @pytest.mark.parametrize("n, status", [(4, "chain"), (6, "stuck")])
+    def test_chain_listing_a_set_twice_is_malformed(self, capsys, tmp_path, n, status):
+        # Either status names the repeated set, as an atoms subfamily does.
+        fam, report_path = tmp_path / "rich.fam", tmp_path / "witness.json"
+        assert run(capsys, "generate", "--kind", "witness_rich", "--depth", "4", "--seed", "0",
+                   "--out", str(fam))[0] == 0
+        assert run(capsys, "witness", "--in", str(fam), "--B-from-file", "--n", str(n),
+                   "--out", str(report_path))[0] == 0
+        report = json.loads(report_path.read_text())
+        assert report["results"]["witness"]["status"] == status
+        steps = report["results"]["witness"]["chain"]["steps"]
+        steps[1]["set_index"] = steps[0]["set_index"]
+        report_path.write_text(json.dumps(report))
+        assert run(capsys, "verify", "--report", str(report_path)) == (
+            2, "", f"error: results.witness: set index {steps[0]['set_index']} repeated in subfamily\n")
+
     def test_unknown_status_is_malformed(self, capsys, tmp_path):
         # Only "chain" and "stuck" are statuses; any other is not read as stuck.
         fam, report_path = tmp_path / "rich.fam", tmp_path / "stuck.json"

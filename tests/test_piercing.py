@@ -1,3 +1,6 @@
+from collections import Counter
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from helpers import (
     brute_min_piercing,
     families,
     interval_packing,
+    plain_transversal_exact,
 )
 from setfam import (
     BudgetExceededError,
@@ -21,6 +25,7 @@ from setfam import (
     transversal_greedy,
     verify_partition,
 )
+from setfam import errors
 from setfam import piercing as piercing_module
 
 
@@ -161,6 +166,59 @@ class TestExact:
         assert list(solution._asdict()) == list(PiercingSolution._fields)
         assert PiercingSolution(**solution._asdict()) == solution
         assert PiercingSolution(1, (0,), (0,), False).lower_bound is None
+
+
+def piercing_nodes(fam):
+    """The cover ``transversal_exact`` returns and the nodes its branch and
+    bound pops."""
+    counts: Counter = Counter()
+
+    def pops(stack, budget, search):
+        for node in errors.pops(stack, budget, search):
+            counts[search] += 1
+            yield node
+
+    with mock.patch.object(piercing_module, "pops", pops):
+        solution = transversal_exact(fam)
+    return solution, counts["piercing search"]
+
+
+class TestSkipRules:
+    """The fewest-points-first bound and the table of covered masks skip only
+    nodes that cannot improve the cover, so a completed search returns the
+    cover of the plain branch and bound."""
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 30), st.integers(1, 60), st.sampled_from([0.05, 0.1, 0.2, 0.3]), st.integers(0, 2**64 - 1))
+    def test_random_families_match_the_plain_search(self, m, n, density, seed):
+        fam = gen_random(m, n, density, seed)
+        assert transversal_exact(fam) == plain_transversal_exact(fam)
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 30), st.integers(0, 60), st.integers(0, 2**64 - 1))
+    def test_interval_families_match_the_plain_search(self, m, extra, seed):
+        fam = gen_intervals(m, 2 * m + extra, seed)
+        assert transversal_exact(fam) == plain_transversal_exact(fam)
+
+    def test_a_full_table_keeps_the_cover(self):
+        # Eight masks fill the table early: fewer nodes are skipped than with
+        # room for every mask, more than with no table, and the cover stays.
+        fam = gen_random(30, 60, 0.1, 0)
+        full, full_nodes = piercing_nodes(fam)
+        found = {}
+        for limit in (8, 0):
+            with mock.patch.object(piercing_module, "MAX_COVERED_MASKS", limit):
+                found[limit] = piercing_nodes(fam)
+        assert found[8][0] == found[0][0] == full == plain_transversal_exact(fam)
+        assert full_nodes < found[8][1] < found[0][1]
+        assert piercing_module.MAX_COVERED_MASKS <= 1 << 14
+
+    def test_a_search_of_many_nodes_pops_far_fewer(self):
+        # The plain search pops 251,715 nodes here; tests/test_budget.py pins
+        # the benchmark ladder's counts.
+        fam = gen_random(90, 135, 0.03, 0)
+        solution, nodes = piercing_nodes(fam)
+        assert (solution.tau, solution.optimal, nodes) == (29, True, 15305)
 
 
 class TestIntervalsAtScale:
