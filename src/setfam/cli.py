@@ -186,8 +186,12 @@ def _cmd_disjoint(args, family: SetFamily) -> tuple[dict, list[str], bool]:
     from . import pq
 
     if args.sequence:
+        if args.cap is not None:
+            raise ValueError("--cap applies only without --sequence")
         seq = pq.disjoint_sequence_greedy(family, args.avoid)
         return {"sequence": list(seq), "avoid": list(args.avoid)}, [f"sequence: {_fmt(seq)}"], False
+    if args.avoid:
+        raise ValueError("--avoid applies only with --sequence")
     nu, witness_sets = pq.max_disjoint(family, args.cap, args.budget)
     payload = {"nu": nu, "cap": args.cap, "witness": list(witness_sets)}
     return payload, [f"nu={nu}", f"witness: {_fmt(witness_sets)}"], False

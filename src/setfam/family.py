@@ -13,15 +13,17 @@ columns by lowest point, from which piercing takes its candidate points and
 the exact shatter search its compressed sets; the witness builder refines
 its live atoms with ``split_cells``. ``transpose`` is the one bit-matrix
 transpose: it joins the rows into one string of digits and reads each
-column as a stride slice of it. The verifiers (``check_atoms`` and the
-witness verifier) read traces with ``point_traces``, apart from the kernel,
-so that they check it.
+column as a stride slice of it. Every check reads the family through three
+primitives: ``_check_subfamily`` for each list of set indices,
+``mask_from_points`` for each list of points, and ``point_traces`` for
+memberships (``check_atoms``, ``shatter.check_values`` and the witness
+verifier), which stays apart from the kernel so that the checks check it.
 
 Two text formats are supported:
 
 * compact incidence -- header ``"m n"`` followed by ``m`` rows of ``n``
   characters in ``{0,1}`` (``/`` may stand in for a newline); every point is
-  a base point;
+  a base point, and over no points each row is blank;
 * structured JSON -- ``{"universe": n, "extension": [...], "sets":
   [{"name": ..., "points": [...]}, ...]}`` with base points defined as the
   complement of the extension; optional keys ``base`` (must partition the
@@ -224,8 +226,7 @@ def _check_subfamily(family: SetFamily, subfamily: Iterable[int]) -> tuple[int, 
 def point_signature(family: SetFamily, subfamily: Iterable[int], point: int) -> Signature:
     """Membership trace of one point across the subfamily, in subfamily order."""
     idxs = _check_subfamily(family, subfamily)
-    if not 0 <= point < family.universe_size:
-        raise ValueError(f"point {point} out of range")
+    mask_from_points((point,), family.universe_size)
     return "".join("1" if family.members[i] >> point & 1 else "0" for i in idxs)
 
 
@@ -370,12 +371,10 @@ def check_atoms(
                 return Check(kind, False, f"point {p} does not match signature {signature}")
     if include_zero_cell and union != family.universe_mask:
         return Check(kind, False, "cells do not cover the universe")
-    if not include_zero_cell:
-        sets_union = 0
-        for i in idxs:
-            sets_union |= family.members[i]
-        if union != sets_union:
-            return Check(kind, False, "cells do not cover exactly the union of the subfamily's sets")
+    # The union of the subfamily's sets: the points with a 1 in their trace.
+    if not include_zero_cell and union != mask_from_points(
+            [p for p, t in enumerate(traces) if "1" in t], family.universe_size):
+        return Check(kind, False, "cells do not cover exactly the union of the subfamily's sets")
     if len({signature for signature, _ in atoms}) != len(atoms) or not all(points for _, points in atoms):
         return Check(kind, False, "cells must be nonempty, each with its own signature")
     if atom_count != len(atoms):
@@ -486,11 +485,14 @@ def parse_family(text: str) -> SetFamily:
 
 def _parse_incidence(text: str) -> SetFamily:
     rows: list[tuple[int, str]] = []
+    blank = 0  # blank rows after the header
     for lineno, line in enumerate(text.splitlines(), start=1):
         for chunk in line.split("/"):
             chunk = chunk.strip()
             if chunk:
                 rows.append((lineno, chunk))
+            elif rows:
+                blank += 1
     if not rows:
         raise FamilyFormatError("empty family text", line=1)
     header_line, header = rows[0]
@@ -501,6 +503,10 @@ def _parse_incidence(text: str) -> SetFamily:
     if n > MAX_UNIVERSE:
         raise FamilyFormatError(f"universe of {n} points exceeds the largest, {MAX_UNIVERSE}", line=header_line)
     body = rows[1:]
+    if n == 0 and not body and blank >= m:
+        # A row over no points is blank, and blank rows are skipped above: the
+        # header then stands for m empty sets, as many as the blank rows hold.
+        return SetFamily(0, tuple(f"S{i}" for i in range(m)), (0,) * m)
     if len(body) != m:
         at = body[-1][0] if body else header_line
         raise FamilyFormatError(f"expected {m} incidence rows, found {len(body)}", line=at)

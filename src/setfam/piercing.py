@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, EmptySetError, pops
-from .family import Check, SetFamily, columns
+from .family import Check, SetFamily, columns, mask_from_points
 from .pq import fewest_points_first, greedy_packing, max_disjoint
 
 
@@ -228,7 +228,9 @@ def check_solution(
     """Re-check a reported partition: classes consistent, set ``i`` containing
     ``points[assignment[i]]``, ``tau`` counting the points, the lower bound,
     if any, at most ``tau`` and equal to it when ``optimal``, then no point
-    listed twice and no class that no set uses."""
+    listed twice and no class that no set uses. A point out of range, or an
+    assignment of the wrong length, raises ValueError."""
+    mask_from_points(points, family.universe_size)
     consistent, failing = verify_partition(family, assignment)
     covered = all(
         0 <= cls < len(points) and family.members[i] >> points[cls] & 1

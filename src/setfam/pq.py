@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, pops
-from .family import Check, SetFamily, mask_from_points
+from .family import Check, SetFamily, _check_subfamily, mask_from_points
 
 
 class PropertyReport(NamedTuple):
@@ -168,14 +168,10 @@ def _deepen(layers: tuple[int, ...], mem: int) -> tuple[int, ...] | None:
 def _depth_check(
     name: str, family: SetFamily, indices: Sequence[int], layers: tuple[int, ...], passed: str, failed: str
 ) -> Check:
-    """Check that the listed sets join ``layers`` one by one: the first set
-    listed twice fails the check by its index, a set meeting the last layer
-    with ``failed``."""
-    seen = set()
-    for i in indices:
-        if i in seen:
-            return Check(name, False, f"set {i} listed twice")
-        seen.add(i)
+    """Check that the listed sets join ``layers`` one by one, failing with
+    ``failed`` at the first set that meets the last layer. A set listed twice
+    or out of range raises ValueError (``family._check_subfamily``)."""
+    for i in _check_subfamily(family, indices):
         layers = _deepen(layers, family.members[i])
         if layers is None:
             return Check(name, False, failed)
@@ -220,7 +216,8 @@ def check_verdict(
 ) -> list[Check]:
     """Re-check a (p,q) verdict's witnesses: a violation lists p sets of which no q
     share a point (q = 2: p pairwise-disjoint sets); a packing witness is pairwise
-    disjoint. A set listed twice fails; p and q breaking p >= q >= 2 raise ValueError.
+    disjoint. A set listed twice or out of range in either witness, or p and q
+    breaking p >= q >= 2, raise ValueError.
     The verdict must fail exactly when a witness proves it: a re-verified
     violation, or p or more re-verified pairwise-disjoint sets. A verdict that
     disagrees adds a failed ``pq.verdict-agrees``."""
@@ -234,8 +231,9 @@ def check_verdict(
             passed = "violation re-verifies: no q share a point"
             failed = "violation has q sets sharing a point"
         name = "pq.violation-reverifies"
-        checks.append(_depth_check(name, family, violation, (0,) * (q - 1), passed, failed)
-                      if len(violation) == p else Check(name, False, failed))
+        # No point lies in more of the listed sets than there are.
+        check = _depth_check(name, family, violation, (0,) * min(q - 1, len(violation)), passed, failed)
+        checks.append(check if len(violation) == p else Check(name, False, failed))
     if disjoint_witness is not None:
         checks.append(_depth_check("pq.disjoint-witness-reverifies", family, disjoint_witness, (0,),
                                    "witness is pairwise disjoint", "witness sets intersect"))
@@ -271,17 +269,18 @@ def check_disjoint(
     family: SetFamily, chosen: Sequence[int], avoid: Iterable[int] = (), nu: int | None = None, cap: int | None = None
 ) -> Check:
     """Re-check a packing witness of ``nu`` sets, at most ``cap`` if one is
-    given, or, with no ``nu``, a greedy sequence: pairwise disjoint, missing
-    ``avoid``, no set listed twice, and a sequence must then be the one
-    ``disjoint_sequence_greedy`` writes."""
+    given, or, with no ``nu``, a greedy sequence: pairwise disjoint and missing
+    ``avoid``, and a sequence must then be the one ``disjoint_sequence_greedy``
+    writes. A set listed twice or out of range, or a point of ``avoid`` out of
+    range, raises ValueError."""
     name = "disjoint.witness-reverifies"
+    avoid = tuple(avoid)
+    check = _depth_check(name, family, chosen, (mask_from_points(avoid, family.universe_size),),
+                         "chosen sets pairwise disjoint", "chosen sets intersect")
     if nu is not None and nu != len(chosen):
         return Check(name, False, f"nu is {nu} but the witness has {len(chosen)} sets")
     if cap is not None and len(chosen) > cap:
         return Check(name, False, f"{len(chosen)} sets exceed the cap of {cap}")
-    avoid = tuple(avoid)
-    check = _depth_check(name, family, chosen, (mask_from_points(avoid, family.universe_size),),
-                         "chosen sets pairwise disjoint", "chosen sets intersect")
     if nu is not None or not check.ok:
         return check
     # A disjoint sequence that misses ``avoid`` cannot run past the greedy one,

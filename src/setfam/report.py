@@ -48,9 +48,10 @@ def _check_pq(family: SetFamily, r: dict) -> list[Check]:
 
 
 def _check_shatter(family: SetFamily, r: dict) -> list[Check]:
-    from .shatter import check_values
+    from .shatter import check_profile, check_values
 
-    return [check_values(family, [(e["n"], e["value"], e["witness"]) for e in r.get("profile", [r])])]
+    check = check_profile if "profile" in r else check_values
+    return [check(family, [(e["n"], e["value"], e["witness"]) for e in r.get("profile", [r])])]
 
 
 def _witness_shape(r: dict) -> dict:

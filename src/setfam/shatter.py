@@ -31,6 +31,10 @@ not proves d = k - 1. It asks only while ``_upper`` with d = k - 1 is below
 values. The greedy lower bound counts its candidates like the last level and
 builds only the winner's cells; its first k steps are its answer for k sets,
 so a greedy profile takes one pass.
+
+``check_values`` re-checks a reported value as the number of distinct point
+traces of its witness (``family.point_traces``), not with the search's
+columns, and ``check_profile`` also requires a profile's n to run 1, 2, ..., k.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, pops
-from .family import Check, SetFamily, boolean_atoms, columns
+from .family import Check, SetFamily, _check_subfamily, columns, point_traces
 
 MODE_EXACT = "exact"
 MODE_GREEDY = "greedy-lower-bound"
@@ -319,15 +323,30 @@ def _slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return sxy / math.fsum((x - x_bar) * (x - x_bar) for x in xs)
 
 
+# The kind of every check of reported shatter values.
+_VALUES = "shatter.witness-reverifies"
+
+
 def check_values(family: SetFamily, entries: Iterable[tuple[int, int, Sequence[int]]]) -> Check:
     """Re-check reported ``(n, value, witness)`` entries: each witness has n
-    sets and as many atoms as reported."""
+    sets and as many distinct point traces (``family.point_traces``) as the
+    value reports atoms. A set listed twice or out of range raises ValueError."""
     for n, value, witness in entries:
-        if len(witness) != n:
-            return Check("shatter.witness-reverifies", False,
-                         f"witness for n={n} has {len(witness)} sets")
-        count = len(boolean_atoms(family, witness, include_zero_cell=True))
+        idxs = _check_subfamily(family, witness)
+        if len(idxs) != n:
+            return Check(_VALUES, False, f"witness for n={n} has {len(idxs)} sets")
+        count = len(set(point_traces(family, idxs)))
         if count != value:
-            return Check("shatter.witness-reverifies", False,
-                         f"witness for n={n} yields {count} atoms, reported {value}")
-    return Check("shatter.witness-reverifies", True, "witness atom counts match reported values")
+            return Check(_VALUES, False, f"witness for n={n} yields {count} atoms, reported {value}")
+    return Check(_VALUES, True, "witness atom counts match reported values")
+
+
+def check_profile(family: SetFamily, entries: Sequence[tuple[int, int, Sequence[int]]]) -> Check:
+    """Re-check a growth profile: ``check_values`` passes its entries, and
+    they are n = 1, 2, ..., k in order, with k at least min(2, the number of
+    sets), since ``growth_profile`` takes n_max >= 2."""
+    check, ns = check_values(family, entries), [n for n, _, _ in entries]
+    least = min(2, family.num_sets)
+    if check.ok and ns != list(range(1, max(len(ns), least) + 1)):
+        return Check(_VALUES, False, f"profile lists n = {ns}, not 1, 2, ..., k for some k >= {least}")
+    return check

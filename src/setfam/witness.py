@@ -133,19 +133,15 @@ def _target_mask(family: SetFamily, target: Iterable[int], require_nonempty: boo
 
 
 def _validate_chain(family: SetFamily, chain: WitnessChain) -> None:
+    _check_subfamily(family, chain.set_indices())
     if len(chain.atom_history) != chain.length or len(chain.target_atom_counts) != chain.length:
         raise ValueError("chain bookkeeping out of sync with its steps")
     for i, step in enumerate(chain.steps, start=1):
-        if not 0 <= step.set_index < family.num_sets:
-            raise ValueError(f"step {i} names set {step.set_index}, out of range")
         if len(step.probes) != i:
             raise ValueError(f"step {i} must carry {i} probes, found {len(step.probes)}")
-        for p in step.probes:
-            if not 0 <= p < family.universe_size:
-                raise ValueError(f"probe {p} out of range")
-            if not family.base_mask >> p & 1:
-                raise ValueError(f"probe {p} is not a base point")
-    _check_subfamily(family, chain.set_indices())
+        off_base = mask_from_points(step.probes, family.universe_size) & ~family.base_mask
+        if off_base:
+            raise ValueError(f"probe {points_from_mask(off_base)[0]} is not a base point")
 
 
 # The live atoms of a chain: (signature, points) of each atom of its sets that
@@ -301,41 +297,33 @@ def verify_witness(family: SetFamily, target: Iterable[int], chain: WitnessChain
     _validate_chain(family, chain)
     n = chain.length
     failures: list[str] = []
-    sets = [family.members[step.set_index] for step in chain.steps]
+    # Character j of a point's trace is its membership in the set of step
+    # j + 1, so its first i characters are its trace on the first i sets.
+    traces = point_traces(family, chain.set_indices())
 
-    separation_ok = True
     for i, step in enumerate(chain.steps):
         for p in step.probes:
-            if not sets[i] >> p & 1:
-                separation_ok = False
+            if traces[p][i] == "0":
                 failures.append(f"probe {p} of step {i + 1} lies outside its own set")
         for later in range(i + 1, n):
             for p in step.probes:
-                if sets[later] >> p & 1:
-                    separation_ok = False
-                    failures.append(
-                        f"set of step {later + 1} contains probe {p} from earlier step {i + 1}"
-                    )
+                if traces[p][later] == "1":
+                    failures.append(f"set of step {later + 1} contains probe {p} from earlier step {i + 1}")
+    separation_ok = not failures
 
-    # A point's trace on the first i chain sets is the first i characters of
-    # its trace on the whole chain.
     all_probes = chain.probe_points()
-    traces = point_traces(family, chain.set_indices())
-    probe_traces = {p: traces[p] for p in all_probes}
-    within_ok = True
+    before = len(failures)
     for i in range(1, n):
         seen: dict[str, int] = {}
         for p in chain.steps[i].probes:
-            t = probe_traces[p][:i]
+            t = traces[p][:i]
             if t in seen:
-                within_ok = False
-                failures.append(
-                    f"probes {seen[t]} and {p} of step {i + 1} share trace {t!r} on the earlier sets"
-                )
+                failures.append(f"probes {seen[t]} and {p} of step {i + 1} share trace {t!r} on the earlier sets")
             else:
                 seen[t] = p
+    within_ok = len(failures) == before
 
-    distinct = len(set(probe_traces.values()))
+    distinct = len({traces[p] for p in all_probes})
     all_distinct_ok = distinct == len(all_probes)
     if not all_distinct_ok:
         failures.append("probe traces on the full chain are not pairwise distinct")
@@ -351,26 +339,21 @@ def verify_witness(family: SetFamily, target: Iterable[int], chain: WitnessChain
     live_atoms = [sorted(set(compress(traces, in_target)))]
     for i in range(n - 1, 0, -1):
         live_atoms.append(list(dict.fromkeys([t[:i] for t in live_atoms[-1]])))
-    counts_ok = True
+    before = len(failures)
     previous = 0
     for i, sigs in zip(range(1, n + 1), reversed(live_atoms)):
         count = len(sigs)
         recorded = chain.target_atom_counts[i - 1]
         if recorded != count:
-            counts_ok = False
-            failures.append(
-                f"recorded live-atom count {recorded} at step {i} differs from recomputed {count}"
-            )
+            failures.append(f"recorded live-atom count {recorded} at step {i} differs from recomputed {count}")
         if count < i + 1:
-            counts_ok = False
             failures.append(f"live-atom count {count} at step {i} is below the floor {i + 1}")
         if count <= previous:
-            counts_ok = False
             failures.append(f"live-atom counts fail to increase at step {i}")
         previous = count
         if tuple(chain.atom_history[i - 1]) != tuple(sigs):
-            counts_ok = False
             failures.append(f"recorded atom signatures at step {i} differ from recomputed atoms")
+    counts_ok = len(failures) == before
 
     return VerificationReport(
         n,

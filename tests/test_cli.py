@@ -353,6 +353,16 @@ class TestAtomsShatterDisjoint:
         code, out, _ = run(capsys, "verify", "--report", str(report))
         assert code == 0 and "verdict: PASS" in out
 
+    @pytest.mark.parametrize("text, values", [("0 3\n", []), ("1 3\n110\n", [2])])
+    def test_profile_of_fewer_than_two_sets_verifies(self, capsys, tmp_path, text, values):
+        # A profile holds n = 1 .. min(n_max, sets): none for no sets.
+        path, report = tmp_path / "small.fam", tmp_path / "small.report"
+        path.write_text(text)
+        assert run(capsys, "shatter", "--in", str(path), "--n", "3", "--profile", "--out", str(report))[0] == 0
+        assert [e["value"] for e in json.loads(report.read_text())["results"]["shatter"]["profile"]] == values
+        code, out, _ = run(capsys, "verify", "--report", str(report))
+        assert code == 0 and out.endswith("verdict: PASS\n")
+
     @pytest.mark.parametrize("profile", [False, True], ids=["single", "profile"])
     def test_shatter_n_disagreeing_with_witness_fails_verify(self, capsys, tmp_path, profile):
         path = tmp_path / "lines.fam"
@@ -490,6 +500,14 @@ class TestErrorPaths:
     def test_negative_cap(self, capsys, rich_file):
         assert run(capsys, "disjoint", "--in", rich_file, "--cap", "-1") == (
             2, "", "error: --cap must be nonnegative\n")
+
+    def test_disjoint_avoid_needs_sequence(self, capsys, rich_file):
+        assert run(capsys, "disjoint", "--in", rich_file, "--avoid", "0,1") == (
+            2, "", "error: --avoid applies only with --sequence\n")
+
+    def test_disjoint_sequence_takes_no_cap(self, capsys, rich_file):
+        assert run(capsys, "disjoint", "--in", rich_file, "--sequence", "--cap", "1") == (
+            2, "", "error: --cap applies only without --sequence\n")
 
     def test_witness_rich_depth_above_maximum(self, capsys):
         assert run(capsys, "generate", "--kind", "witness_rich", "--depth", "100") == (

@@ -158,8 +158,9 @@ class TestSerialization:
         assert parse_family(serialize_family(fam)) == fam
 
     def test_round_trip_incidence(self):
-        fam = parse_family("2 4\n1010\n0110\n")
-        assert parse_family(serialize_family(fam, "incidence")) == fam
+        # Over no points every row is blank: "2 0\n\n\n".
+        for fam in (parse_family("2 4\n1010\n0110\n"), SetFamily(0, ("S0", "S1"), (0, 0))):
+            assert parse_family(serialize_family(fam, "incidence")) == fam
 
     def test_serialization_is_byte_stable(self):
         fam = two_sets()

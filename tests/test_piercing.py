@@ -287,6 +287,11 @@ class TestVerifyPartition:
     def test_mapping_assignment_accepted(self):
         assert verify_partition(intervals(), {0: 0, 1: 0, 2: 1, 3: 1}) == (True, None)
 
+    @pytest.mark.parametrize("point", [-1, 3])
+    def test_check_solution_refuses_a_point_out_of_range(self, point):
+        with pytest.raises(ValueError, match=f"^point {point} out of range for a universe of 3 points$"):
+            piercing_module.check_solution(singletons(), 3, [0, 1, point], [0, 1, 2], True, 3)
+
     def test_first_failing_class_in_label_order(self):
         fam = SetFamily.from_points(4, [("A", [0]), ("B", [1]), ("C", [2]), ("D", [3])])
         ok, failing = verify_partition(fam, [5, 5, 3, 3])

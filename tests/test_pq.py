@@ -179,6 +179,29 @@ class TestHasPq:
         assert not all(check.ok for check in check_verdict(fam, p, q, not report.holds, *report[3:]))
 
 
+@pytest.mark.parametrize("sets, message", [
+    ([0, 1, -1], "^set index -1 out of range for a family of 3 sets$"),
+    ([0, 1, 99], "^set index 99 out of range for a family of 3 sets$"),
+    ([0, 1, 1], "^set index 1 repeated in subfamily$"),
+])
+def test_checks_refuse_a_bad_set_index(sets, message):
+    # -1 is not the last set, and 99 is no IndexError: each is malformed, as a
+    # repeat is, whatever list of sets it comes in.
+    fam = singletons()
+    calls = [
+        lambda: check_disjoint(fam, sets, nu=3),
+        lambda: check_disjoint(fam, sets, nu=2),
+        lambda: check_disjoint(fam, sets),
+        lambda: check_verdict(fam, 3, 2, False, sets, None),
+        lambda: check_verdict(fam, 3, 3, False, sets, None),
+        lambda: check_verdict(fam, 4, 2, False, sets, None),
+        lambda: check_verdict(fam, 3, 2, False, None, sets),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestDisjointSequence:
     def test_all_disjoint_takes_everything(self):
         assert disjoint_sequence_greedy(singletons()) == (0, 1, 2)

@@ -8,6 +8,7 @@ failed check. Keys that no check reads are ignored.
 import copy
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -94,6 +95,15 @@ def verify(workdir, report):
     return run(["verify", "--report", str(path)])
 
 
+def _tamper(kind, empty_set=None, **values):
+    """Set ``values`` in one result, first emptying set ``empty_set`` of its family."""
+    def mutate(results):
+        if empty_set is not None:
+            results[kind]["family"]["sets"][empty_set]["points"] = []
+        results[kind].update(values)
+    return mutate
+
+
 @pytest.mark.parametrize(
     "name, mutate, message",
     [
@@ -132,6 +142,18 @@ def verify(workdir, report):
          "results.witness: target point 0 is a base point; the target must lie in the extension"),
         ("pq-violation", lambda r: r["pq"].__setitem__("q", -1),
          "results.pq: need p >= q >= 2, got p=3, q=-1"),
+        # An empty set listed twice would be two sets sharing nothing, but it
+        # is one set: a set listed twice is as malformed as one out of range.
+        ("pq-violation", _tamper("pq", 2, violation=[2, 2, 2]),
+         "results.pq: set index 2 repeated in subfamily"),
+        ("pq-q3", _tamper("pq", 2, violation=[2, 2, 2]),
+         "results.pq: set index 2 repeated in subfamily"),
+        ("pq-violation", _tamper("pq", 2, disjoint_witness=[0, 1, 2, 2]),
+         "results.pq: set index 2 repeated in subfamily"),
+        ("disjoint", _tamper("disjoint", 2, nu=4, witness=[0, 1, 2, 2]),
+         "results.disjoint: set index 2 repeated in subfamily"),
+        ("sequence", _tamper("disjoint", 2, sequence=[2, 2, 2]),
+         "results.disjoint: set index 2 repeated in subfamily"),
     ],
 )
 def test_malformed_report_exits_two_with_its_path(workdir, reports, name, mutate, message):
@@ -148,29 +170,14 @@ def test_pq_parameters_out_of_order_exit_two(workdir, reports):
     assert verify(workdir, report) == (2, "", "error: results.pq: need p >= q >= 2, got p=3, q=5\n")
 
 
-def _tamper(kind, empty_set=None, **values):
-    """Set ``values`` in one result, first emptying set ``empty_set`` of its family."""
-    def mutate(results):
-        if empty_set is not None:
-            results[kind]["family"]["sets"][empty_set]["points"] = []
-        results[kind].update(values)
-    return mutate
-
-
 @pytest.mark.parametrize(
     "name, mutate, failed",
     [
-        # An empty set listed twice is two sets sharing nothing, but one set.
-        ("pq-violation", _tamper("pq", 2, violation=[2, 2, 2]),
-         "pq.violation-reverifies: FAIL (set 2 listed twice)"),
-        ("pq-q3", _tamper("pq", 2, violation=[2, 2, 2]),
-         "pq.violation-reverifies: FAIL (set 2 listed twice)"),
-        ("pq-violation", _tamper("pq", 2, disjoint_witness=[0, 1, 2, 2]),
-         "pq.disjoint-witness-reverifies: FAIL (set 2 listed twice)"),
-        ("disjoint", _tamper("disjoint", 2, nu=4, witness=[0, 1, 2, 2]),
-         "disjoint.witness-reverifies: FAIL (set 2 listed twice)"),
-        ("sequence", _tamper("disjoint", 2, sequence=[2, 2, 2]),
-         "disjoint.witness-reverifies: FAIL (set 2 listed twice)"),
+        # A profile lists n = 1, 2, ..., k in order, with k >= min(2, sets).
+        ("profile", _tamper("shatter", profile=[]),
+         "shatter.witness-reverifies: FAIL (profile lists n = [], not 1, 2, ..., k for some k >= 2)"),
+        ("profile", lambda r: r["shatter"].__setitem__("profile", [r["shatter"]["profile"][2]] * 2),
+         "shatter.witness-reverifies: FAIL (profile lists n = [3, 3], not 1, 2, ..., k for some k >= 2)"),
         # The star's atoms are 001 -> [3], 010 -> [2], 100 -> [1], 111 -> [0].
         ("atoms", lambda r: r["atoms"]["atoms"][1].__setitem__("points", [3]),
          "atoms.decomposition-reverifies: FAIL (cells overlap)"),
@@ -201,6 +208,21 @@ def test_false_witnesses_fail_verify(workdir, reports, name, mutate, failed):
     code, out, err = verify(workdir, report)
     assert (code, err) == (1, "")
     assert f"{failed}\n" in out and out.endswith("verdict: FAIL\n")
+
+
+def test_verify_reads_no_kernel(workdir, reports, monkeypatch):
+    # Every check but the stuck replay, which reruns the builder's stages,
+    # reads memberships apart from the kernel that the solvers run on.
+    def kernel(*args):
+        raise AssertionError("verify called the kernel")
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "setfam"]:
+        for name in ("cells", "split_cells", "transpose"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, kernel)
+    for name in sorted(set(reports) - {"stuck"}):
+        code, out, err = verify(workdir, reports[name])
+        assert (code, err, out.endswith("verdict: PASS\n")) == (0, "", True), name
 
 
 @pytest.mark.parametrize(

@@ -438,9 +438,9 @@ class TestLiveAtoms:
     (lambda c: c._replace(target_atom_counts=c.target_atom_counts[:1]),
      "^chain bookkeeping out of sync with its steps$"),
     (lambda c: c._replace(steps=(c.steps[0]._replace(set_index=99), *c.steps[1:])),
-     "^step 1 names set 99, out of range$"),
+     "^set index 99 out of range for a family of 2 sets$"),
     (lambda c: c._replace(steps=(c.steps[0]._replace(probes=(-1,)), *c.steps[1:])),
-     "^probe -1 out of range$"),
+     "^point -1 out of range for a universe of 7 points$"),
 ])
 def test_malformed_chain_raises(tamper, message):
     fam, target = gen_witness_rich(2, seed=4)
