@@ -104,6 +104,15 @@ def _tamper(kind, empty_set=None, **values):
     return mutate
 
 
+def _share(kind, point, sets, **values):
+    """Set ``values`` in one result, first adding ``point`` to the listed sets of its family."""
+    def mutate(results):
+        for i in sets:
+            results[kind]["family"]["sets"][i]["points"].append(point)
+        results[kind].update(values)
+    return mutate
+
+
 @pytest.mark.parametrize(
     "name, mutate, message",
     [
@@ -181,6 +190,14 @@ def test_pq_parameters_out_of_order_exit_two(workdir, reports):
         # The star's atoms are 001 -> [3], 010 -> [2], 100 -> [1], 111 -> [0].
         ("atoms", lambda r: r["atoms"]["atoms"][1].__setitem__("points", [3]),
          "atoms.decomposition-reverifies: FAIL (cells overlap)"),
+        # The three singletons {0}, {1}, {2}, once sets 1 and 2 take point 0 too,
+        # share it: two sets meet, and with all three, three sets share a point.
+        ("pq-violation", _share("pq", 0, [2], violation=[0, 1, 2]),
+         "pq.violation-reverifies: FAIL (violation is not pairwise disjoint)"),
+        ("pq-q3", _share("pq", 0, [1, 2], violation=[0, 1, 2]),
+         "pq.violation-reverifies: FAIL (violation has q sets sharing a point)"),
+        ("pq-violation", _share("pq", 0, [2], disjoint_witness=[0, 1, 2]),
+         "pq.disjoint-witness-reverifies: FAIL (witness sets intersect)"),
         ("disjoint", _tamper("disjoint", nu=99),
          "disjoint.witness-reverifies: FAIL (nu is 99 but the witness has 3 sets)"),
         # The verdict must agree with its witnesses. The 12 intervals hold
