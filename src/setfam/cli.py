@@ -5,10 +5,16 @@ verify. Results go to standard output as text; ``--out`` additionally writes
 a JSON report (schema version "v1") that embeds the input family, so
 ``verify`` can replay the cheap checks on any report without the original
 file. Family files and reports are written by ``family.json_text`` and
-read by ``family.load_json``. Exit codes: 0 success, 1 negative analysis
-verdict under ``--strict`` (and any failed ``verify`` check), 2 input errors
-and malformed reports (a JSON syntax error names its line and column),
-3 budget exceeded.
+read by ``family.load_json``. Exit codes: 0 success, 1 negative verdict of
+``pq`` or ``witness`` under ``--strict`` (and any failed ``verify`` check),
+2 input errors and malformed reports (a JSON syntax error names its line and
+column), 3 budget exceeded.
+
+Each subcommand declares only the options it reads: ``--budget`` belongs to
+the exact searches (shatter, pq, pierce, disjoint, witness) and ``--strict``
+to the two subcommands whose result can be negative (pq, witness). An option
+that only some modes of its subcommand read (``_ONLY_IN``) exits 2 when given
+in another mode, as an undeclared one does.
 
 Reports are byte-stable for fixed inputs and flags except for the
 ``wall_time_s`` field.
@@ -50,12 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
-        if with_input:
-            p.add_argument("--in", dest="input", required=True, help="family file")
+    def common(p: argparse.ArgumentParser, *flags: str) -> None:
+        p.add_argument("--in", dest="input", required=True, help="family file")
         p.add_argument("--out", help="write a JSON report to this path")
-        p.add_argument("--strict", action="store_true", help="exit 1 on negative verdicts")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
+        if "budget" in flags:  # absent unless given: main tells a given --budget from the default
+            p.add_argument("--budget", type=int, default=argparse.SUPPRESS, help="search node budget (default 10^7)")
+        if "strict" in flags:
+            p.add_argument("--strict", action="store_true", help="exit 1 on a negative verdict")
 
     p = sub.add_parser("atoms", help="boolean atoms of a subfamily")
     common(p)
@@ -63,28 +70,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-zero-cell", action="store_true", help="drop the all-complements cell")
 
     p = sub.add_parser("shatter", help="dual shatter value or growth profile")
-    common(p)
+    common(p, "budget")
     p.add_argument("--n", type=int, required=True, help="subfamily size (or n_max with --profile)")
     p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
     p.add_argument("--profile", action="store_true", help="profile n = 1..n and fit an exponent")
 
     p = sub.add_parser("pq", help="decide the (p,q)-property")
-    common(p)
+    common(p, "budget", "strict")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
 
     p = sub.add_parser("pierce", help="minimum partition into consistent classes")
-    common(p)
+    common(p, "budget")
     p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
 
     p = sub.add_parser("disjoint", help="maximum disjoint subfamily, or a greedy sequence")
-    common(p)
+    common(p, "budget")
     p.add_argument("--cap", type=int, default=None, help="stop once this many disjoint sets are found")
     p.add_argument("--sequence", action="store_true", help="greedy pairwise-disjoint sequence instead")
     p.add_argument("--avoid", type=_int_list, default=[], help="points the sequence must avoid")
 
     p = sub.add_parser("witness", help="build and verify a quadratic witness chain")
-    common(p)
+    common(p, "budget", "strict")
     p.add_argument("--n", type=int, required=True, help="chain length to aim for")
     p.add_argument("--target", "--B", dest="target", type=_int_list, default=None,
                    help="external target points (extension points)")
@@ -93,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true", help="backtrack over candidate choices")
 
     p = sub.add_parser("generate", help="write a generated family file")
-    common(p, with_input=False)
+    p.add_argument("--out", help="write the family file to this path")
     p.add_argument("--kind", required=True,
                    choices=["intervals", "halfplane_grid", "random", "witness_rich"])
     p.add_argument("--seed", type=int, default=0)
@@ -102,13 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-side", type=int, help="grid side (halfplane_grid)")
     p.add_argument("--density", type=float, help="membership probability (random)")
     p.add_argument("--depth", type=int, help="chain depth (witness_rich)")
-    p.add_argument("--allow-empty-sets", action="store_true",
+    p.add_argument("--allow-empty-sets", action="store_true", default=None,
                    help="random kind: keep sets that come out empty")
 
     p = sub.add_parser("verify", help="replay the cheap checks of a report file")
     p.add_argument("--report", "--in", dest="report", required=True, help="report file")
     p.add_argument("--out", help="write the verification as a JSON report")
-    p.add_argument("--strict", action="store_true", help=argparse.SUPPRESS)
 
     return top
 
@@ -186,12 +192,8 @@ def _cmd_disjoint(args, family: SetFamily) -> tuple[dict, list[str], bool]:
     from . import pq
 
     if args.sequence:
-        if args.cap is not None:
-            raise ValueError("--cap applies only without --sequence")
         seq = pq.disjoint_sequence_greedy(family, args.avoid)
         return {"sequence": list(seq), "avoid": list(args.avoid)}, [f"sequence: {_fmt(seq)}"], False
-    if args.avoid:
-        raise ValueError("--avoid applies only with --sequence")
     nu, witness_sets = pq.max_disjoint(family, args.cap, args.budget)
     payload = {"nu": nu, "cap": args.cap, "witness": list(witness_sets)}
     return payload, [f"nu={nu}", f"witness: {_fmt(witness_sets)}"], False
@@ -279,6 +281,24 @@ def _cmd_verify(args, _family) -> tuple[dict, list[str], bool]:
     return {"source": args.report, "checks": checks, "all_ok": all_ok}, lines, not all_ok
 
 
+# The options that a subcommand reads only in some of its modes: subcommand ->
+# [(options, whether the arguments pick a mode that reads them, the clause
+# that names those modes)]. main refuses such an option, given in any other
+# mode, with exit 2; an option counts as given when it is set and not [] (the
+# --avoid default).
+_ONLY_IN = {
+    "disjoint": [(("cap", "budget"), lambda a: not a.sequence, "without --sequence"),
+                 (("avoid",), lambda a: a.sequence, "with --sequence")],
+    "shatter": [(("budget",), lambda a: a.mode == "exact", "with --mode exact")],
+    "pierce": [(("budget",), lambda a: a.mode == "exact", "with --mode exact")],
+    "witness": [(("target",), lambda a: not a.target_from_file, "without --target-from-file")],
+    "generate": [(("count",), lambda a: a.kind != "witness_rich", "with --kind intervals, halfplane_grid or random"),
+                 (("universe",), lambda a: a.kind in ("intervals", "random"), "with --kind intervals or random"),
+                 (("grid_side",), lambda a: a.kind == "halfplane_grid", "with --kind halfplane_grid"),
+                 (("density", "allow_empty_sets"), lambda a: a.kind == "random", "with --kind random"),
+                 (("depth",), lambda a: a.kind == "witness_rich", "with --kind witness_rich")],
+}
+
 _COMMANDS = {
     "atoms": _cmd_atoms,
     "shatter": _cmd_shatter,
@@ -317,9 +337,14 @@ def main(argv: list[str] | None = None) -> int:
     family = digest = None
     report_path = None if args.command == "generate" else args.out  # generate --out names its family file
     try:
+        for options, reads, modes in _ONLY_IN.get(args.command, ()):
+            given = [option for option in options if getattr(args, option, None) not in (None, [])]
+            if given and not reads(args):
+                raise ValueError(f"--{given[0].replace('_', '-')} applies only {modes}")
         for option in ("budget", "cap"):
             if (getattr(args, option, None) or 0) < 0:
                 raise ValueError(f"--{option} must be nonnegative")
+        args.budget = getattr(args, "budget", DEFAULT_BUDGET)
         if hasattr(args, "input"):  # every command that analyses a family file
             data = Path(args.input).read_bytes()
             digest = "sha256:" + _sha256_hex(data) if report_path else None
@@ -346,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         Path(report_path).write_text(json_text(report) + "\n", encoding="utf-8")
         print(f"report written to {report_path}")
-    if negative and (args.strict or args.command == "verify"):
+    if negative and getattr(args, "strict", True):  # verify, which has no --strict, always
         return 1
     return 0
 

@@ -227,7 +227,7 @@ def check_solution(
 ) -> list[Check]:
     """Re-check a reported partition: classes consistent, set ``i`` containing
     ``points[assignment[i]]``, ``tau`` counting the points, the lower bound,
-    if any, at most ``tau`` and equal to it when ``optimal``, then no point
+    if any, at most ``tau`` and equal to it exactly when ``optimal``, then no point
     listed twice and no class that no set uses. A point out of range, or an
     assignment of the wrong length, raises ValueError."""
     mask_from_points(points, family.universe_size)
@@ -236,7 +236,7 @@ def check_solution(
         0 <= cls < len(points) and family.members[i] >> points[cls] & 1
         for i, cls in enumerate(assignment)
     )
-    bounded = (lower_bound is None or lower_bound <= tau) and (not optimal or lower_bound == tau)
+    bounded = (lower_bound is None or lower_bound <= tau) and optimal == (lower_bound == tau)
     repeat = (next(p for i, p in enumerate(points) if p in points[:i])
               if len(set(points)) < len(points) else None)
     unused = sorted(set(range(len(points))).difference(assignment))

@@ -18,6 +18,11 @@ from .errors import SCHEMA_VERSION, FamilyFormatError, ReportFormatError
 from .family import POINT, SET_INDEX, Check, SetFamily, check_atoms, check_shape, family_from_dict
 
 _SHATTER = {"n": int, "value": int, "witness": [SET_INDEX]}
+# A witness report's verification block: ``witness.VerificationReport``'s
+# fields and its ``ok``. A stuck report whose chain has no steps records null.
+_VERIFICATION = {"length": int, "step_separation_ok": bool, "within_step_distinct_ok": bool,
+                 "all_traces_distinct_ok": bool, "distinct_trace_count": int, "required_trace_count": int,
+                 "quadratic_bound_ok": bool, "target_counts_ok": bool, "failures": [str], "ok": bool}
 
 # Each check function imports its solver module in its own body, so that
 # ``verify`` loads only the modules of the kinds a report holds.
@@ -58,37 +63,58 @@ def _witness_shape(r: dict) -> dict:
     from .witness import CHAIN_SHAPE, STUCK_SHAPE
 
     return {"target": [POINT], "n_target": int, "status": frozenset(("chain", "stuck")), "chain": CHAIN_SHAPE,
-            **({"verification": {"ok": bool}} if r.get("status") == "chain" else {"stuck": STUCK_SHAPE})}
+            **({"verification": _VERIFICATION} if r.get("status") == "chain"
+               else {"verification": (None, _VERIFICATION), "stuck": STUCK_SHAPE})}
+
+
+def _block_fault(recorded: dict | None, report: Any) -> str | None:
+    """Where a recorded verification block departs from ``report``, its
+    recomputation (None for a chain with no steps): the first field that
+    differs, or the whole block when just one of the two is null. ``ok`` is
+    the caller's to compare."""
+    if recorded is None or report is None:
+        differs = None if recorded is report else "verification"
+    else:
+        recomputed = {**report._asdict(), "failures": list(report.failures)}
+        differs = next((key for key in recomputed if recorded[key] != recomputed[key]), None)
+    return differs and f"recorded {differs} differs from the recomputed verification"
 
 
 def _check_witness(family: SetFamily, r: dict) -> list[Check]:
-    """A chain must re-verify, reach ``n_target`` and match its recorded
-    verdict; a stuck chain must be final and valid, and its certificate the
-    one the builder gives it."""
+    """A chain must re-verify, reach ``n_target``, and match its recorded
+    verification block, field by field and in its verdict; a stuck chain
+    must be final and short of ``n_target``, its certificate the one the
+    builder gives it, and its partial chain valid and recorded as
+    recomputed."""
     from . import witness
 
-    target, chain = r["target"], witness.chain_from_checked(r["chain"])
+    target, chain, recorded = r["target"], witness.chain_from_checked(r["chain"]), r["verification"]
     if r["status"] == "chain":
-        report, recorded_ok = witness.verify_witness(family, target, chain), r["verification"]["ok"]
+        report = witness.verify_witness(family, target, chain)
         failures = list(report.failures)
         if chain.length != r["n_target"]:
             failures.append(f"chain has {chain.length} steps, n_target is {r['n_target']}")
+        fault = "; ".join(failures) or _block_fault(recorded, report)
         return [
-            Check("witness.chain-valid", not failures, "; ".join(failures) or "all checks pass"),
-            Check("witness.verdict-agrees", report.ok == recorded_ok,
-                  f"recomputed ok={report.ok}, recorded ok={recorded_ok}"),
+            Check("witness.chain-valid", not fault, fault or "all checks pass"),
+            Check("witness.verdict-agrees", report.ok == recorded["ok"],
+                  f"recomputed ok={report.ok}, recorded ok={recorded['ok']}"),
         ]
     certificate = witness.stuck_certificate(family, target, chain)
     remaining, recomputed = certificate.candidate_trace[-1][1], witness.stuck_to_dict(certificate)
     differs = next((key for key in recomputed if r["stuck"][key] != recomputed[key]), None)
-    checks = [Check("witness.stuck-state-final", not remaining and differs is None,
+    short = chain.length < r["n_target"]
+    checks = [Check("witness.stuck-state-final", not remaining and differs is None and short,
                     f"candidates {list(remaining)} still extend the chain" if remaining
                     else f"recorded {differs} differs from the recomputed certificate" if differs
+                    else f"n_target {r['n_target']} is not above the chain's {chain.length} steps" if not short
                     else "no candidates extend the final state")]
-    if chain.length:
-        report = witness.verify_witness(family, target, chain)
-        checks.append(Check("witness.partial-chain-valid", report.ok,
-                            "; ".join(report.failures) or "all checks pass"))
+    report = witness.verify_witness(family, target, chain) if chain.length else None
+    if report is not None or recorded is not None:
+        fault = "; ".join(report.failures if report else ()) or _block_fault(recorded, report)
+        if not fault and recorded["ok"] != report.ok:
+            fault = f"recomputed ok={report.ok}, recorded ok={recorded['ok']}"
+        checks.append(Check("witness.partial-chain-valid", not fault, fault or "all checks pass"))
     return checks
 
 

@@ -482,20 +482,58 @@ class TestErrorPaths:
         assert run(capsys, "atoms", "--in", str(path)) == (
             2, "", "error: family file nests too deeply to parse\n")
 
+    # Explicit ids keep each row's test name stable.
     @pytest.mark.parametrize("command, args", [
-        ("atoms", []),
         ("shatter", ["--n", "2"]),
         ("pq", ["--p", "2", "--q", "2"]),
         ("pierce", []),
         ("disjoint", []),
         ("witness", ["--n", "2", "--target-from-file"]),
-        ("generate", ["--kind", "intervals", "--count", "2", "--universe", "6"]),
-    ])
+    ], ids=["shatter-args1", "pq-args2", "pierce-args3", "disjoint-args4", "witness-args5"])
     @pytest.mark.parametrize("budget", ["-1", "-5"])
     def test_negative_budget(self, capsys, rich_file, command, args, budget):
-        family = [] if command == "generate" else ["--in", rich_file]
-        assert run(capsys, command, *family, *args, "--budget", budget) == (
+        assert run(capsys, command, "--in", rich_file, *args, "--budget", budget) == (
             2, "", "error: --budget must be nonnegative\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        # Options a subcommand does not declare: the parser refuses them.
+        (["atoms", "--in", "F", "--budget", "0", "--strict"], "setfam: error: unrecognized arguments: --budget 0 --strict"),
+        (["atoms", "--in", "F", "--budget", "5"], "setfam: error: unrecognized arguments: --budget 5"),
+        (["shatter", "--in", "F", "--n", "2", "--strict"], "setfam: error: unrecognized arguments: --strict"),
+        (["pierce", "--in", "F", "--mode", "greedy", "--budget", "0", "--strict"],
+         "setfam: error: unrecognized arguments: --strict"),
+        (["disjoint", "--in", "F", "--strict"], "setfam: error: unrecognized arguments: --strict"),
+        (["generate", "--kind", "intervals", "--count", "2", "--universe", "6", "--budget", "0", "--strict"],
+         "setfam: error: unrecognized arguments: --budget 0 --strict"),
+        (["verify", "--report", "F", "--strict"], "setfam: error: unrecognized arguments: --strict"),
+        # Options a subcommand declares, given in a mode that does not read
+        # them (test_disjoint_avoid_needs_sequence and
+        # test_disjoint_sequence_takes_no_cap cover --avoid and --cap).
+        (["disjoint", "--in", "F", "--sequence", "--budget", "0"], "error: --budget applies only without --sequence"),
+        (["shatter", "--in", "F", "--n", "2", "--mode", "greedy", "--budget", "0"],
+         "error: --budget applies only with --mode exact"),
+        (["shatter", "--in", "F", "--n", "2", "--mode", "greedy", "--profile", "--budget", "5"],
+         "error: --budget applies only with --mode exact"),
+        (["pierce", "--in", "F", "--mode", "greedy", "--budget", "5"], "error: --budget applies only with --mode exact"),
+        (["witness", "--in", "F", "--n", "2", "--B-from-file", "--B", "9"],
+         "error: --target applies only without --target-from-file"),
+        (["generate", "--kind", "intervals", "--count", "2", "--universe", "6", "--depth", "7", "--density", "0.5"],
+         "error: --density applies only with --kind random"),
+        (["generate", "--kind", "intervals", "--count", "2", "--universe", "6", "--depth", "7"],
+         "error: --depth applies only with --kind witness_rich"),
+        (["generate", "--kind", "intervals", "--count", "2", "--universe", "6", "--grid-side", "8"],
+         "error: --grid-side applies only with --kind halfplane_grid"),
+        (["generate", "--kind", "intervals", "--count", "2", "--universe", "6", "--allow-empty-sets"],
+         "error: --allow-empty-sets applies only with --kind random"),
+        (["generate", "--kind", "halfplane_grid", "--count", "3", "--grid-side", "8", "--universe", "6"],
+         "error: --universe applies only with --kind intervals or random"),
+        (["generate", "--kind", "witness_rich", "--depth", "2", "--count", "3"],
+         "error: --count applies only with --kind intervals, halfplane_grid or random"),
+    ])
+    def test_option_outside_its_modes_is_refused(self, capsys, rich_file, argv, message):
+        argv = [rich_file if a == "F" else a for a in argv]
+        usage = cli.build_parser().format_usage() if message.startswith("setfam:") else ""
+        assert run(capsys, *argv) == (2, "", f"{usage}{message}\n")
 
     def test_negative_cap(self, capsys, rich_file):
         assert run(capsys, "disjoint", "--in", rich_file, "--cap", "-1") == (

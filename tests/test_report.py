@@ -43,8 +43,7 @@ COMMANDS = {
     "stuck": ["witness", "--in", "one.fam", "--target", "8,9", "--n", "2"],
 }
 
-# Keys no check reads, by result kind; "verification" is read on chain reports
-# only, and "stuck" on stuck reports only.
+# Keys no check reads, by result kind; "stuck" is read on stuck reports only.
 IGNORED = {
     "atoms": set(),
     "shatter": {"mode", "exponent"},
@@ -101,6 +100,13 @@ def _tamper(kind, empty_set=None, **values):
         if empty_set is not None:
             results[kind]["family"]["sets"][empty_set]["points"] = []
         results[kind].update(values)
+    return mutate
+
+
+def _recorded(**values):
+    """Set ``values`` in the witness result's verification block."""
+    def mutate(results):
+        results["witness"]["verification"].update(values)
     return mutate
 
 
@@ -163,6 +169,12 @@ def _share(kind, point, sets, **values):
          "results.disjoint: set index 2 repeated in subfamily"),
         ("sequence", _tamper("disjoint", 2, sequence=[2, 2, 2]),
          "results.disjoint: set index 2 repeated in subfamily"),
+        # Every field of a verification block is read, a stuck report's too.
+        ("chain", lambda r: r["witness"]["verification"].pop("distinct_trace_count"),
+         "results.witness.verification: missing key 'distinct_trace_count'"),
+        ("stuck", lambda r: r["witness"]["verification"].pop("failures"),
+         "results.witness.verification: missing key 'failures'"),
+        ("stuck", lambda r: r["witness"].pop("verification"), "results.witness: missing key 'verification'"),
     ],
 )
 def test_malformed_report_exits_two_with_its_path(workdir, reports, name, mutate, message):
@@ -217,6 +229,28 @@ def test_pq_parameters_out_of_order_exit_two(workdir, reports):
          "disjoint.witness-reverifies: FAIL (sequence[1] is missing, where the greedy sequence has set 2)"),
         ("sequence", _tamper("disjoint", sequence=[2, 1]),
          "disjoint.witness-reverifies: FAIL (sequence[0] is set 2, where the greedy sequence has set 1)"),
+        # The builder writes optimal exactly when the lower bound meets tau.
+        ("pierce", _tamper("pierce", optimal=False),
+         "pierce.classes-pierced: FAIL (lower bound 3 does not fit tau 3 with optimal=False)"),
+        # A verification block must be its recomputation; the detail names
+        # the first field that differs. The chain's is 6 of 6 traces.
+        ("chain", _recorded(distinct_trace_count=7, quadratic_bound_ok=False),
+         "witness.chain-valid: FAIL (recorded distinct_trace_count differs from the recomputed verification)"),
+        ("chain", _recorded(quadratic_bound_ok=False),
+         "witness.chain-valid: FAIL (recorded quadratic_bound_ok differs from the recomputed verification)"),
+        ("chain", _recorded(failures=["probe traces on the full chain are not pairwise distinct"]),
+         "witness.chain-valid: FAIL (recorded failures differs from the recomputed verification)"),
+        # The stuck report's chain has one step, short of its n_target of 2.
+        ("stuck", _recorded(length=2),
+         "witness.partial-chain-valid: FAIL (recorded length differs from the recomputed verification)"),
+        ("stuck", _recorded(ok=False),
+         "witness.partial-chain-valid: FAIL (recomputed ok=True, recorded ok=False)"),
+        ("stuck", _tamper("witness", verification=None),
+         "witness.partial-chain-valid: FAIL (recorded verification differs from the recomputed verification)"),
+        ("stuck", lambda r: r["witness"]["chain"].update(steps=[], atom_history=[], target_atom_counts=[]),
+         "witness.partial-chain-valid: FAIL (recorded verification differs from the recomputed verification)"),
+        ("stuck", _tamper("witness", n_target=1),
+         "witness.stuck-state-final: FAIL (n_target 1 is not above the chain's 1 steps)"),
     ],
 )
 def test_false_witnesses_fail_verify(workdir, reports, name, mutate, failed):
@@ -301,8 +335,6 @@ def _ignored(report, path):
     if len(keys) < 3:
         return keys[0] in TOP_IGNORED
     kind = keys[1]
-    if keys[2] == "verification":
-        return report["results"][kind]["status"] != "chain" or keys[3:] not in ([], ["ok"])
     if keys[2] == "stuck":
         return report["results"][kind]["status"] != "stuck"
     return any(k in IGNORED[kind] for k in keys[2:])
