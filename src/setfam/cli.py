@@ -8,7 +8,15 @@ file. Family files and reports are written by ``family.json_text`` and
 read by ``family.load_json``. Exit codes: 0 success, 1 negative verdict of
 ``pq`` or ``witness`` under ``--strict`` (and any failed ``verify`` check),
 2 input errors and malformed reports (a JSON syntax error names its line and
-column), 3 budget exceeded.
+column), 3 budget exceeded. Each subparser names its handler
+(``set_defaults(run=...)``), and the handler returns its exit status.
+
+``main`` runs the whole command, from the option checks through the report
+write to the text, inside one ``try`` whose handlers are the only mapping
+from errors to exit codes. The report is written before the text is printed,
+and the text goes out in one flushed write, so a report or family file that
+cannot be written, or a standard output closed before the text is read, exits
+2 with ``error: ...`` and no traceback; a failed report write prints nothing.
 
 Each subcommand declares only the options it reads: ``--budget`` belongs to
 the exact searches (shatter, pq, pierce, disjoint, witness) and ``--strict``
@@ -65,32 +73,38 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--strict", action="store_true", help="exit 1 on a negative verdict")
 
     p = sub.add_parser("atoms", help="boolean atoms of a subfamily")
+    p.set_defaults(run=_cmd_atoms)
     common(p)
     p.add_argument("--sets", type=_int_list, default=None, help="subfamily indices (default: all)")
     p.add_argument("--drop-zero-cell", action="store_true", help="drop the all-complements cell")
 
     p = sub.add_parser("shatter", help="dual shatter value or growth profile")
+    p.set_defaults(run=_cmd_shatter)
     common(p, "budget")
     p.add_argument("--n", type=int, required=True, help="subfamily size (or n_max with --profile)")
     p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
     p.add_argument("--profile", action="store_true", help="profile n = 1..n and fit an exponent")
 
     p = sub.add_parser("pq", help="decide the (p,q)-property")
+    p.set_defaults(run=_cmd_pq)
     common(p, "budget", "strict")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
 
     p = sub.add_parser("pierce", help="minimum partition into consistent classes")
+    p.set_defaults(run=_cmd_pierce)
     common(p, "budget")
     p.add_argument("--mode", choices=["exact", "greedy"], default="exact")
 
     p = sub.add_parser("disjoint", help="maximum disjoint subfamily, or a greedy sequence")
+    p.set_defaults(run=_cmd_disjoint)
     common(p, "budget")
     p.add_argument("--cap", type=int, default=None, help="stop once this many disjoint sets are found")
     p.add_argument("--sequence", action="store_true", help="greedy pairwise-disjoint sequence instead")
     p.add_argument("--avoid", type=_int_list, default=[], help="points the sequence must avoid")
 
     p = sub.add_parser("witness", help="build and verify a quadratic witness chain")
+    p.set_defaults(run=_cmd_witness)
     common(p, "budget", "strict")
     p.add_argument("--n", type=int, required=True, help="chain length to aim for")
     p.add_argument("--target", "--B", dest="target", type=_int_list, default=None,
@@ -100,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true", help="backtrack over candidate choices")
 
     p = sub.add_parser("generate", help="write a generated family file")
+    p.set_defaults(run=_cmd_generate)
     p.add_argument("--out", help="write the family file to this path")
     p.add_argument("--kind", required=True,
                    choices=["intervals", "halfplane_grid", "random", "witness_rich"])
@@ -113,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random kind: keep sets that come out empty")
 
     p = sub.add_parser("verify", help="replay the cheap checks of a report file")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--report", "--in", dest="report", required=True, help="report file")
     p.add_argument("--out", help="write the verification as a JSON report")
 
@@ -120,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # --------------------------------------------------------------------------
-# subcommand payloads: each returns (payload, text_lines, negative_verdict).
+# subcommand payloads: each returns (payload, text_lines, exit_status), the
+# status 1 only for a negative verdict under --strict or a failed verify check.
 # Each imports its solver module (verify: the report module) when it runs, so
 # that a setfam process loads only the modules of its own subcommand. Result
 # records are named tuples, so payloads are their flat ``_asdict()``.
@@ -130,7 +147,7 @@ def _fmt(points: Any) -> str:
     return "[" + ", ".join(str(p) for p in points) + "]"
 
 
-def _cmd_atoms(args, family: SetFamily) -> tuple[dict, list[str], bool]:
+def _cmd_atoms(args, family: SetFamily) -> tuple[dict, list[str], int]:
     subfamily = args.sets if args.sets is not None else list(range(family.num_sets))
     decomposition = boolean_atoms(family, subfamily, include_zero_cell=not args.drop_zero_cell)
     payload = {
@@ -144,10 +161,10 @@ def _cmd_atoms(args, family: SetFamily) -> tuple[dict, list[str], bool]:
     }
     lines = [f"subfamily: {_fmt(decomposition.subfamily)}", f"atoms: {len(decomposition)}"]
     lines += [f"  {sig} -> {_fmt(decomposition.cell_points(sig))}" for sig in decomposition.signatures()]
-    return payload, lines, False
+    return payload, lines, 0
 
 
-def _cmd_shatter(args, family: SetFamily) -> tuple[dict, list[str], bool]:
+def _cmd_shatter(args, family: SetFamily) -> tuple[dict, list[str], int]:
     from . import shatter
 
     if args.profile:
@@ -155,13 +172,13 @@ def _cmd_shatter(args, family: SetFamily) -> tuple[dict, list[str], bool]:
         payload = {"profile": [r._asdict() for r in profile.results], "exponent": profile.exponent}
         lines = [f"n={r.n} value={r.value} witness={_fmt(r.witness)}" for r in profile.results]
         lines.append(f"fitted exponent: {profile.exponent:.4f}")
-        return payload, lines, False
+        return payload, lines, 0
     result = shatter.dual_shatter(family, args.n, args.mode, args.budget)
     lines = [f"n={result.n} mode={result.mode} value={result.value} witness={_fmt(result.witness)}"]
-    return result._asdict(), lines, False
+    return result._asdict(), lines, 0
 
 
-def _cmd_pq(args, family: SetFamily) -> tuple[dict, list[str], bool]:
+def _cmd_pq(args, family: SetFamily) -> tuple[dict, list[str], int]:
     from . import pq
 
     report = pq.has_pq(family, args.p, args.q, args.budget)
@@ -170,10 +187,10 @@ def _cmd_pq(args, family: SetFamily) -> tuple[dict, list[str], bool]:
         lines.append(f"violation: {_fmt(report.violation)}")
     if report.disjoint_witness is not None:
         lines.append(f"disjoint witness: {_fmt(report.disjoint_witness)}")
-    return report._asdict(), lines, not report.holds
+    return report._asdict(), lines, int(args.strict and not report.holds)
 
 
-def _cmd_pierce(args, family: SetFamily) -> tuple[dict, list[str], bool]:
+def _cmd_pierce(args, family: SetFamily) -> tuple[dict, list[str], int]:
     from . import piercing
 
     if args.mode == "exact":
@@ -185,21 +202,21 @@ def _cmd_pierce(args, family: SetFamily) -> tuple[dict, list[str], bool]:
         f"piercing points: {_fmt(solution.piercing_points)}",
         f"assignment: {_fmt(solution.assignment)}",
     ]
-    return {"mode": args.mode, **solution._asdict()}, lines, False
+    return {"mode": args.mode, **solution._asdict()}, lines, 0
 
 
-def _cmd_disjoint(args, family: SetFamily) -> tuple[dict, list[str], bool]:
+def _cmd_disjoint(args, family: SetFamily) -> tuple[dict, list[str], int]:
     from . import pq
 
     if args.sequence:
         seq = pq.disjoint_sequence_greedy(family, args.avoid)
-        return {"sequence": list(seq), "avoid": list(args.avoid)}, [f"sequence: {_fmt(seq)}"], False
+        return {"sequence": list(seq), "avoid": list(args.avoid)}, [f"sequence: {_fmt(seq)}"], 0
     nu, witness_sets = pq.max_disjoint(family, args.cap, args.budget)
     payload = {"nu": nu, "cap": args.cap, "witness": list(witness_sets)}
-    return payload, [f"nu={nu}", f"witness: {_fmt(witness_sets)}"], False
+    return payload, [f"nu={nu}", f"witness: {_fmt(witness_sets)}"], 0
 
 
-def _cmd_witness(args, family: SetFamily) -> tuple[dict, list[str], bool]:
+def _cmd_witness(args, family: SetFamily) -> tuple[dict, list[str], int]:
     from . import witness
 
     if args.target_from_file:
@@ -222,13 +239,11 @@ def _cmd_witness(args, family: SetFamily) -> tuple[dict, list[str], bool]:
         "status": "stuck" if stuck else "chain",
         "chain": witness.chain_to_dict(chain),
         "stuck": witness.stuck_to_dict(outcome) if stuck else None,
-        "verification": None if verification is None else {
-            **verification._asdict(), "ok": verification.ok
-        },
+        "verification": None if verification is None else witness.verification_to_dict(verification),
     }
     if stuck:
         return payload, [f"status=stuck reached={outcome.reached_length} of {args.n}",
-                         f"reason: {outcome.reason}"], True
+                         f"reason: {outcome.reason}"], int(args.strict)
     lines = [
         f"status=chain length={chain.length}",
         f"sets: {_fmt(chain.set_indices())}",
@@ -237,10 +252,10 @@ def _cmd_witness(args, family: SetFamily) -> tuple[dict, list[str], bool]:
         f" (required {verification.required_trace_count})",
         f"verification: {'PASS' if verification.ok else 'FAIL'}",
     ]
-    return payload, lines, not verification.ok
+    return payload, lines, int(args.strict and not verification.ok)
 
 
-def _cmd_generate(args, _family) -> tuple[dict, list[str], bool]:
+def _cmd_generate(args, _family) -> tuple[dict, list[str], int]:
     from . import generators
 
     def need(name: str) -> Any:
@@ -267,10 +282,10 @@ def _cmd_generate(args, _family) -> tuple[dict, list[str], bool]:
         lines.append(f"written: {args.out}")
     else:
         lines.append(text.rstrip("\n"))
-    return {}, lines, False  # --out here names the family file; no report is written
+    return {}, lines, 0  # --out here names the family file; no report is written
 
 
-def _cmd_verify(args, _family) -> tuple[dict, list[str], bool]:
+def _cmd_verify(args, _family) -> tuple[dict, list[str], int]:
     from .report import verify_report
 
     report = load_json(Path(args.report).read_text(encoding="utf-8"), "report")
@@ -278,7 +293,7 @@ def _cmd_verify(args, _family) -> tuple[dict, list[str], bool]:
     all_ok = all(c["ok"] for c in checks)
     lines = [f"{c['kind']}: {'OK' if c['ok'] else 'FAIL'} ({c['detail']})" for c in checks]
     lines.append(f"verdict: {'PASS' if all_ok else 'FAIL'}")
-    return {"source": args.report, "checks": checks, "all_ok": all_ok}, lines, not all_ok
+    return {"source": args.report, "checks": checks, "all_ok": all_ok}, lines, int(not all_ok)
 
 
 # The options that a subcommand reads only in some of its modes: subcommand ->
@@ -299,17 +314,6 @@ _ONLY_IN = {
                  (("depth",), lambda a: a.kind == "witness_rich", "with --kind witness_rich")],
 }
 
-_COMMANDS = {
-    "atoms": _cmd_atoms,
-    "shatter": _cmd_shatter,
-    "pq": _cmd_pq,
-    "pierce": _cmd_pierce,
-    "disjoint": _cmd_disjoint,
-    "witness": _cmd_witness,
-    "generate": _cmd_generate,
-    "verify": _cmd_verify,
-}
-
 
 def _sha256_hex(data: bytes) -> str:
     # The interpreter's built-in SHA-256: hashlib would load OpenSSL's
@@ -324,6 +328,12 @@ def _sha256_hex(data: bytes) -> str:
         except ImportError:
             from hashlib import sha256
     return sha256(data).hexdigest()
+
+
+def _to_devnull(stream: Any) -> None:
+    """Point a stream whose pipe was closed at os.devnull, so that the
+    interpreter's final flush of what it still buffers cannot raise again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -349,31 +359,28 @@ def main(argv: list[str] | None = None) -> int:
             data = Path(args.input).read_bytes()
             digest = "sha256:" + _sha256_hex(data) if report_path else None
             family = parse_family(data.decode("utf-8"))
-        payload, lines, negative = _COMMANDS[args.command](args, family)
+        payload, lines, status = args.run(args, family)
+        if report_path:
+            if family is not None:  # verify's report embeds no family
+                payload["family"] = family_to_dict(family)
+            wall = time.perf_counter() - start
+            report = {"schema_version": SCHEMA_VERSION, "command": argv, "input_digest": digest,
+                      "results": {args.command: payload}, "wall_time_s": round(wall, 6)}
+            Path(report_path).write_text(json_text(report) + "\n", encoding="utf-8")
+            lines.append(f"report written to {report_path}")
+        print("\n".join(lines), flush=True)
+        return status
     except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
+        message, status = f"budget exceeded: {exc}", 3
     except (SetFamError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if report_path and family is not None:
-        payload["family"] = family_to_dict(family)
-    wall = time.perf_counter() - start
-    for line in lines:
-        print(line)
-    if report_path:
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "command": argv,
-            "input_digest": digest,
-            "results": {args.command: payload},
-            "wall_time_s": round(wall, 6),
-        }
-        Path(report_path).write_text(json_text(report) + "\n", encoding="utf-8")
-        print(f"report written to {report_path}")
-    if negative and getattr(args, "strict", True):  # verify, which has no --strict, always
-        return 1
-    return 0
+        if isinstance(exc, BrokenPipeError):  # standard output was closed before the text was read
+            _to_devnull(sys.stdout)
+        message, status = f"error: {exc}", 2
+    try:
+        print(message, file=sys.stderr)
+    except BrokenPipeError:  # standard error shares the closed pipe (2>&1)
+        _to_devnull(sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

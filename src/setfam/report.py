@@ -18,11 +18,6 @@ from .errors import SCHEMA_VERSION, FamilyFormatError, ReportFormatError
 from .family import POINT, SET_INDEX, Check, SetFamily, check_atoms, check_shape, family_from_dict
 
 _SHATTER = {"n": int, "value": int, "witness": [SET_INDEX]}
-# A witness report's verification block: ``witness.VerificationReport``'s
-# fields and its ``ok``. A stuck report whose chain has no steps records null.
-_VERIFICATION = {"length": int, "step_separation_ok": bool, "within_step_distinct_ok": bool,
-                 "all_traces_distinct_ok": bool, "distinct_trace_count": int, "required_trace_count": int,
-                 "quadratic_bound_ok": bool, "target_counts_ok": bool, "failures": [str], "ok": bool}
 
 # Each check function imports its solver module in its own body, so that
 # ``verify`` loads only the modules of the kinds a report holds.
@@ -60,23 +55,25 @@ def _check_shatter(family: SetFamily, r: dict) -> list[Check]:
 
 
 def _witness_shape(r: dict) -> dict:
-    from .witness import CHAIN_SHAPE, STUCK_SHAPE
+    from .witness import CHAIN_SHAPE, STUCK_SHAPE, VERIFICATION_SHAPE
 
     return {"target": [POINT], "n_target": int, "status": frozenset(("chain", "stuck")), "chain": CHAIN_SHAPE,
-            **({"verification": _VERIFICATION} if r.get("status") == "chain"
-               else {"verification": (None, _VERIFICATION), "stuck": STUCK_SHAPE})}
+            **({"verification": VERIFICATION_SHAPE} if r.get("status") == "chain"
+               else {"verification": (None, VERIFICATION_SHAPE), "stuck": STUCK_SHAPE})}
 
 
 def _block_fault(recorded: dict | None, report: Any) -> str | None:
     """Where a recorded verification block departs from ``report``, its
-    recomputation (None for a chain with no steps): the first field that
-    differs, or the whole block when just one of the two is null. ``ok`` is
-    the caller's to compare."""
+    recomputation (None for a chain with no steps): the first field of its
+    report form that differs, or the whole block when just one of the two is
+    null. ``ok`` is the caller's to compare."""
+    from .witness import verification_to_dict
+
     if recorded is None or report is None:
         differs = None if recorded is report else "verification"
     else:
-        recomputed = {**report._asdict(), "failures": list(report.failures)}
-        differs = next((key for key in recomputed if recorded[key] != recomputed[key]), None)
+        recomputed = verification_to_dict(report)
+        differs = next((key for key in recomputed if key != "ok" and recorded[key] != recomputed[key]), None)
     return differs and f"recorded {differs} differs from the recomputed verification"
 
 

@@ -380,18 +380,28 @@ def chain_to_dict(chain: WitnessChain) -> dict[str, Any]:
     }
 
 
+def verification_to_dict(report: VerificationReport) -> dict[str, Any]:
+    """A verification's report-file form: its fields, ``failures`` as a list, and ``ok``."""
+    return {**report._asdict(), "failures": list(report.failures), "ok": report.ok}
+
+
 def stuck_to_dict(certificate: StuckCertificate) -> dict[str, Any]:
     """A certificate's report-file form, its chain left out."""
     return {"reached_length": certificate.reached_length, "reason": certificate.reason,
             "candidate_trace": {stage: list(sets) for stage, sets in certificate.candidate_trace}}
 
 
-# The report-file forms of a chain and of a stuck certificate, for ``check_shape``.
+# The report-file forms of a chain, of its verification and of a stuck
+# certificate, for ``check_shape``. A stuck report whose chain has no steps
+# records a null verification.
 CHAIN_SHAPE = {
     "steps": [{"set_index": SET_INDEX, "probes": [POINT]}],
     "atom_history": [[str]],
     "target_atom_counts": [int],
 }
+VERIFICATION_SHAPE = {"length": int, "step_separation_ok": bool, "within_step_distinct_ok": bool,
+                      "all_traces_distinct_ok": bool, "distinct_trace_count": int, "required_trace_count": int,
+                      "quadratic_bound_ok": bool, "target_counts_ok": bool, "failures": [str], "ok": bool}
 STUCK_SHAPE = {"reached_length": int, "reason": str,
                "candidate_trace": {stage: [SET_INDEX] for stage in (_STAGE_SPLIT, _STAGE_BASE, _STAGE_AVOID)}}
 

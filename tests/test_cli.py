@@ -595,6 +595,50 @@ class TestErrorPaths:
         assert code == 2
         assert "empty" in err
 
+    @pytest.mark.parametrize("command, name", [("atoms", "a.json"), ("verify", "v.json")])
+    def test_unwritable_report_prints_nothing(self, capsys, star_file, tmp_path, command, name):
+        # The report is written before the text is printed, so a failed write
+        # leaves standard output empty.
+        report = tmp_path / "atoms.json"
+        assert run(capsys, "atoms", "--in", star_file, "--out", str(report))[0] == 0
+        missing = tmp_path / "missing" / name
+        source = ["--in", star_file] if command == "atoms" else ["--report", str(report)]
+        assert run(capsys, command, *source, "--out", str(missing)) == (
+            2, "", f"error: [Errno 2] No such file or directory: '{missing}'\n")
+        assert not missing.parent.exists()
+
+
+def _closed_after_one_line(*argv):
+    """Run setfam in a subprocess whose reader closes standard output after
+    one line: (exit code, that line, standard error)."""
+    src = str(Path(setfam.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen([sys.executable, "-m", "setfam", *argv], env=env, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        return proc.wait(timeout=60), first, err
+
+
+class TestClosedStdout:
+    # 331,767 bytes of family text and 127,609 of atoms, both past a 64 KiB
+    # pipe buffer, so the one write of the text meets the closed pipe.
+    GENERATE = ["generate", "--kind", "random", "--count", "20", "--universe", "4000",
+                "--density", "0.3", "--seed", "1"]
+
+    def test_generate_exits_2_without_traceback(self):
+        assert _closed_after_one_line(*self.GENERATE) == (
+            2, "kind=random seed=1 sets=20 universe=4000\n", "error: [Errno 32] Broken pipe\n")
+
+    def test_atoms_writes_its_report_first(self, capsys, tmp_path):
+        family, report = tmp_path / "random.json", tmp_path / "atoms.json"
+        assert run(capsys, *self.GENERATE, "--out", str(family))[0] == 0
+        assert _closed_after_one_line("atoms", "--in", str(family), "--out", str(report)) == (
+            2, f"subfamily: {list(range(20))}\n", "error: [Errno 32] Broken pipe\n")
+        code, out, _ = run(capsys, "verify", "--report", str(report))
+        assert (code, out.splitlines()[-1]) == (0, "verdict: PASS")
+
 
 class TestDeterminism:
     def test_reports_byte_stable_modulo_wall_time(self, capsys, rich_file, tmp_path):
