@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--in", dest="input", required=True, help="family file")
         p.add_argument("--out", help="write a JSON report to this path")
         if "budget" in flags:  # absent unless given: main tells a given --budget from the default
-            p.add_argument("--budget", type=int, default=argparse.SUPPRESS, help="search node budget (default 10^7)")
+            p.add_argument("--budget", type=int, default=argparse.SUPPRESS,
+                           help="node budget shared by the command's searches (default 10^7)")
         if "strict" in flags:
             p.add_argument("--strict", action="store_true", help="exit 1 on a negative verdict")
 

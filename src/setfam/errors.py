@@ -49,19 +49,34 @@ class BudgetExceededError(SetFamError):
     """An exact search popped more nodes off its stack than its budget allows."""
 
 
-def pops(stack: list, budget: int, search: str):
+class Budget:
+    """The nodes one public search call may still pop. A call that runs
+    several searches creates one and hands it to each, so they all draw
+    from the call's ``budget``; ``pops`` is the only place that spends it."""
+
+    __slots__ = ("nodes", "left")
+
+    def __init__(self, nodes: int) -> None:
+        self.nodes = self.left = nodes
+
+
+def pops(stack: list, budget: int | Budget, search: str):
     """Pop and yield the entries of a search's explicit stack until it is empty.
 
     This is the budget rule of every exact search: a node is one popped entry,
-    the root included, and the pop that would take the count past ``budget``
-    raises BudgetExceededError instead. The caller may push onto ``stack``
+    the root included, and the pop that would take the nodes of all the
+    searches a public call runs past the call's budget raises
+    BudgetExceededError instead, so a budget of zero or less stops the first
+    pop. ``budget`` is an int for a call that runs one search, or the Budget
+    a call shares among its searches. The caller may push onto ``stack``
     between pops."""
-    for _ in range(budget):
-        if not stack:
-            return
+    if not isinstance(budget, Budget):
+        budget = Budget(budget)
+    while stack:
+        if budget.left <= 0:
+            raise BudgetExceededError(f"{search} exceeded the budget of {budget.nodes} nodes")
+        budget.left -= 1
         yield stack.pop()
-    if stack:
-        raise BudgetExceededError(f"{search} exceeded the budget of {budget} nodes")
 
 
 class EmptySetError(SetFamError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, EmptySetError, pops
+from .errors import DEFAULT_BUDGET, Budget, BudgetExceededError, EmptySetError, pops
 from .family import Check, SetFamily, columns, mask_from_points
 from .pq import fewest_points_first, greedy_packing, max_disjoint
 
@@ -111,14 +111,15 @@ def _greedy(m: int, candidates: list[tuple[int, int]]) -> PiercingSolution:
 def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> PiercingSolution:
     """Minimum piercing, proved optimal unless the node budget runs out.
 
-    The packing number supplies the lower bound; its search raises
-    BudgetExceededError if it pops more than ``budget`` nodes. When the
-    greedy upper bound already matches it the branch and bound is skipped.
-    Otherwise a branch and bound over candidate points runs until its cover
-    has as many points as the packing number, or to completion (optimal), or
-    until it would pop more than ``budget`` nodes of its own (best cover
-    found so far, with the packing number as its lower bound; optimal only if
-    the cover, once its redundant points are dropped, meets that bound).
+    Both searches draw from one count of ``budget`` nodes. The packing
+    number supplies the lower bound; its search raises BudgetExceededError if
+    it would pop more than ``budget`` nodes. When the greedy upper bound
+    already matches it the branch and bound is skipped. Otherwise a branch
+    and bound over candidate points runs until its cover has as many points
+    as the packing number, or to completion (optimal), or until it would take
+    the two searches' nodes past ``budget`` (best cover found so far, with
+    the packing number as its lower bound; optimal only if the cover, once
+    its redundant points are dropped, meets that bound).
 
     The search branches on the uncovered set with the fewest covering points
     (ties to the lower index) and tries those points in index order,
@@ -131,8 +132,8 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
     Neither rule changes the cover a completed search finds.
     """
     _require_pierceable(family)
-    m = family.num_sets
-    nu, _ = max_disjoint(family, budget=budget)
+    m, shared = family.num_sets, Budget(budget)
+    nu, _ = max_disjoint(family, budget=shared)
     # The search runs on the sets relabelled by rank fewest points first, so
     # that the greedy packing bounding each node keeps the smallest sets; the
     # greedy cover's points do not depend on the labels.
@@ -164,7 +165,7 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
     # in reverse, so each subtree is finished before its next sibling starts.
     stack: list[tuple[int, tuple[int, ...]]] = [(0, ())]
     try:
-        for covered, chosen in pops(stack, budget, "piercing search"):
+        for covered, chosen in pops(stack, shared, "piercing search"):
             if covered == all_mask:
                 if len(chosen) < best_size:
                     best_size, best_points = len(chosen), chosen

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DEFAULT_BUDGET, pops
+from .errors import DEFAULT_BUDGET, Budget, pops
 from .family import Check, SetFamily, _check_subfamily, mask_from_points
 
 
@@ -89,7 +89,7 @@ def _is_clique(vertices: int, conf: list[int]) -> bool:
 
 
 def max_disjoint(
-    family: SetFamily, cap: int | None = None, budget: int = DEFAULT_BUDGET
+    family: SetFamily, cap: int | None = None, budget: int | Budget = DEFAULT_BUDGET
 ) -> tuple[int, tuple[int, ...]]:
     """Exact maximum pairwise-disjoint subfamily (packing number and witness).
 
@@ -100,7 +100,8 @@ def max_disjoint(
     ``cap`` set the search stops as soon as ``cap`` disjoint sets are found
     and returns ``min(packing number, cap)`` with a witness of that size; a
     negative ``cap`` raises ValueError. BudgetExceededError is raised if the
-    search pops more than ``budget`` nodes.
+    search would pop more than ``budget`` nodes; a caller that runs more
+    searches passes the ``errors.Budget`` they share.
 
     The exclude branch of the lowest candidate is skipped when its candidate
     neighbours pairwise conflict: some maximum packing of the candidates then

@@ -27,10 +27,11 @@ lexicographically first maximizer. A lone call proves d by asking, for
 k = 1, 2, ..., whether some k sets are shattered (the same search, seeded at
 2**k - 1 and ended by the first k sets with 2**k atoms); the first k that is
 not proves d = k - 1. It asks only while ``_upper`` with d = k - 1 is below
-``_upper`` without d, and only for k < n. A profile reads d off its own
-values. The greedy lower bound counts its candidates like the last level and
-builds only the winner's cells; its first k steps are its answer for k sets,
-so a greedy profile takes one pass.
+``_upper`` without d, and only for k < n; these searches draw from the
+call's node budget with the main one. A profile reads d off its own values.
+The greedy lower bound counts its candidates like the last level and builds
+only the winner's cells; its first k steps are its answer for k sets, so a
+greedy profile takes one pass.
 
 ``check_values`` re-checks a reported value as the number of distinct point
 traces of its witness (``family.point_traces``), not with the search's
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, pops
+from .errors import DEFAULT_BUDGET, Budget, pops
 from .family import Check, SetFamily, _check_subfamily, columns, point_traces
 
 MODE_EXACT = "exact"
@@ -105,7 +106,7 @@ def _compress(family: SetFamily) -> tuple[list[int], list[int], int]:
 
 
 def _exact(
-    compressed: tuple[list[int], list[int], int], n: int, budget: int, stop: int, floor: int = -1
+    compressed: tuple[list[int], list[int], int], n: int, budget: Budget, stop: int, floor: int = -1
 ) -> ShatterResult:
     """The first n sets with the most atoms above ``floor``; the search ends
     once its incumbent reaches ``stop``, which must bound every count."""
@@ -155,7 +156,7 @@ def _exact(
     return ShatterResult(n, best_value, best_witness, MODE_EXACT)
 
 
-def _shattered(compressed: tuple[list[int], list[int], int], k: int, budget: int) -> bool:
+def _shattered(compressed: tuple[list[int], list[int], int], k: int, budget: Budget) -> bool:
     """Whether some k sets make 2**k atoms: the exact search with its
     incumbent seeded at 2**k - 1, ended by the first such k sets."""
     return bool(_exact(compressed, k, budget, 1 << k, (1 << k) - 1).witness)
@@ -175,21 +176,17 @@ def _upper(compressed: tuple[list[int], list[int], int], n: int, d: int | None) 
     return bound if d is None else min(bound, sum(math.comb(n, j) for j in range(d + 1)))
 
 
-def _proved_dimension(compressed: tuple[list[int], list[int], int], n: int, budget: int) -> int | None:
+def _proved_dimension(compressed: tuple[list[int], list[int], int], n: int, budget: Budget) -> int | None:
     """The dual VC dimension k - 1, proved by the first k < n for which no k
-    sets are shattered; None if no such k is found, or a search runs out of
-    ``budget``. A k is searched only while the bound it would prove for n
-    sets is below the bound without it. That every k < n is shattered proves
-    nothing: the n sets may be too."""
+    sets are shattered; None if no such k is found. A k is searched only
+    while the bound it would prove for n sets is below the bound without it.
+    That every k < n is shattered proves nothing: the n sets may be too."""
     roof = _upper(compressed, n, None)
     for k in range(1, n):
         if _upper(compressed, n, k - 1) >= roof:
             return None
-        try:
-            if not _shattered(compressed, k, budget):
-                return k - 1
-        except BudgetExceededError:
-            return None
+        if not _shattered(compressed, k, budget):
+            return k - 1
     return None
 
 
@@ -198,11 +195,11 @@ def dual_vc_dimension(family: SetFamily, budget: int = DEFAULT_BUDGET) -> int:
     is, make 2**k atoms; 0 if no set splits the points.
 
     By the Sauer-Shelah lemma any n sets then make at most the sum of C(n, j)
-    over j <= d atoms. Each k is its own exact search, raising
-    BudgetExceededError if it pops more than ``budget`` nodes."""
-    compressed = _compress(family)
+    over j <= d atoms. Each k is its own exact search, and BudgetExceededError
+    is raised if they would pop more than ``budget`` nodes in all."""
+    compressed, shared = _compress(family), Budget(budget)
     k = 1
-    while k <= family.num_sets and _shattered(compressed, k, budget):
+    while k <= family.num_sets and _shattered(compressed, k, shared):
         k += 1
     return k - 1
 
@@ -261,9 +258,8 @@ def dual_shatter(
     """Maximum number of boolean atoms over subfamilies of size ``n``.
 
     ``mode="exact"`` returns the true maximum, raising BudgetExceededError
-    if its search pops more than ``budget`` nodes (each search for the dual
-    VC dimension has its own budget, and one that runs out leaves the
-    Sauer-Shelah stop off);
+    if its searches, those that prove the dual VC dimension and the main
+    one, would pop more than ``budget`` nodes in all;
     ``mode="greedy-lower-bound"`` grows one subfamily by repeatedly adding
     the set that splits the most current atoms, ties to the lowest index,
     and returns a valid lower bound.
@@ -271,8 +267,8 @@ def dual_shatter(
     if not 1 <= n <= family.num_sets:
         raise ValueError(f"n must be between 1 and {family.num_sets}, got {n}")
     if mode == MODE_EXACT:
-        compressed = _compress(family)
-        return _exact(compressed, n, budget, _upper(compressed, n, _proved_dimension(compressed, n, budget)))
+        compressed, shared = _compress(family), Budget(budget)
+        return _exact(compressed, n, shared, _upper(compressed, n, _proved_dimension(compressed, n, shared)))
     if mode in (MODE_GREEDY, "greedy"):
         return _greedy(family, n)[-1]
     raise ValueError(f"unknown mode {mode!r}")
@@ -284,17 +280,18 @@ def growth_profile(
     """Shatter values for n = 1..min(n_max, #sets) with a fitted exponent.
 
     In exact mode the family is compressed to its distinct columns once for
-    the whole profile; in greedy mode one greedy pass of ``n_max`` steps
-    gives every value."""
+    the whole profile, and BudgetExceededError is raised if the searches for
+    every n would pop more than ``budget`` nodes in all; in greedy mode one
+    greedy pass of ``n_max`` steps gives every value."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
     top = min(n_max, family.num_sets)
     if mode == MODE_EXACT:
-        compressed = _compress(family)
+        compressed, shared = _compress(family), Budget(budget)
         found: list[ShatterResult] = []
         d = None
         for k in range(1, top + 1):
-            found.append(_exact(compressed, k, budget, _upper(compressed, k, d)))
+            found.append(_exact(compressed, k, shared, _upper(compressed, k, d)))
             if d is None and found[-1].value < 1 << k:
                 d = k - 1
         results = tuple(found)

@@ -1,11 +1,12 @@
-"""One budget rule for every exact search: a node is one entry popped off the
-search's stack, the root included, and the pop that would take the count
-past ``budget`` stops the search.
+"""One budget rule for every exact search: a node is one entry popped off a
+search's stack, the root included, and every search a public call runs draws
+from one count of the call's ``budget`` nodes. The pop that would take that
+count past ``budget`` stops the call.
 
-Each case below needs exactly ``nodes`` pops, so it answers at that budget as
-it does at the default, and one node less stops it. The node counts of the
-benchmark's ``pierce`` ladder are pinned too: they are the searches' primary
-cost metric.
+Each case below needs exactly ``nodes`` pops in all, so it answers at that
+budget as it does at the default, and one node less stops it. The node counts
+of the benchmark's ``pierce`` ladder and of each dual VC dimension proof are
+pinned per search too: they are the searches' primary cost metric.
 """
 
 import re
@@ -19,15 +20,20 @@ from setfam import (
     SetFamily,
     build_quadratic_witness,
     dual_shatter,
+    dual_vc_dimension,
     errors,
+    gen_halfplane_grid,
     gen_intervals,
     gen_random,
     gen_witness_rich,
+    growth_profile,
     has_pq,
     max_disjoint,
     piercing,
     pq,
+    shatter,
     transversal_exact,
+    transversal_greedy,
 )
 from setfam.errors import DEFAULT_BUDGET
 
@@ -36,27 +42,64 @@ def rich():
     return gen_witness_rich(6, 0)
 
 
-# Search name -> (the search at a given budget, the nodes it pops).
+def halfplanes():
+    return gen_halfplane_grid(12, 96, 1)
+
+
+# Case -> (the search that stops first, the call at a given budget, the nodes
+# its searches pop in all). The first four are named by that search.
 CASES = {
-    "exact shatter search": (lambda b: dual_shatter(gen_intervals(100, 500, 0), 5, budget=b), 5),
-    "packing search": (lambda b: max_disjoint(gen_random(90, 135, 0.03, 0), budget=b), 416),
+    # Dimension proofs at k = 1 and 2 pop 1 + 2 nodes, the main search 5.
+    "exact shatter search": (
+        "exact shatter search", lambda b: dual_shatter(gen_intervals(100, 500, 0), 5, budget=b), 8,
+    ),
+    "packing search": ("packing search", lambda b: max_disjoint(gen_random(90, 135, 0.03, 0), budget=b), 416),
     # Singletons on three points: at most six sets leave each point in at
     # most two of them, so no ten do and (10,3) holds.
     "(p,q) search": (
+        "(p,q) search",
         lambda b: has_pq(SetFamily(20, tuple(f"S{i}" for i in range(20)), tuple(1 << i % 3 for i in range(20))),
                          10, 3, b),
         15811,
     ),
-    "witness search": (lambda b: build_quadratic_witness(*rich(), 7, exhaustive=True, budget=b), 111),
+    "witness search": (
+        "witness search", lambda b: build_quadratic_witness(*rich(), 7, exhaustive=True, budget=b), 111,
+    ),
+    # Composite calls: proofs of d = 2 pop 1 + 2 + 66 nodes, then the main
+    # search 7; the profile's searches pop 1 + 2 + 66 + 4 + 5 + 6 + 7.
+    "dual_shatter(halfplanes)": ("exact shatter search", lambda b: dual_shatter(halfplanes(), 7, budget=b), 76),
+    "growth_profile": ("exact shatter search", lambda b: growth_profile(halfplanes(), 7, budget=b), 91),
+    "dual_vc_dimension": ("exact shatter search", lambda b: dual_vc_dimension(halfplanes(), b), 69),
 }
 
 
-@pytest.mark.parametrize("search", CASES)
-def test_search_stops_at_the_pop_past_its_budget(search):
-    run, nodes = CASES[search]
+@pytest.mark.parametrize("case", CASES)
+def test_search_stops_at_the_pop_past_its_budget(case):
+    search, run, nodes = CASES[case]
     assert run(nodes) == run(DEFAULT_BUDGET)
     with pytest.raises(BudgetExceededError, match=f"^{re.escape(search)} exceeded the budget of {nodes - 1} nodes$"):
         run(nodes - 1)
+
+
+# Public call -> (the search whose root is its first pop, the call at a given budget).
+FIRST_POPS = {
+    "max_disjoint": ("packing search", lambda b: max_disjoint(gen_intervals(10, 30, 0), budget=b)),
+    "has_pq(q=2)": ("packing search", lambda b: has_pq(gen_intervals(10, 30, 0), 3, 2, b)),
+    "has_pq(q=3)": ("(p,q) search", lambda b: has_pq(gen_intervals(10, 30, 0), 3, 3, b)),
+    "transversal_exact": ("packing search", lambda b: transversal_exact(gen_random(30, 60, 0.1, 0), b)),
+    "dual_shatter": ("exact shatter search", lambda b: dual_shatter(halfplanes(), 3, budget=b)),
+    "growth_profile": ("exact shatter search", lambda b: growth_profile(halfplanes(), 3, budget=b)),
+    "dual_vc_dimension": ("exact shatter search", lambda b: dual_vc_dimension(halfplanes(), b)),
+    "build_quadratic_witness": ("witness search", lambda b: build_quadratic_witness(*rich(), 3, budget=b)),
+}
+
+
+@pytest.mark.parametrize("call", FIRST_POPS)
+def test_negative_budget_stops_the_first_pop(call):
+    # A count below zero reads as spent, like a count of zero.
+    search, run = FIRST_POPS[call]
+    with pytest.raises(BudgetExceededError, match=f"^{re.escape(search)} exceeded the budget of -1 nodes$"):
+        run(-1)
 
 
 def test_pq_search_finds_a_small_violation_in_few_nodes():
@@ -78,18 +121,21 @@ def test_q2_and_greedy_witness_obey_the_budget():
 
 
 def test_piercing_stops_with_its_best_cover():
-    # The packing search pops 38 nodes and the branch and bound 99. Past its
-    # own budget the branch and bound returns its best cover, flagged
-    # non-optimal with the packing number as lower bound; the packing search
-    # raises like every other search.
+    # The packing search pops 38 nodes and the branch and bound 99, both from
+    # the call's budget. Past it the branch and bound returns its best cover,
+    # flagged non-optimal with the packing number as lower bound; the packing
+    # search raises like every other search.
     fam = gen_random(30, 60, 0.1, 0)
     full = transversal_exact(fam)
     assert (full.tau, full.optimal, full.lower_bound) == (9, True, 9)
-    assert transversal_exact(fam, budget=99) == full
-    capped = transversal_exact(fam, budget=98)
+    assert transversal_exact(fam, budget=137) == full
+    capped = transversal_exact(fam, budget=136)
     assert (capped.optimal, capped.lower_bound) == (False, 8)
     assert capped.tau >= full.tau
-    assert transversal_exact(fam, budget=38).lower_bound == 8
+    # A budget the packing search spends leaves the greedy cover.
+    greedy = transversal_exact(fam, budget=38)
+    assert greedy.piercing_points == tuple(sorted(transversal_greedy(fam).piercing_points))
+    assert (greedy.optimal, greedy.lower_bound) == (False, 8)
     with pytest.raises(BudgetExceededError, match="^packing search exceeded the budget of 37 nodes$"):
         transversal_exact(fam, budget=37)
 
@@ -126,3 +172,39 @@ def test_ladder_searches_pop_their_pinned_nodes(name):
             counts.clear()
             transversal_exact(fam)
             assert counts == {"packing search": packing, "piercing search": piercing_nodes}
+
+
+def per_search_pops(run):
+    """The nodes each search ``run`` starts pops, in the order they start."""
+    counts: list[int] = []
+
+    def pops(stack, budget, search):
+        counts.append(0)
+        for node in errors.pops(stack, budget, search):
+            counts[-1] += 1
+            yield node
+
+    with mock.patch.object(shatter, "pops", pops):
+        run()
+    return counts
+
+
+# Family -> n -> (the nodes of each dimension proof, of the main search).
+PROOFS = {
+    **{f"halfplane_grid(12,96,{s})": (lambda s=s: gen_halfplane_grid(12, 96, s),
+                                      {n: ([1, 2, 66], n) for n in (5, 6, 7)}) for s in (1, 16)},
+    "random(24,40,0.2,0)": (lambda: gen_random(24, 40, 0.2, 0), {5: ([1, 2, 9, 172], 4604)}),
+    "random(24,40,0.2,1)": (lambda: gen_random(24, 40, 0.2, 1), {5: ([1, 2, 3, 291], 3398)}),
+    "random(24,40,0.2,2)": (lambda: gen_random(24, 40, 0.2, 2), {5: ([1, 2, 4, 129], 4876)}),
+    **{f"intervals(40,200,{s})": (lambda s=s: gen_intervals(40, 200, s), {4: ([1, 2], 4)}) for s in (0, 1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", PROOFS)
+def test_dimension_proofs_pop_their_pinned_nodes(name):
+    # What a lone dual_shatter pays to prove d before its main search, all of
+    # it charged to the call's budget.
+    build, rows = PROOFS[name]
+    fam = build()
+    for n, (proofs, main) in rows.items():
+        assert per_search_pops(lambda: dual_shatter(fam, n)) == [*proofs, main]

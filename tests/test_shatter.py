@@ -291,15 +291,17 @@ class TestSauerShelahStop:
 
     @settings(max_examples=200)
     @given(families(max_sets=7, max_points=8, min_points=0), st.data())
-    def test_never_raises_where_the_search_without_the_stop_returns(self, fam, data):
-        # A dimension search out of budget leaves the stop off, and the
-        # stopped search pops no more nodes than the search without it.
+    def test_budget_covers_the_dimension_proofs_and_the_search(self, fam, data):
+        # One count for the call: the nodes every search pops at the default
+        # budget are enough, and one node less stops the call.
         n = data.draw(st.integers(1, fam.num_sets))
         counts: list[int] = []
         with mock.patch.object(shatter_module, "pops", counted_pops(counts)):
-            unstopped = shatter_module._exact(shatter_module._compress(fam), n, 10**6, (1 << n) + 1)
-        result = dual_shatter(fam, n, budget=counts[0])
-        assert (result.value, result.witness) == (unstopped.value, unstopped.witness)
+            result = dual_shatter(fam, n)
+        nodes = sum(counts)
+        assert dual_shatter(fam, n, budget=nodes) == result
+        with pytest.raises(BudgetExceededError, match=f"^exact shatter search exceeded the budget of {nodes - 1} nodes$"):
+            dual_shatter(fam, n, budget=nodes - 1)
 
     @settings(max_examples=200)
     @given(st.one_of(
@@ -314,18 +316,3 @@ class TestSauerShelahStop:
         d = dual_vc_dimension(fam)
         for n in range(1, fam.num_sets + 1):
             assert shatter_module._upper(compressed, n, d) >= brute_first_shatter(fam, n)[0]
-
-
-def test_dimension_search_out_of_budget_leaves_the_stop_off():
-    # No natural instance is known where a dimension search pops more nodes
-    # than the main search, so the budget fallback is forced: the search then
-    # runs to the end without the Sauer-Shelah stop (924 nodes, not 76).
-    fam = gen_halfplane_grid(12, 96, 1)
-    counts: list[int] = []
-    out_of_budget = mock.Mock(side_effect=BudgetExceededError("dimension search"))
-    with mock.patch.object(shatter_module, "_shattered", out_of_budget), \
-            mock.patch.object(shatter_module, "pops", counted_pops(counts)):
-        result = dual_shatter(fam, 7)
-    assert (out_of_budget.call_count, counts) == (1, [924])
-    assert result == dual_shatter(fam, 7)
-    assert result.value == 1 + 7 + math.comb(7, 2)
