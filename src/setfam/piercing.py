@@ -5,20 +5,23 @@ common point) is the same problem as covering the family by point-stars, so
 the minimum partition size equals the piercing number. The exact solver is a
 set-cover branch and bound over candidate points, the lowest point of each
 distinct nonzero column of ``family.columns``, pruned by ``pq.greedy_packing``
-of the sets left to cover. It runs on the sets relabelled fewest points first
-(``pq.fewest_points_first``), so that packing keeps the smallest sets, and
-skips a node whose covered sets a table of up to ``MAX_COVERED_MASKS`` masks
+of the sets left to cover, and stopped once its cover meets the packing
+number: ``pq.max_disjoint``'s, or on an interval family the length of the
+right-endpoint greedy packing. It runs on the sets relabelled fewest points
+first (``pq.fewest_points_first``), so that packing keeps the smallest sets,
+and skips a node whose covered sets a table of up to ``MAX_COVERED_MASKS`` masks
 shows were reached with no more points; neither changes the cover found. The
 raw-partition brute force lives in the test suite as an independent oracle.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, Budget, BudgetExceededError, EmptySetError, pops
 from .family import Check, SetFamily, columns, mask_from_points
-from .pq import fewest_points_first, greedy_packing, max_disjoint
+from .pq import fewest_points_first, greedy_packing, interval_spans, max_disjoint
 
 
 # The most covered masks the exact search remembers; a full table takes no
@@ -112,14 +115,18 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
     """Minimum piercing, proved optimal unless the node budget runs out.
 
     Both searches draw from one count of ``budget`` nodes. The packing
-    number supplies the lower bound; its search raises BudgetExceededError if
-    it would pop more than ``budget`` nodes. When the greedy upper bound
-    already matches it the branch and bound is skipped. Otherwise a branch
-    and bound over candidate points runs until its cover has as many points
-    as the packing number, or to completion (optimal), or until it would take
-    the two searches' nodes past ``budget`` (best cover found so far, with
-    the packing number as its lower bound; optimal only if the cover, once
-    its redundant points are dropped, meets that bound).
+    number supplies the lower bound. On an interval family, where every set
+    is one run of consecutive points (``pq.interval_spans``), it is the
+    length of the right-endpoint greedy packing, with no search (Gallai's
+    tau = nu). On any other family ``max_disjoint`` finds it, and its search
+    raises BudgetExceededError if it would pop more than ``budget`` nodes;
+    that is the only error a budget raises. When the greedy upper bound
+    already matches the packing number the branch and bound is skipped.
+    Otherwise a branch and bound over candidate points runs until its cover
+    has as many points as the packing number, or to completion (optimal), or
+    until it would take the call's nodes past ``budget`` (best cover found so
+    far, with the packing number as its lower bound; optimal only if the
+    cover, once its redundant points are dropped, meets that bound).
 
     The search branches on the uncovered set with the fewest covering points
     (ties to the lower index) and tries those points in index order,
@@ -133,7 +140,18 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
     """
     _require_pierceable(family)
     m, shared = family.num_sets, Budget(budget)
-    nu, _ = max_disjoint(family, budget=shared)
+    spans = interval_spans(family.members)
+    if spans is None:
+        nu, _ = max_disjoint(family, budget=shared)
+    else:
+        # Gallai: scanned by highest point, each set kept starts past the
+        # highest point of the last one kept, and each set skipped holds that
+        # point. So the kept sets are pairwise disjoint and their highest
+        # points pierce every set: there are exactly nu of them.
+        nu, last = 0, -1
+        for lo, hi in sorted(spans, key=itemgetter(1)):
+            if lo > last:
+                nu, last = nu + 1, hi
     # The search runs on the sets relabelled by rank fewest points first, so
     # that the greedy packing bounding each node keeps the smallest sets; the
     # greedy cover's points do not depend on the labels.

@@ -12,11 +12,14 @@ piercing search bounds each node by its length over the uncovered sets.
 The packing search, like piercing's, runs on the sets relabelled by their
 rank in ``fewest_points_first``, so that its greedy bound starts from the
 smallest sets, while it branches in the same order as on the family's own
-indices.
+indices. On an interval family, where every set is one run of consecutive
+points (``interval_spans``), the search's intersection graph comes from a
+sweep over the sets' spans instead of a test of every pair.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, Budget, pops
@@ -38,15 +41,52 @@ class PropertyReport(NamedTuple):
     disjoint_witness: tuple[int, ...] | None = None
 
 
+def interval_spans(members: Sequence[int]) -> list[tuple[int, int]] | None:
+    """Each set's lowest and highest point when every set is a nonempty run of
+    consecutive points (an interval family), else None."""
+    spans = []
+    for mem in members:
+        low = mem & -mem
+        if not mem or mem & (mem + low):
+            return None
+        spans.append((low.bit_length() - 1, mem.bit_length() - 1))
+    return spans
+
+
 def _conflicts(members: Sequence[int]) -> list[int]:
+    """The intersection graph: bit j of entry i is set when sets i and j
+    (i != j) share a point.
+
+    On an interval family two sets meet exactly when each starts at or before
+    the other ends, so entry i is the sets starting at or before i's highest
+    point and ending at or after its lowest, less i itself: two binary searches
+    into prefix ORs by lowest point and suffix ORs by highest point. Any other
+    family is compared pair by pair."""
     m = len(members)
-    conf = [0] * m
-    for i in range(m):
-        for j in range(i + 1, m):
-            if members[i] & members[j]:
-                conf[i] |= 1 << j
-                conf[j] |= 1 << i
-    return conf
+    spans = interval_spans(members)
+    if spans is None:
+        conf = [0] * m
+        for i in range(m):
+            for j in range(i + 1, m):
+                if members[i] & members[j]:
+                    conf[i] |= 1 << j
+                    conf[j] |= 1 << i
+        return conf
+    by_lo = sorted(range(m), key=lambda i: spans[i][0])
+    by_hi = sorted(range(m), key=lambda i: spans[i][1])
+    los = [spans[i][0] for i in by_lo]
+    his = [spans[i][1] for i in by_hi]
+    # started[k]: the first k sets by lowest point; ended[k]: all but the first
+    # k sets by highest point.
+    started = [0] * (m + 1)
+    for k, i in enumerate(by_lo):
+        started[k + 1] = started[k] | 1 << i
+    ended = [0] * (m + 1)
+    for k in range(m - 1, -1, -1):
+        ended[k] = ended[k + 1] | 1 << by_hi[k]
+    # Set i always lies in both masks, so it is dropped by one XOR.
+    return [started[bisect_right(los, hi)] & ended[bisect_left(his, lo)] ^ 1 << i
+            for i, (lo, hi) in enumerate(spans)]
 
 
 def fewest_points_first(members: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -64,17 +104,19 @@ def _clique_cover_bound(cand: int, conf: list[int]) -> int:
     # Greedy clique cover of the candidate vertices, each clique seeded and
     # grown by the lowest label; every clique contributes at most one vertex
     # to an independent set, so the count is admissible, and holds at least
-    # one, so the count never exceeds the candidates.
+    # one, so the count never exceeds the candidates. ``common`` starts within
+    # ``rest``, and conf[u] never holds u, so it stays within ``rest`` once u
+    # leaves both.
     bound = 0
     rest = cand
     while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= ~(1 << v)
-        common = conf[v] & rest
+        low = rest & -rest
+        rest ^= low
+        common = conf[low.bit_length() - 1] & rest
         while common:
-            u = (common & -common).bit_length() - 1
-            rest &= ~(1 << u)
-            common &= conf[u] & rest
+            low = common & -common
+            rest ^= low
+            common &= conf[low.bit_length() - 1]
         bound += 1
     return bound
 

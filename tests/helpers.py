@@ -88,6 +88,19 @@ def interval_packing(family: SetFamily) -> int:
     return count
 
 
+def conflicts_oracle(members: list[int]) -> list[int]:
+    """The intersection graph by testing every pair: bit j of entry i is set
+    when sets i and j (i != j) share a point."""
+    m = len(members)
+    conf = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if members[i] & members[j]:
+                conf[i] |= 1 << j
+                conf[j] |= 1 << i
+    return conf
+
+
 def brute_min_piercing(family: SetFamily) -> int:
     """Smallest number of points meeting every set, by point-subset search."""
     pts = range(family.universe_size)
@@ -301,4 +314,22 @@ def run_families(draw, max_sets: int = 6, max_points: int = 12):
         start = draw(st.integers(0, max(n - 1, 0)))
         length = draw(st.integers(0, n))
         members.append(sum(1 << (start + i) % n for i in range(length)))
+    return SetFamily(n, tuple(f"S{i}" for i in range(m)), tuple(members))
+
+
+@st.composite
+def interval_families(draw, max_sets: int = 10, max_points: int = 12):
+    """Families of nonempty runs of consecutive points, without wrapping. On
+    few points they often share endpoints, nest, repeat and are single
+    points; about one set in four repeats an earlier one outright."""
+    n = draw(st.integers(1, max_points))
+    m = draw(st.integers(1, max_sets))
+    members: list[int] = []
+    for _ in range(m):
+        if members and draw(st.integers(0, 3)) == 0:
+            members.append(draw(st.sampled_from(members)))
+            continue
+        lo = draw(st.integers(0, n - 1))
+        hi = draw(st.integers(lo, n - 1))
+        members.append((1 << hi + 1) - (1 << lo))
     return SetFamily(n, tuple(f"S{i}" for i in range(m)), tuple(members))

@@ -10,6 +10,7 @@ from helpers import (
     brute_min_consistent_partition,
     brute_min_piercing,
     families,
+    interval_families,
     interval_packing,
     plain_transversal_exact,
 )
@@ -219,6 +220,37 @@ class TestSkipRules:
         fam = gen_random(90, 135, 0.03, 0)
         solution, nodes = piercing_nodes(fam)
         assert (solution.tau, solution.optimal, nodes) == (29, True, 15305)
+
+
+class TestGallai:
+    @settings(max_examples=300)
+    @given(interval_families(max_sets=12, max_points=16))
+    def test_lower_bound_is_the_packing_number(self, fam):
+        # On intervals tau = nu, and transversal_exact takes nu from the
+        # right-endpoint greedy, with no packing search.
+        solution = transversal_exact(fam)
+        assert solution.lower_bound == max_disjoint(fam)[0] == interval_packing(fam) == solution.tau
+        assert solution.optimal
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_benchmark_families_read_the_packing_number(self, seed):
+        # transversal_exact reads nu from the right-endpoint greedy, with no
+        # packing search; it must be the packing search's nu.
+        fam = gen_intervals(40, 200, seed)
+        assert transversal_exact(fam).lower_bound == max_disjoint(fam)[0] == interval_packing(fam)
+
+    def test_a_budget_spends_no_node_on_the_packing_number(self):
+        # The branch and bound pops 22 nodes, and the packing number costs
+        # none, so a budget of 0 leaves the greedy cover with nu = 14 as its
+        # lower bound, and 21 a cover the search has not yet proved.
+        fam = gen_intervals(100, 500, 0)
+        spent = transversal_exact(fam, budget=0)
+        assert spent.piercing_points == tuple(sorted(transversal_greedy(fam).piercing_points))
+        assert (spent.tau, spent.optimal, spent.lower_bound) == (16, False, 14)
+        capped = transversal_exact(fam, budget=21)
+        assert (capped.tau, capped.optimal, capped.lower_bound) == (15, False, 14)
+        assert transversal_exact(fam, budget=22) == transversal_exact(fam)
+        assert transversal_exact(fam).tau == 14
 
 
 class TestIntervalsAtScale:

@@ -1,10 +1,17 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_first_packing, brute_max_disjoint, brute_pq, families
+from helpers import (
+    brute_first_packing,
+    brute_max_disjoint,
+    brute_pq,
+    conflicts_oracle,
+    families,
+    interval_families,
+)
 from setfam import (
     BudgetExceededError,
     SetFamily,
@@ -13,6 +20,7 @@ from setfam import (
     has_pq,
     max_disjoint,
 )
+from setfam import pq
 from setfam.pq import check_disjoint, check_verdict
 
 
@@ -90,6 +98,37 @@ class TestMaxDisjoint:
         nu, witness = max_disjoint(fam, cap)
         assert check_disjoint(fam, witness, nu=nu, cap=cap).ok
         assert not check_disjoint(fam, witness, nu=nu, cap=nu - 1).ok
+
+
+class TestConflicts:
+    """On interval families the span sweep builds the graph that testing
+    every pair builds; any other family takes the pairwise loop."""
+
+    @settings(max_examples=300)
+    @given(interval_families())
+    # Sets 0 and 1 share point 2 only: one starts where the other ends. Set 2
+    # is a single point inside both, set 3 holds every other set, and set 4
+    # repeats set 1.
+    @example(SetFamily.from_points(5, [("a", [0, 1, 2]), ("b", [2, 3, 4]), ("c", [2]), ("d", range(5)),
+                                       ("e", [2, 3, 4])]))
+    def test_sweep_matches_the_pairwise_oracle(self, fam):
+        assert pq.interval_spans(fam.members) is not None
+        assert pq._conflicts(fam.members) == conflicts_oracle(fam.members)
+
+    @settings(max_examples=300)
+    @given(interval_families(), st.data())
+    def test_a_gapped_or_empty_set_takes_the_pairwise_path(self, fam, data):
+        n = fam.universe_size
+        if n >= 3 and data.draw(st.booleans(), label="gapped"):
+            lo = data.draw(st.integers(0, n - 3))
+            hi = data.draw(st.integers(lo + 2, n - 1))
+            spoiler = (1 << hi + 1) - (1 << lo) ^ 1 << data.draw(st.integers(lo + 1, hi - 1))
+        else:
+            spoiler = 0
+        members = list(fam.members)
+        members.insert(data.draw(st.integers(0, len(members))), spoiler)
+        assert pq.interval_spans(members) is None
+        assert pq._conflicts(members) == conflicts_oracle(members)
 
 
 class TestHasPq:
