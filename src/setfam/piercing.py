@@ -6,22 +6,23 @@ the minimum partition size equals the piercing number. The exact solver is a
 set-cover branch and bound over candidate points, the lowest point of each
 distinct nonzero column of ``family.columns``, pruned by ``pq.greedy_packing``
 of the sets left to cover, and stopped once its cover meets the packing
-number: ``pq.max_disjoint``'s, or on an interval family the length of the
-right-endpoint greedy packing. It runs on the sets relabelled fewest points
-first (``pq.fewest_points_first``), so that packing keeps the smallest sets,
-and skips a node whose covered sets a table of up to ``MAX_COVERED_MASKS`` masks
-shows were reached with no more points; neither changes the cover found. The
-raw-partition brute force lives in the test suite as an independent oracle.
+number: on an interval family the length of the right-endpoint greedy
+packing (``_interval_nu``), which ``check_solution`` also reads to bound a
+reported lower bound, and ``pq.max_disjoint``'s on any other. It runs on the
+sets relabelled fewest points first (``pq.fewest_points_first``), so that
+packing keeps the smallest sets, and skips a node whose covered sets a table
+of up to ``MAX_COVERED_MASKS`` masks shows were reached with no more points;
+neither changes the cover found. The raw-partition brute force lives in the
+test suite as an independent oracle.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, Budget, BudgetExceededError, EmptySetError, pops
 from .family import Check, SetFamily, columns, mask_from_points
-from .pq import fewest_points_first, greedy_packing, interval_spans, max_disjoint
+from .pq import fewest_points_first, greedy_packing, is_interval_family, max_disjoint
 
 
 # The most covered masks the exact search remembers; a full table takes no
@@ -111,12 +112,25 @@ def _greedy(m: int, candidates: list[tuple[int, int]]) -> PiercingSolution:
     return PiercingSolution(len(points), tuple(points), tuple(assignment), False, None)
 
 
+def _interval_nu(members: Sequence[int]) -> int | None:
+    """The packing number of an interval family, None for any other family.
+
+    Scanned by highest point, a set misses every set the greedy packing kept
+    before it exactly when it starts past the last one's highest point, so
+    each set skipped holds that point. The kept sets are thus pairwise
+    disjoint and their highest points pierce every set: there are nu = tau of
+    them (Gallai)."""
+    if not is_interval_family(members):
+        return None
+    return len(greedy_packing(sorted(members, key=int.bit_length), (1 << len(members)) - 1))
+
+
 def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> PiercingSolution:
     """Minimum piercing, proved optimal unless the node budget runs out.
 
     Both searches draw from one count of ``budget`` nodes. The packing
     number supplies the lower bound. On an interval family, where every set
-    is one run of consecutive points (``pq.interval_spans``), it is the
+    is one run of consecutive points (``pq.is_interval_family``), it is the
     length of the right-endpoint greedy packing, with no search (Gallai's
     tau = nu). On any other family ``max_disjoint`` finds it, and its search
     raises BudgetExceededError if it would pop more than ``budget`` nodes;
@@ -140,18 +154,9 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
     """
     _require_pierceable(family)
     m, shared = family.num_sets, Budget(budget)
-    spans = interval_spans(family.members)
-    if spans is None:
+    nu = _interval_nu(family.members)
+    if nu is None:
         nu, _ = max_disjoint(family, budget=shared)
-    else:
-        # Gallai: scanned by highest point, each set kept starts past the
-        # highest point of the last one kept, and each set skipped holds that
-        # point. So the kept sets are pairwise disjoint and their highest
-        # points pierce every set: there are exactly nu of them.
-        nu, last = 0, -1
-        for lo, hi in sorted(spans, key=itemgetter(1)):
-            if lo > last:
-                nu, last = nu + 1, hi
     # The search runs on the sets relabelled by rank fewest points first, so
     # that the greedy packing bounding each node keeps the smallest sets; the
     # greedy cover's points do not depend on the labels.
@@ -246,8 +251,9 @@ def check_solution(
 ) -> list[Check]:
     """Re-check a reported partition: classes consistent, set ``i`` containing
     ``points[assignment[i]]``, ``tau`` counting the points, the lower bound,
-    if any, at most ``tau`` and equal to it exactly when ``optimal``, then no point
-    listed twice and no class that no set uses. A point out of range, or an
+    if any, at most ``tau`` and equal to it exactly when ``optimal``, no point
+    listed twice, no class that no set uses, then, on an interval family, the
+    lower bound at most its packing number. A point out of range, or an
     assignment of the wrong length, raises ValueError."""
     mask_from_points(points, family.universe_size)
     consistent, failing = verify_partition(family, assignment)
@@ -256,6 +262,7 @@ def check_solution(
         for i, cls in enumerate(assignment)
     )
     bounded = (lower_bound is None or lower_bound <= tau) and optimal == (lower_bound == tau)
+    nu = _interval_nu(family.members)
     repeat = (next(p for i, p in enumerate(points) if p in points[:i])
               if len(set(points)) < len(points) else None)
     unused = sorted(set(range(len(points))).difference(assignment))
@@ -264,6 +271,8 @@ def check_solution(
              else f"lower bound {lower_bound} does not fit tau {tau} with optimal={optimal}" if not bounded
              else f"point {repeat} listed twice" if repeat is not None
              else f"class {unused[0]} holds no set" if unused
+             else f"lower bound {lower_bound} exceeds the interval family's packing number {nu}"
+             if nu is not None and lower_bound is not None and lower_bound > nu
              else None)
     return [
         Check("pierce.partition-consistent", consistent,

@@ -13,13 +13,13 @@ The packing search, like piercing's, runs on the sets relabelled by their
 rank in ``fewest_points_first``, so that its greedy bound starts from the
 smallest sets, while it branches in the same order as on the family's own
 indices. On an interval family, where every set is one run of consecutive
-points (``interval_spans``), the search's intersection graph comes from a
-sweep over the sets' spans instead of a test of every pair.
+points (``is_interval_family``), neither search runs: ``_interval_pick``
+takes the same lexicographically first witness by the right-endpoint greedy,
+at q = 2 and at every q > 2.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DEFAULT_BUDGET, Budget, pops
@@ -41,52 +41,22 @@ class PropertyReport(NamedTuple):
     disjoint_witness: tuple[int, ...] | None = None
 
 
-def interval_spans(members: Sequence[int]) -> list[tuple[int, int]] | None:
-    """Each set's lowest and highest point when every set is a nonempty run of
-    consecutive points (an interval family), else None."""
-    spans = []
-    for mem in members:
-        low = mem & -mem
-        if not mem or mem & (mem + low):
-            return None
-        spans.append((low.bit_length() - 1, mem.bit_length() - 1))
-    return spans
+def is_interval_family(members: Sequence[int]) -> bool:
+    """Whether every set is a nonempty run of consecutive points."""
+    return all(mem and not mem & (mem + (mem & -mem)) for mem in members)
 
 
 def _conflicts(members: Sequence[int]) -> list[int]:
     """The intersection graph: bit j of entry i is set when sets i and j
-    (i != j) share a point.
-
-    On an interval family two sets meet exactly when each starts at or before
-    the other ends, so entry i is the sets starting at or before i's highest
-    point and ending at or after its lowest, less i itself: two binary searches
-    into prefix ORs by lowest point and suffix ORs by highest point. Any other
-    family is compared pair by pair."""
+    (i != j) share a point."""
     m = len(members)
-    spans = interval_spans(members)
-    if spans is None:
-        conf = [0] * m
-        for i in range(m):
-            for j in range(i + 1, m):
-                if members[i] & members[j]:
-                    conf[i] |= 1 << j
-                    conf[j] |= 1 << i
-        return conf
-    by_lo = sorted(range(m), key=lambda i: spans[i][0])
-    by_hi = sorted(range(m), key=lambda i: spans[i][1])
-    los = [spans[i][0] for i in by_lo]
-    his = [spans[i][1] for i in by_hi]
-    # started[k]: the first k sets by lowest point; ended[k]: all but the first
-    # k sets by highest point.
-    started = [0] * (m + 1)
-    for k, i in enumerate(by_lo):
-        started[k + 1] = started[k] | 1 << i
-    ended = [0] * (m + 1)
-    for k in range(m - 1, -1, -1):
-        ended[k] = ended[k + 1] | 1 << by_hi[k]
-    # Set i always lies in both masks, so it is dropped by one XOR.
-    return [started[bisect_right(los, hi)] & ended[bisect_left(his, lo)] ^ 1 << i
-            for i, (lo, hi) in enumerate(spans)]
+    conf = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            if members[i] & members[j]:
+                conf[i] |= 1 << j
+                conf[j] |= 1 << i
+    return conf
 
 
 def fewest_points_first(members: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -149,12 +119,18 @@ def max_disjoint(
     neighbours pairwise conflict: some maximum packing of the candidates then
     contains it, so the include branch has already reached the best size and
     the exclude branch could not strictly beat it.
+
+    On an interval family ``_interval_pick`` returns the same witness with no
+    search, so the budget has nothing to stop there.
     """
     if cap is not None and cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     m = family.num_sets
     if m == 0 or cap == 0:
         return 0, ()
+    if is_interval_family(family.members):
+        witness = _interval_pick(family.members, 2, m if cap is None else cap)
+        return len(witness), witness
     # The search runs on the sets relabelled by rank in order of point count
     # (ties to the lower index), so the greedy clique cover that bounds each
     # node seeds and grows its cliques from the smallest sets. It still
@@ -208,6 +184,38 @@ def _deepen(layers: tuple[int, ...], mem: int) -> tuple[int, ...] | None:
     return (layers[0] | mem, *(hi | lo & mem for lo, hi in zip(layers, layers[1:])))
 
 
+def _interval_pick(members: Sequence[int], q: int, size: int) -> tuple[int, ...]:
+    """The lexicographically first ``size`` sets of an interval family with no
+    point in q of them, or the first of the most there are.
+
+    Each set, in index order, is taken when it joins the chosen sets'
+    point-depth layers and the right-endpoint greedy over the later sets still
+    completes the pick. That greedy scans sets by highest point and keeps each
+    one the layers admit; the most it keeps is exact, at q = 2 by Gallai and at
+    q > 2 by Yannakakis-Gavril and Carlisle-Lloyd, and with the chosen sets'
+    depths as per-point capacities by exchange: of an optimum's undecided
+    sets that meet the greedy's next keep, the one starting lowest holds every
+    point the keep would overload, so the two swap."""
+    by_end = sorted(range(len(members)), key=lambda i: members[i].bit_length())
+
+    def short(layers: tuple[int, ...], after: int, need: int) -> int:
+        # How many of ``need`` more sets the greedy over sets past ``after`` misses.
+        for j in by_end:
+            if need and j > after and (deeper := _deepen(layers, members[j])) is not None:
+                layers, need = deeper, need - 1
+        return need
+
+    # No point lies in more than m sets, so m layers are enough however large q is.
+    layers = (0,) * min(q - 1, len(members))
+    need = size - short(layers, -1, size)
+    chosen: list[int] = []
+    for i, mem in enumerate(members):
+        if need and (deeper := _deepen(layers, mem)) is not None and not short(deeper, i, need - 1):
+            chosen.append(i)
+            layers, need = deeper, need - 1
+    return tuple(chosen)
+
+
 def _depth_check(
     name: str, family: SetFamily, indices: Sequence[int], layers: tuple[int, ...], passed: str, failed: str
 ) -> Check:
@@ -226,14 +234,17 @@ def has_pq(family: SetFamily, p: int, q: int, budget: int = DEFAULT_BUDGET) -> P
 
     A violation is the lexicographically first p sets of which no q share a
     point. BudgetExceededError is raised if the search pops more than
-    ``budget`` nodes."""
+    ``budget`` nodes. On an interval family ``_interval_pick`` finds the
+    violation, at q = 2 through ``max_disjoint``, with no search."""
     _check_pq(p, q)
     if q == 2:
         size, witness = max_disjoint(family, p, budget)
-        holds = size < p
-        return PropertyReport(p, q, holds, None if holds else witness, witness)
+        return PropertyReport(p, q, size < p, witness if size == p else None, witness)
     m = family.num_sets
     members = family.members
+    if is_interval_family(members):
+        violation = _interval_pick(members, q, p)
+        return PropertyReport(p, q, len(violation) < p, violation if len(violation) == p else None)
     # Each node is the next set to decide, the sets chosen so far and their
     # point-depth layers; the include child is pushed last, so it comes first.
     # Every subset of a violation is one too, so no node above the first

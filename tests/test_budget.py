@@ -46,6 +46,10 @@ def halfplanes():
     return gen_halfplane_grid(12, 96, 1)
 
 
+def gapped_pairs():
+    return SetFamily(20, tuple(f"S{i}" for i in range(20)), tuple(0b101 << i % 3 for i in range(20)))
+
+
 # Case -> (the search that stops first, the call at a given budget, the nodes
 # its searches pop in all). The first four are named by that search.
 CASES = {
@@ -54,14 +58,11 @@ CASES = {
         "exact shatter search", lambda b: dual_shatter(gen_intervals(100, 500, 0), 5, budget=b), 8,
     ),
     "packing search": ("packing search", lambda b: max_disjoint(gen_random(90, 135, 0.03, 0), budget=b), 416),
-    # Singletons on three points: at most six sets leave each point in at
-    # most two of them, so no ten do and (10,3) holds.
-    "(p,q) search": (
-        "(p,q) search",
-        lambda b: has_pq(SetFamily(20, tuple(f"S{i}" for i in range(20)), tuple(1 << i % 3 for i in range(20))),
-                         10, 3, b),
-        15811,
-    ),
+    # The sets {i % 3, i % 3 + 2}, which are not intervals. Point 2 lies in
+    # the sets of the first and third kinds, and point 1 in those of the
+    # second, so at most four sets leave each point in at most two of them,
+    # no ten do and (10,3) holds.
+    "(p,q) search": ("(p,q) search", lambda b: has_pq(gapped_pairs(), 10, 3, b), 2756),
     "witness search": (
         "witness search", lambda b: build_quadratic_witness(*rich(), 7, exhaustive=True, budget=b), 111,
     ),
@@ -81,11 +82,13 @@ def test_search_stops_at_the_pop_past_its_budget(case):
         run(nodes - 1)
 
 
-# Public call -> (the search whose root is its first pop, the call at a given budget).
+# Public call -> (the search whose root is its first pop, the call at a given
+# budget). Packing and (p,q) calls run no search on an interval family, so
+# these run on random sets.
 FIRST_POPS = {
-    "max_disjoint": ("packing search", lambda b: max_disjoint(gen_intervals(10, 30, 0), budget=b)),
-    "has_pq(q=2)": ("packing search", lambda b: has_pq(gen_intervals(10, 30, 0), 3, 2, b)),
-    "has_pq(q=3)": ("(p,q) search", lambda b: has_pq(gen_intervals(10, 30, 0), 3, 3, b)),
+    "max_disjoint": ("packing search", lambda b: max_disjoint(gen_random(30, 60, 0.1, 0), budget=b)),
+    "has_pq(q=2)": ("packing search", lambda b: has_pq(gen_random(30, 60, 0.1, 0), 3, 2, b)),
+    "has_pq(q=3)": ("(p,q) search", lambda b: has_pq(gen_random(30, 60, 0.1, 0), 3, 3, b)),
     "transversal_exact": ("packing search", lambda b: transversal_exact(gen_random(30, 60, 0.1, 0), b)),
     "dual_shatter": ("exact shatter search", lambda b: dual_shatter(halfplanes(), 3, budget=b)),
     "growth_profile": ("exact shatter search", lambda b: growth_profile(halfplanes(), 3, budget=b)),
@@ -103,10 +106,19 @@ def test_negative_budget_stops_the_first_pop(call):
 
 
 def test_pq_search_finds_a_small_violation_in_few_nodes():
-    fam = gen_intervals(30, 150, 0)
+    fam = gen_random(30, 150, 0.05, 1)
     assert has_pq(fam, 6, 3, budget=7).violation == tuple(range(6))
     with pytest.raises(BudgetExceededError):
         has_pq(fam, 6, 3, budget=6)
+
+
+def test_interval_families_spend_no_budget():
+    # The right-endpoint greedy answers packing and (p,q) on intervals with no
+    # search, so a spent budget changes nothing.
+    fam = gen_intervals(40, 200, 0)
+    for run in (lambda b: max_disjoint(fam, budget=b), lambda b: max_disjoint(fam, 3, b),
+                lambda b: has_pq(fam, 11, 2, b), lambda b: has_pq(fam, 11, 3, b), lambda b: has_pq(fam, 8, 3, b)):
+        assert run(0) == run(DEFAULT_BUDGET)
 
 
 def test_q2_and_greedy_witness_obey_the_budget():
@@ -142,12 +154,12 @@ def test_piercing_stops_with_its_best_cover():
 
 # The benchmark's pierce ladder: family -> (the nodes max_disjoint pops, the
 # nodes each search of transversal_exact pops, or None where the benchmark
-# runs no piercing). On the interval families transversal_exact takes the
-# packing number from the right-endpoint greedy (Gallai's tau = nu), so it
-# pops no packing search.
+# runs no piercing). On the interval families both take the packing number
+# from the right-endpoint greedy (Gallai's tau = nu), so neither pops a
+# packing search.
 LADDER = {
-    "intervals(100,500,9)": (lambda: gen_intervals(100, 500, 9), 51, {"piercing search": 11}),
-    "intervals(80,400,38)": (lambda: gen_intervals(80, 400, 38), 83, {"piercing search": 22}),
+    "intervals(100,500,9)": (lambda: gen_intervals(100, 500, 9), 0, {"piercing search": 11}),
+    "intervals(80,400,38)": (lambda: gen_intervals(80, 400, 38), 0, {"piercing search": 22}),
     "random(40,80,0.1,1)": (lambda: gen_random(40, 80, 0.1, 1), 104, {"packing search": 104, "piercing search": 1059}),
     "random(40,80,0.1,12)": (lambda: gen_random(40, 80, 0.1, 12), 45, {"packing search": 45, "piercing search": 1155}),
     "random(40,80,0.1,18)": (lambda: gen_random(40, 80, 0.1, 18), 47, {"packing search": 47, "piercing search": 664}),
@@ -169,7 +181,7 @@ def test_ladder_searches_pop_their_pinned_nodes(name):
 
     with mock.patch.object(pq, "pops", pops), mock.patch.object(piercing, "pops", pops):
         max_disjoint(fam)
-        assert counts == {"packing search": packing}
+        assert counts == Counter({"packing search": packing})
         if piercing_pops is not None:
             counts.clear()
             transversal_exact(fam)

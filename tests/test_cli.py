@@ -121,6 +121,28 @@ class TestPierce:
         assert out.splitlines() == ["pierce.partition-consistent: OK (all classes consistent)",
                                     f"pierce.classes-pierced: FAIL ({detail})", "verdict: FAIL"]
 
+    def test_lower_bound_past_the_interval_packing_fails_verify(self, capsys, tmp_path):
+        # Five points, each with a set of its own, that claim tau = 5 as
+        # proved: a consistent cover, but the intervals pack only four sets
+        # (Gallai's tau = nu), so no lower bound of five can be proved.
+        fam, report = tmp_path / "intervals.fam", tmp_path / "pierce.report"
+        assert run(capsys, "generate", "--kind", "intervals", "--count", "12", "--universe", "40",
+                   "--seed", "3", "--out", str(fam))[0] == 0
+        assert run(capsys, "pierce", "--in", str(fam), "--out", str(report))[0] == 0
+        payload = json.loads(report.read_text())
+        result = payload["results"]["pierce"]
+        assert result["assignment"] == [0, 1, 1, 3, 0, 3, 2, 2, 3, 2, 1, 2]
+        result.update(piercing_points=[2, 7, 9, 12, 30], assignment=[0, 2, 1, 4, 0, 4, 3, 3, 4, 3, 1, 3],
+                      tau=5, lower_bound=5, optimal=True)
+        report.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify", "--report", str(report))
+        assert code == 1
+        assert out.splitlines() == [
+            "pierce.partition-consistent: OK (all classes consistent)",
+            "pierce.classes-pierced: FAIL (lower bound 5 exceeds the interval family's packing number 4)",
+            "verdict: FAIL",
+        ]
+
 
 class TestPq:
     def test_violation_listed(self, capsys, disjoint3_file):

@@ -101,19 +101,20 @@ class TestMaxDisjoint:
 
 
 class TestConflicts:
-    """On interval families the span sweep builds the graph that testing
-    every pair builds; any other family takes the pairwise loop."""
+    """``is_interval_family`` sends a family whose every set is a nonempty run
+    of consecutive points to the right-endpoint greedy; on any other family
+    the searches build the intersection graph pair by pair."""
 
-    @settings(max_examples=300)
-    @given(interval_families())
-    # Sets 0 and 1 share point 2 only: one starts where the other ends. Set 2
-    # is a single point inside both, set 3 holds every other set, and set 4
-    # repeats set 1.
-    @example(SetFamily.from_points(5, [("a", [0, 1, 2]), ("b", [2, 3, 4]), ("c", [2]), ("d", range(5)),
-                                       ("e", [2, 3, 4])]))
-    def test_sweep_matches_the_pairwise_oracle(self, fam):
-        assert pq.interval_spans(fam.members) is not None
-        assert pq._conflicts(fam.members) == conflicts_oracle(fam.members)
+    @pytest.mark.parametrize("members, interval", [
+        # Sets 0 and 1 share point 2 only, set 2 is a single point inside both,
+        # and set 3 repeats set 1.
+        ([0b00111, 0b11100, 0b00100, 0b11100], True),
+        ([0b1000], True),
+        ([0b00111, 0b10110], False),
+        ([0b00111, 0], False),
+    ], ids=["shared-nested-repeated", "single-point", "gapped", "empty"])
+    def test_recognises_an_interval_family(self, members, interval):
+        assert pq.is_interval_family(members) == interval
 
     @settings(max_examples=300)
     @given(interval_families(), st.data())
@@ -127,8 +128,30 @@ class TestConflicts:
             spoiler = 0
         members = list(fam.members)
         members.insert(data.draw(st.integers(0, len(members))), spoiler)
-        assert pq.interval_spans(members) is None
+        assert not pq.is_interval_family(members)
         assert pq._conflicts(members) == conflicts_oracle(members)
+
+
+class TestIntervalPick:
+    @settings(max_examples=300)
+    @given(interval_families(max_sets=8, max_points=10))
+    # Sets 0 and 1 share point 2 only, set 2 is a single point inside both,
+    # set 3 holds every other set, and set 4 repeats set 1.
+    @example(SetFamily.from_points(5, [("a", [0, 1, 2]), ("b", [2, 3, 4]), ("c", [2]), ("d", range(5)),
+                                       ("e", [2, 3, 4])]))
+    def test_matches_the_lexicographic_brute_force(self, fam):
+        # The verdict and the lexicographically first witness, as
+        # combinations finds it, at every cap and at q = 2, 3 and 4.
+        m = fam.num_sets
+        nu = brute_max_disjoint(fam)
+        assert max_disjoint(fam) == (nu, brute_first_packing(fam, nu))
+        for cap in range(m + 2):
+            size = min(cap, nu)
+            assert max_disjoint(fam, cap) == (size, brute_first_packing(fam, size))
+        for q in (2, 3, 4):
+            for p in range(q, m + 2):
+                report = has_pq(fam, p, q)
+                assert (report.holds, report.violation) == brute_pq(fam, p, q)
 
 
 class TestHasPq:
@@ -170,8 +193,9 @@ class TestHasPq:
         assert has_pq(singletons(), 9, 3).holds
 
     def test_budget_guard(self):
+        # The sets {i % 3, i % 3 + 2}: not intervals, so the search runs.
         fam = SetFamily(
-            20, tuple(f"S{i}" for i in range(20)), tuple(1 << (i % 3) for i in range(20))
+            20, tuple(f"S{i}" for i in range(20)), tuple(0b101 << (i % 3) for i in range(20))
         )
         with pytest.raises(BudgetExceededError):
             has_pq(fam, 10, 3, budget=100)
