@@ -39,7 +39,8 @@ from typing import Any
 
 from .errors import DEFAULT_BUDGET, SCHEMA_VERSION, BudgetExceededError, SetFamError
 from .family import (
-    SetFamily, boolean_atoms, family_to_dict, json_text, load_json, parse_family, points_from_mask, serialize_family,
+    SetFamily, boolean_atoms, decode_text, family_to_dict, json_text, load_json, parse_family, points_from_mask,
+    serialize_family,
 )
 
 
@@ -289,7 +290,7 @@ def _cmd_generate(args, _family) -> tuple[dict, list[str], int]:
 def _cmd_verify(args, _family) -> tuple[dict, list[str], int]:
     from .report import verify_report
 
-    report = load_json(Path(args.report).read_text(encoding="utf-8"), "report")
+    report = load_json(decode_text(Path(args.report).read_bytes()), "report")
     checks = [check._asdict() for check in verify_report(report)]
     all_ok = all(c["ok"] for c in checks)
     lines = [f"{c['kind']}: {'OK' if c['ok'] else 'FAIL'} ({c['detail']})" for c in checks]
@@ -359,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "input"):  # every command that analyses a family file
             data = Path(args.input).read_bytes()
             digest = "sha256:" + _sha256_hex(data) if report_path else None
-            family = parse_family(data.decode("utf-8"))
+            family = parse_family(decode_text(data))
         payload, lines, status = args.run(args, family)
         if report_path:
             if family is not None:  # verify's report embeds no family

@@ -32,13 +32,16 @@ Two text formats are supported:
 
 Serialization is canonical: the same family always produces the same bytes.
 ``json_text`` is the one JSON writer, of structured family files and of
-reports, and ``load_json`` the one JSON loader, of both; a syntax error is
-located by line and column.
+reports, and ``load_json`` the one JSON loader, of both; a syntax error, or
+an integer too long to convert, is located by line and column, as is a byte
+that ``decode_text`` cannot read as UTF-8.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sys
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -457,13 +460,47 @@ def json_text(value: Any, pad: str = "") -> str:
     return json.dumps(value)
 
 
+def _located(text: str, start: int, line: int = 1) -> dict[str, int]:
+    """The line and column of ``text[start]``, counting ``text``'s first line as ``line``."""
+    return {"line": line + text.count("\n", 0, start), "column": start - text.rfind("\n", 0, start)}
+
+
+def decode_text(data: bytes) -> str:
+    """``data`` as UTF-8 text; FamilyFormatError locates the first byte that
+    is not UTF-8, its column counted in characters."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].decode("utf-8")
+        raise FamilyFormatError(f"byte 0x{data[exc.start]:02x} is not UTF-8 text",
+                                **_located(head, len(head))) from None
+
+
+# A JSON string literal, or a number: its integer digits, then any fraction
+# or exponent, which make it a float. Compiled only on the error path.
+_JSON_TOKEN = r'"(?:[^"\\]|\\.)*"|-?(\d+)(\.\d+)?([eE][-+]?\d+)?'
+
+
+def _long_integer(text: str, line: int = 1) -> FamilyFormatError:
+    """The first integer of JSON ``text`` (or of an incidence header) with
+    more digits than ``int`` converts from text, ``sys.get_int_max_str_digits()``,
+    located; digits in string literals and floats are skipped."""
+    limit = sys.get_int_max_str_digits()
+    match = next(m for m in re.finditer(_JSON_TOKEN, text) if m[1] and not m[2] and not m[3] and len(m[1]) > limit)
+    return FamilyFormatError(f"integer of {len(match[1])} digits exceeds the limit of {limit} digits",
+                             **_located(text, match.start(), line))
+
+
 def load_json(text: str, what: str) -> Any:
-    """The value of JSON ``text``; FamilyFormatError gives a syntax error
-    its line and column, and names ``what`` if it nests too deeply to parse."""
+    """The value of JSON ``text``; FamilyFormatError gives a syntax error or an
+    integer too long to convert its line and column, and names ``what`` if it
+    nests too deeply to parse."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FamilyFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno, column=exc.colno) from None
+    except ValueError:  # the only other fault json.loads raises: an integer past the limit
+        raise _long_integer(text) from None
     except RecursionError:
         raise FamilyFormatError(f"{what} nests too deeply to parse") from None
 
@@ -478,6 +515,8 @@ _SET_KEYS = {"name", "points"}
 
 def parse_family(text: str) -> SetFamily:
     """Parse either supported format, sniffing structured JSON by a leading '{'."""
+    if text.startswith("\ufeff"):
+        raise FamilyFormatError("a byte order mark starts the text; save it as UTF-8 without one", line=1, column=1)
     if text.lstrip().startswith("{"):
         return family_from_dict(load_json(text, "family file"))
     return _parse_incidence(text)
@@ -497,9 +536,12 @@ def _parse_incidence(text: str) -> SetFamily:
         raise FamilyFormatError("empty family text", line=1)
     header_line, header = rows[0]
     parts = header.split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
         raise FamilyFormatError("header must be two integers 'num_sets num_points'", line=header_line)
-    m, n = int(parts[0]), int(parts[1])
+    try:
+        m, n = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise _long_integer(text.splitlines()[header_line - 1], header_line) from None
     if n > MAX_UNIVERSE:
         raise FamilyFormatError(f"universe of {n} points exceeds the largest, {MAX_UNIVERSE}", line=header_line)
     body = rows[1:]

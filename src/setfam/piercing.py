@@ -63,21 +63,14 @@ def _canonical(family: SetFamily, points: Sequence[int], lower_bound: int) -> Pi
     """The cover as a solution: points ascending, each set in the class of its
     lowest point, unused points dropped; optimal when it meets ``lower_bound``,
     a proved lower bound."""
-    pts = sorted(set(points))
-    assignment = []
-    for mem in family.members:
-        for k, pt in enumerate(pts):
-            if mem >> pt & 1:
-                assignment.append(k)
-                break
-    used = sorted(set(assignment))
-    if len(used) < len(pts):
-        # A redundant point can appear in interrupted searches; dropping it
-        # only improves the cover.
-        remap = {old: new for new, old in enumerate(used)}
-        pts = [pts[old] for old in used]
-        assignment = [remap[a] for a in assignment]
-    return PiercingSolution(len(pts), tuple(pts), tuple(assignment), len(pts) == lower_bound, lower_bound)
+    pierced = mask_from_points(points, family.universe_size)
+    lowest = [(hit & -hit).bit_length() - 1 for hit in [mem & pierced for mem in family.members]]
+    # A redundant point, the lowest of no set, can appear in interrupted
+    # searches; dropping it only improves the cover.
+    pts = sorted(set(lowest))
+    index = {pt: k for k, pt in enumerate(pts)}
+    assignment = tuple(index[pt] for pt in lowest)
+    return PiercingSolution(len(pts), tuple(pts), assignment, len(pts) == lower_bound, lower_bound)
 
 
 def transversal_greedy(family: SetFamily) -> PiercingSolution:
@@ -166,16 +159,13 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
     if greedy.tau == nu:
         return _canonical(family, greedy.piercing_points, nu)
 
-    # The candidate points covering each rank, in candidate order, and the
-    # ranks by how few there are (ties to the lower original index).
-    options: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for pt, col in candidates:
-        r = col
-        while r:
-            options[(r & -r).bit_length() - 1].append((pt, col))
-            r &= r - 1
-    branch_order = sorted(range(m), key=lambda r: (len(options[r]), order[r]))
+    # The ranks by how few candidate points cover them (ties to the lower
+    # original index); a rank's covering points, in candidate order, are
+    # listed the first time the search branches on it.
     members = [family.members[i] for i in order]
+    points = mask_from_points([pt for pt, _ in candidates], family.universe_size)
+    branch_order = sorted(range(m), key=lambda r: ((members[r] & points).bit_count(), order[r]))
+    options: dict[int, list[tuple[int, int]]] = {}
     all_mask = (1 << m) - 1
     best_points: Sequence[int] = greedy.piercing_points
     best_size = greedy.tau
@@ -204,6 +194,8 @@ def transversal_exact(family: SetFamily, budget: int = DEFAULT_BUDGET) -> Pierci
             if len(chosen) + len(greedy_packing(members, uncovered)) >= best_size:
                 continue
             pick = next(r for r in branch_order if uncovered >> r & 1)
+            if pick not in options:
+                options[pick] = [(pt, col) for pt, col in candidates if col >> pick & 1]
             gains: list[int] = []
             children = []
             for pt, col in options[pick]:

@@ -40,9 +40,11 @@ REASON_NO_SPLIT = "no splitting set"
 REASON_NO_BASE_HIT = "no set meeting every live atom in base points"
 REASON_NO_PROBE_AVOID = "no set avoiding prior probe points"
 
-_STAGE_SPLIT = "splits_target_within_a_live_atom"
-_STAGE_BASE = "also_meets_every_live_atom_in_base_points"
-_STAGE_AVOID = "also_avoids_prior_probe_points"
+# The candidate stages in blame order, and the reason each names when it is
+# the first to come out empty.
+_STAGES = ("splits_target_within_a_live_atom", "also_meets_every_live_atom_in_base_points",
+           "also_avoids_prior_probe_points")
+_REASONS = (REASON_NO_SPLIT, REASON_NO_BASE_HIT, REASON_NO_PROBE_AVOID)
 
 
 class ChainStep(NamedTuple):
@@ -159,26 +161,13 @@ def _candidate_stages(
     family: SetFamily, target_mask: int, chain: WitnessChain, atoms: _Atoms
 ) -> tuple[list[int], list[int], list[int]]:
     probe_mask = mask_from_points(chain.probe_points(), family.universe_size)
-    base = family.base_mask
+    members, base = family.members, family.base_mask
     # Every live atom lies inside or outside each chain set, so none splits one.
     chain_sets = set(chain.set_indices())
-    splitters: list[int] = []
-    base_hitters: list[int] = []
-    full: list[int] = []
-    for t in range(family.num_sets):
-        if t in chain_sets:
-            continue
-        mem = family.members[t]
-        if not any(mask & target_mask & mem and mask & target_mask & ~mem for _, mask in atoms):
-            continue
-        splitters.append(t)
-        if not all(mask & mem & base for _, mask in atoms):
-            continue
-        base_hitters.append(t)
-        if mem & probe_mask:
-            continue
-        full.append(t)
-    return splitters, base_hitters, full
+    splitters = [t for t, mem in enumerate(members) if t not in chain_sets and any(
+        mask & target_mask & mem and mask & target_mask & ~mem for _, mask in atoms)]
+    base_hitters = [t for t in splitters if all(mask & members[t] & base for _, mask in atoms)]
+    return splitters, base_hitters, [t for t in base_hitters if not members[t] & probe_mask]
 
 
 def candidate_sets(
@@ -226,19 +215,10 @@ def _extend(
 
 
 def _stuck(chain: WitnessChain, stages: tuple[list[int], list[int], list[int]]) -> StuckCertificate:
-    splitters, base_hitters, full = stages
-    if not splitters:
-        reason = REASON_NO_SPLIT
-    elif not base_hitters:
-        reason = REASON_NO_BASE_HIT
-    else:
-        reason = REASON_NO_PROBE_AVOID
-    trace = (
-        (_STAGE_SPLIT, tuple(splitters)),
-        (_STAGE_BASE, tuple(base_hitters)),
-        (_STAGE_AVOID, tuple(full)),
-    )
-    return StuckCertificate(chain.length, reason, trace, chain)
+    """The certificate of ``chain`` with these candidate stages; the reason
+    is the first empty stage's, the last stage's if none is empty."""
+    reason = next((reason for reason, sets in zip(_REASONS, stages) if not sets), _REASONS[-1])
+    return StuckCertificate(chain.length, reason, tuple(zip(_STAGES, map(tuple, stages))), chain)
 
 
 def build_quadratic_witness(
@@ -403,7 +383,7 @@ VERIFICATION_SHAPE = {"length": int, "step_separation_ok": bool, "within_step_di
                       "all_traces_distinct_ok": bool, "distinct_trace_count": int, "required_trace_count": int,
                       "quadratic_bound_ok": bool, "target_counts_ok": bool, "failures": [str], "ok": bool}
 STUCK_SHAPE = {"reached_length": int, "reason": str,
-               "candidate_trace": {stage: [SET_INDEX] for stage in (_STAGE_SPLIT, _STAGE_BASE, _STAGE_AVOID)}}
+               "candidate_trace": {stage: [SET_INDEX] for stage in _STAGES}}
 
 
 def chain_from_dict(obj: Any) -> WitnessChain:

@@ -607,6 +607,46 @@ class TestErrorPaths:
         assert run(capsys, "disjoint", "--in", str(path)) == (
             2, "", f"error: {where}: universe of 2097152 points exceeds the largest, 2097151\n")
 
+    # One past the longest integer int() converts from text, at its default
+    # limit (sys.get_int_max_str_digits()).
+    @pytest.mark.parametrize("text, where", [
+        ('{"universe": ' + "9" * 4301 + ', "sets": []}', "line 1, column 14"),
+        ("\n1 " + "9" * 4301 + "\n", "line 2, column 3"),
+    ], ids=["json", "incidence"])
+    def test_family_integer_past_the_digit_limit(self, capsys, tmp_path, text, where):
+        path = tmp_path / "long.fam"
+        path.write_text(text)
+        assert run(capsys, "pierce", "--in", str(path)) == (
+            2, "", f"error: {where}: integer of 4301 digits exceeds the limit of 4300 digits\n")
+
+    def test_header_digit_that_int_cannot_read(self, capsys, tmp_path):
+        # A superscript two is a digit to str.isdigit, but not a decimal.
+        path = tmp_path / "superscript.fam"
+        path.write_text("1 \u00b2\n", encoding="utf-8")
+        assert run(capsys, "atoms", "--in", str(path)) == (
+            2, "", "error: line 1: header must be two integers 'num_sets num_points'\n")
+
+    def test_report_integer_past_the_digit_limit(self, capsys, tmp_path):
+        # Digits in a string literal are text, not an integer.
+        path = tmp_path / "long.json"
+        path.write_text('{"note": "' + "9" * 5000 + '",\n "schema_version": -' + "9" * 4301 + "}")
+        assert run(capsys, "verify", "--report", str(path)) == (
+            2, "", "error: line 2, column 20: integer of 4301 digits exceeds the limit of 4300 digits\n")
+
+    @pytest.mark.parametrize("command, option", [("atoms", "--in"), ("verify", "--report")])
+    def test_bytes_that_are_not_utf8(self, capsys, tmp_path, command, option):
+        # The column counts characters: the two bytes of an e-acute are one.
+        path = tmp_path / "bad-byte.json"
+        path.write_bytes(b'{"universe": 1,\n "sets": [{"name": "\xc3\xa9\xff"}]}')
+        assert run(capsys, command, option, str(path)) == (
+            2, "", "error: line 2, column 22: byte 0xff is not UTF-8 text\n")
+
+    def test_byte_order_mark_before_a_family_file(self, capsys, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_text('{"universe": 1, "sets": []}', encoding="utf-8-sig")
+        assert run(capsys, "atoms", "--in", str(path)) == (
+            2, "", "error: line 1, column 1: a byte order mark starts the text; save it as UTF-8 without one\n")
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 from unittest import mock
 
@@ -263,6 +265,20 @@ class TestIntervalsAtScale:
         assert solution.optimal
         assert solution.tau == max_disjoint(fam)[0] == interval_packing(fam)
         assert_solution_valid(fam, solution)
+
+    @pytest.mark.parametrize("m, tau, nodes, cover", [
+        (800, 29, 91, "568b0ac4c2e0bf578257ceb4e780ed2040495e243a7c3c3753734106ebf192ab"),
+        (1600, 47, 1632, "77ca570e7b9e3ece4445c33aca9cc35a0e49fde3491b9da1e78847352e1776d3"),
+    ])
+    def test_gallai_at_scale_keeps_its_search(self, m, tau, nodes, cover):
+        # The closed form tau = nu at scale, with the branch and bound's node
+        # count and the sha256 of its cover pinned.
+        fam = gen_intervals(m, 5 * m, 0)
+        solution, popped = piercing_nodes(fam)
+        assert solution.tau == interval_packing(fam) == tau
+        assert solution.optimal and solution.lower_bound == tau
+        assert popped == nodes
+        assert hashlib.sha256(json.dumps(solution.piercing_points).encode()).hexdigest() == cover
 
     @pytest.mark.parametrize("seed", [0, 9, 10, 13, 38])
     def test_search_stops_at_packing_number(self, seed):
