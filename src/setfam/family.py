@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from collections import Counter
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -149,7 +150,7 @@ class SetFamily(_Record):
         if len(self.names) != len(self.members):
             raise ValueError("names and members must have equal length")
         if len(set(self.names)) != len(self.names):
-            dup = sorted({n for n in self.names if self.names.count(n) > 1})[0]
+            dup = min(n for n, k in Counter(self.names).items() if k > 1)
             raise ValueError(f"duplicate set name {dup!r}")
         full = self.universe_mask
         if self.extension_mask & ~full:

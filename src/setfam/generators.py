@@ -29,21 +29,31 @@ MAX_WITNESS_DEPTH = 20
 MAX_INCIDENCES = MAX_WITNESS_DEPTH * MAX_UNIVERSE
 
 
-def _check_size(count: int, universe_size: int, *faults: tuple[bool, str]) -> None:
+def _decimal(n: int) -> str:
+    """``n`` in decimal or, past the digits ``str`` writes
+    (``sys.get_int_max_str_digits()``), its digit count in angle brackets."""
+    try:
+        return str(n)
+    except ValueError:
+        k = (abs(n).bit_length() - 1) * 301 // 1000  # 10**k <= abs(n), with a short quotient
+        return f"<{len(str(abs(n) // 10**k)) + k} digits>"
+
+
+def _check_size(count: int, universe_size: int, *faults: tuple) -> None:
     """Raise ValueError on the first fault, before anything is drawn: ``count``
-    below 1, then the generator's own ``(fault, message)`` pairs in order,
+    below 1, then the generator's own ``(fault, message, *numbers)`` in order,
     then a universe above MAX_UNIVERSE, then more than MAX_INCIDENCES sets
-    times points."""
-    incidences = count * universe_size
-    for fault, message in (
+    times points. Only that fault's message is formatted, its ``{}`` fields
+    filled by ``_decimal`` of its numbers."""
+    for fault, message, *numbers in (
         (count < 1, "count must be at least 1"),
         *faults,
-        (universe_size > MAX_UNIVERSE, f"universe_size must be at most {MAX_UNIVERSE}, got {universe_size}"),
-        (incidences > MAX_INCIDENCES, f"count {count} times {universe_size} points makes {incidences}"
-                                      f" incidences; a generated family holds at most {MAX_INCIDENCES}"),
+        (universe_size > MAX_UNIVERSE, "universe_size must be at most {}, got {}", MAX_UNIVERSE, universe_size),
+        (count * universe_size > MAX_INCIDENCES, "count {} times {} points makes {} incidences; a generated"
+         " family holds at most {}", count, universe_size, count * universe_size, MAX_INCIDENCES),
     ):
         if fault:
-            raise ValueError(message)
+            raise ValueError(message.format(*map(_decimal, numbers)))
 
 
 def _family(kind: str, parameters: dict, seed: int, universe_size: int, masks, prefix: str,
@@ -151,9 +161,9 @@ def gen_halfplane_grid(
     want = 1 + count + count * (count - 1) // 2  # 1 + n(n+1)/2 >= 1 for any integer n: isqrt stays defined
     _check_size(
         count, grid_side * grid_side,
-        (not 3 <= grid_side <= MAX_GRID_SIDE, f"grid_side must be between 3 and {MAX_GRID_SIDE}, got {grid_side}"),
-        (want > grid_side * grid_side, f"count {count} makes {want} cells, each needing a grid point; "
-                                       f"grid_side must be at least {math.isqrt(want - 1) + 1}, got {grid_side}"),
+        (not 3 <= grid_side <= MAX_GRID_SIDE, "grid_side must be between 3 and {}, got {}", MAX_GRID_SIDE, grid_side),
+        (want > grid_side * grid_side, "count {} makes {} cells, each needing a grid point; grid_side must be"
+         " at least {}, got {}", count, want, math.isqrt(want - 1) + 1, grid_side),
     )
     rng = SplitMix64(seed)
     parameters = {"count": count, "grid_side": grid_side}

@@ -255,8 +255,8 @@ def check_solution(
     )
     bounded = (lower_bound is None or lower_bound <= tau) and optimal == (lower_bound == tau)
     nu = _interval_nu(family.members)
-    repeat = (next(p for i, p in enumerate(points) if p in points[:i])
-              if len(set(points)) < len(points) else None)
+    seen: set[int] = set()
+    repeat = next((p for p in points if p in seen or seen.add(p)), None)  # add returns None
     unused = sorted(set(range(len(points))).difference(assignment))
     fault = ("a set misses its class point" if not covered
              else f"tau {tau} but {len(points)} piercing points" if tau != len(points)

@@ -62,19 +62,14 @@ def _witness_shape(r: dict) -> dict:
                else {"verification": (None, VERIFICATION_SHAPE), "stuck": STUCK_SHAPE})}
 
 
-def _block_fault(recorded: dict | None, report: Any) -> str | None:
-    """Where a recorded verification block departs from ``report``, its
-    recomputation (None for a chain with no steps): the first field of its
-    report form that differs, or the whole block when just one of the two is
-    null. ``ok`` is the caller's to compare."""
-    from .witness import verification_to_dict
-
-    if recorded is None or report is None:
-        differs = None if recorded is report else "verification"
-    else:
-        recomputed = verification_to_dict(report)
-        differs = next((key for key in recomputed if key != "ok" and recorded[key] != recomputed[key]), None)
-    return differs and f"recorded {differs} differs from the recomputed verification"
+def _first_difference(recorded: dict | None, recomputed: dict | None, block: str) -> str | None:
+    """Where a recorded ``block`` departs from ``recomputed``, the report form
+    of its recomputation: the first field of that form that differs, or the
+    whole block when just one of the two is null (as a verification is for a
+    chain with no steps). ``ok`` is the caller's to compare."""
+    key = (block if (recorded is None) != (recomputed is None)
+           else next((key for key in recomputed or () if key != "ok" and recorded[key] != recomputed[key]), None))
+    return key and f"recorded {key} differs from the recomputed {block}"
 
 
 def _check_witness(family: SetFamily, r: dict) -> list[Check]:
@@ -86,29 +81,29 @@ def _check_witness(family: SetFamily, r: dict) -> list[Check]:
     from . import witness
 
     target, chain, recorded = r["target"], witness.chain_from_checked(r["chain"]), r["verification"]
-    if r["status"] == "chain":
-        report = witness.verify_witness(family, target, chain)
-        failures = list(report.failures)
-        if chain.length != r["n_target"]:
-            failures.append(f"chain has {chain.length} steps, n_target is {r['n_target']}")
-        fault = "; ".join(failures) or _block_fault(recorded, report)
+    stuck = r["status"] == "stuck"
+    certificate = witness.stuck_certificate(family, target, chain) if stuck else None
+    report = witness.verify_witness(family, target, chain) if chain.length or not stuck else None
+    failures = list(report.failures if report else ())
+    if not stuck and chain.length != r["n_target"]:
+        failures.append(f"chain has {chain.length} steps, n_target is {r['n_target']}")
+    fault = "; ".join(failures) or _first_difference(
+        recorded, witness.verification_to_dict(report) if report else None, "verification")
+    if not stuck:
         return [
             Check("witness.chain-valid", not fault, fault or "all checks pass"),
             Check("witness.verdict-agrees", report.ok == recorded["ok"],
                   f"recomputed ok={report.ok}, recorded ok={recorded['ok']}"),
         ]
-    certificate = witness.stuck_certificate(family, target, chain)
-    remaining, recomputed = certificate.candidate_trace[-1][1], witness.stuck_to_dict(certificate)
-    differs = next((key for key in recomputed if r["stuck"][key] != recomputed[key]), None)
+    remaining = certificate.candidate_trace[-1][1]
+    differs = _first_difference(r["stuck"], witness.stuck_to_dict(certificate), "certificate")
     short = chain.length < r["n_target"]
-    checks = [Check("witness.stuck-state-final", not remaining and differs is None and short,
+    checks = [Check("witness.stuck-state-final", not remaining and not differs and short,
                     f"candidates {list(remaining)} still extend the chain" if remaining
-                    else f"recorded {differs} differs from the recomputed certificate" if differs
+                    else differs if differs
                     else f"n_target {r['n_target']} is not above the chain's {chain.length} steps" if not short
                     else "no candidates extend the final state")]
-    report = witness.verify_witness(family, target, chain) if chain.length else None
     if report is not None or recorded is not None:
-        fault = "; ".join(report.failures if report else ()) or _block_fault(recorded, report)
         if not fault and recorded["ok"] != report.ok:
             fault = f"recomputed ok={report.ok}, recorded ok={recorded['ok']}"
         checks.append(Check("witness.partial-chain-valid", not fault, fault or "all checks pass"))

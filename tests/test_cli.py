@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -244,6 +245,9 @@ class TestWitnessAndVerify:
         ({"candidate_trace": [0]}, "candidate_trace"),
         ({"reached_length": 1, "reason": "no set avoiding prior probe points", "candidate_trace": [0]},
          "reached_length"),
+        # The certificate's own key order names reason; the report file's
+        # sorted keys would name candidate_trace.
+        ({"reason": "no set avoiding prior probe points", "candidate_trace": [0]}, "reason"),
     ])
     def test_edited_stuck_certificate_fails_verify(self, capsys, tmp_path, edits, named):
         # The chain gets stuck at length 4 with no splitting set; verify
@@ -596,6 +600,24 @@ class TestErrorPaths:
         assert run(capsys, "generate", "--kind", "intervals", "--count", "1000000", "--universe", "2000000") == (
             2, "", "error: count 1000000 times 2000000 points makes 2000000000000 incidences; "
             "a generated family holds at most 41943020\n")
+
+    # Sizes whose products have more digits than str writes: only the first
+    # fault's message is built, and a product past the limit shows its digit
+    # count. The cell count of 10**4000 - 1 lines has 8,000 digits.
+    NINES = "9" * 4000
+
+    @pytest.mark.parametrize("kind, args", [("intervals", []), ("random", ["--density", "0.5"])])
+    def test_generate_sizes_past_the_digit_limit(self, capsys, kind, args):
+        universe = "9" * 4200
+        assert run(capsys, "generate", "--kind", kind, "--count", self.NINES, "--universe", universe, *args) == (
+            2, "", f"error: universe_size must be at most 2097151, got {universe}\n")
+
+    def test_halfplane_cell_count_past_the_digit_limit(self, capsys):
+        count = int(self.NINES)
+        least = math.isqrt(count * (count + 1) // 2) + 1
+        assert run(capsys, "generate", "--kind", "halfplane_grid", "--count", self.NINES, "--grid-side", "10") == (
+            2, "", f"error: count {count} makes <8000 digits> cells, each needing a grid point; "
+            f"grid_side must be at least {least}, got 10\n")
 
     @pytest.mark.parametrize("text, where", [
         ("0 2097152\n", "line 1"),

@@ -1,6 +1,7 @@
 import copy
 import json
 import pickle
+import time
 
 import pytest
 from hypothesis import example, given
@@ -215,6 +216,16 @@ class TestInvariants:
     def test_duplicate_name_rejected_on_build(self):
         with pytest.raises(ValueError, match="duplicate"):
             SetFamily(2, ("A", "A"), (1, 2))
+
+    def test_duplicate_names_found_in_one_pass(self):
+        # 200,001 names, two of them listed twice: the message names the
+        # smallest. Counting each name by a scan of all the names would take
+        # minutes.
+        names = (*(f"S{i}" for i in range(199_999)), "S7", "S10")
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^duplicate set name 'S10'$"):
+            SetFamily(1, names, (0,) * len(names))
+        assert time.perf_counter() - start < 1
 
     def test_member_outside_universe_rejected(self):
         with pytest.raises(ValueError, match="outside"):

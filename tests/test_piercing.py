@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from collections import Counter
 from unittest import mock
 
@@ -30,6 +31,7 @@ from setfam import (
 )
 from setfam import errors
 from setfam import piercing as piercing_module
+from setfam.family import Check
 
 
 def star():
@@ -339,6 +341,16 @@ class TestVerifyPartition:
     def test_check_solution_refuses_a_point_out_of_range(self, point):
         with pytest.raises(ValueError, match=f"^point {point} out of range for a universe of 3 points$"):
             piercing_module.check_solution(singletons(), 3, [0, 1, point], [0, 1, 2], True, 3)
+
+    def test_check_solution_finds_a_repeat_in_one_pass(self):
+        # 200,001 points, the last a repeat of the first, on one set holding
+        # them all: a scan of the points before each point would take minutes.
+        n = 200_000
+        fam = SetFamily(n, ("A",), ((1 << n) - 1,))
+        start = time.perf_counter()
+        checks = piercing_module.check_solution(fam, n + 1, [*range(n), 0], [0], False, None)
+        assert time.perf_counter() - start < 1
+        assert checks[1] == Check("pierce.classes-pierced", False, "point 0 listed twice")
 
     def test_first_failing_class_in_label_order(self):
         fam = SetFamily.from_points(4, [("A", [0]), ("B", [1]), ("C", [2]), ("D", [3])])

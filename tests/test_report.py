@@ -240,6 +240,10 @@ def test_pq_parameters_out_of_order_exit_two(workdir, reports):
          "witness.chain-valid: FAIL (recorded quadratic_bound_ok differs from the recomputed verification)"),
         ("chain", _recorded(failures=["probe traces on the full chain are not pairwise distinct"]),
          "witness.chain-valid: FAIL (recorded failures differs from the recomputed verification)"),
+        # The verification's own key order names length; the report file's
+        # sorted keys would name failures.
+        ("chain", _recorded(length=4, failures=["probe traces on the full chain are not pairwise distinct"]),
+         "witness.chain-valid: FAIL (recorded length differs from the recomputed verification)"),
         # The stuck report's chain has one step, short of its n_target of 2.
         ("stuck", _recorded(length=2),
          "witness.partial-chain-valid: FAIL (recorded length differs from the recomputed verification)"),
